@@ -3,7 +3,8 @@
 Subcommands: ``analyze`` a strategy file, ``play`` it against an answers
 file, ``verify`` a claim campaign, ``order`` two tree files, and ``g2sim``
 a backtracking-game transcript.  Exit codes: 0 success / zero
-counterexamples, 1 counterexamples found, 2 usage or input errors.
+counterexamples, 1 counterexamples found, 2 usage or input errors.  Any
+other failure is a fault of the program and propagates as an exception.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from pebblegames.matching import GameSize, LogPower, Query
 from pebblegames import simple_game as sg
@@ -18,6 +20,17 @@ from pebblegames import php_tree as phpmod
 from pebblegames import trees as treemod
 from pebblegames import verify as ver
 from pebblegames import g2 as g2mod
+
+
+class InputError(Exception):
+    """A file or argument value the program cannot use (exit code 2)."""
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="print graph, loops, php-tree and win certificate")
     p_an.add_argument("strategy", type=Path)
-    p_an.add_argument("--s-max", type=int, default=64)
+    p_an.add_argument("--s-max", type=_positive_int, default=64)
 
     p_pl = sub.add_parser("play", help="replay a strategy against an answers file")
     p_pl.add_argument("strategy", type=Path)
@@ -37,14 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ve = sub.add_parser("verify", help="run a verification campaign")
     p_ve.add_argument("claim")
-    p_ve.add_argument("--shards", type=int, default=1)
-    p_ve.add_argument("--threads", type=int, default=1)
-    p_ve.add_argument("--s-max", type=int, default=64)
+    p_ve.add_argument("--threads", type=_positive_int, default=1)
+    p_ve.add_argument("--s-max", type=_positive_int, default=64)
     p_ve.add_argument("--seed", type=int, default=20240901)
-    p_ve.add_argument("--playouts", type=int, default=10_000)
-    p_ve.add_argument("--samples", type=int, default=0)
+    p_ve.add_argument("--playouts", type=_positive_int, help="default: the claim's own")
+    p_ve.add_argument("--samples", type=_positive_int, help="default: the claim's own")
     p_ve.add_argument("--fast-path", choices=["on", "off"], default="on")
-    p_ve.add_argument("--symmetry", choices=["on", "off"], default="off")
     p_ve.add_argument("--checkpoint", type=Path, default=None)
     p_ve.add_argument("--ce-dir", type=Path, default=None)
     p_ve.add_argument("--no-timing", action="store_true", help="print seconds=0.000 for reproducible output")
@@ -63,12 +74,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_strategy(path: Path) -> sg.SimpleStrategy:
-    return sg.parse_strategy(path.read_text())
+def _input(read: Callable[[], object]):
+    """``read()`` of input from a file or an argument, where a ``ValueError``
+    (a failed decode or parse) means the input is bad, not the program."""
+    try:
+        return read()
+    except ValueError as exc:  # StrategyParseError included
+        raise InputError(exc) from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    strat = _load_strategy(args.strategy)
+    strat = _input(lambda: sg.parse_strategy(args.strategy.read_text()))
     graph = sg.build_graph(strat)
     print(f"strategy: n={strat.size.n} s={strat.s} init={strat.init}")
     print(f"graph: {len(list(graph.nodes))} nodes, {len(graph.edges())} edges")
@@ -97,9 +113,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_play(args: argparse.Namespace) -> int:
-    strat = _load_strategy(args.strategy)
-    play = sg.parse_play(args.answers.read_text())
-    result = sg.play_simplified(strat, play)
+    strat = _input(lambda: sg.parse_strategy(args.strategy.read_text()))
+    play = _input(lambda: sg.parse_play(args.answers.read_text()))
+    result = _input(lambda: sg.play_simplified(strat, play))  # rejects answers that do not fit
     question = strat.init
     for i, rec in enumerate(result.records, start=1):
         print(f"round {i}: question {rec.pigeon} answer {rec.hole}")
@@ -114,60 +130,76 @@ def _cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    claim = args.claim
-    fast = args.fast_path == "on"
-    if claim in ("theorem-main-n1", "theorem-main-n2", "theorem-main-n3", "theorem-main-n4"):
-        n = int(claim[-1])
-        report = ver.verify_theorem_main(
-            n=n,
-            s_max=args.s_max,
-            shards=args.shards,
-            threads=args.threads,
-            fast_path=fast,
-            checkpoint=args.checkpoint,
-            ce_dir=args.ce_dir,
-            progress=args.progress,
-            sample=(args.samples or 100_000) if n > 3 else None,
-            seed=args.seed,
-        )
-    elif claim == "loop-bound-n3":
-        report = ver.verify_loop_bound(3, progress=args.progress)
-    elif claim == "small-n":
-        r1 = ver.verify_small_n(1)
-        r2 = ver.verify_small_n(2)
-        report = ver.CampaignReport(
-            "small-n",
-            r1.space + r2.space,
-            r1.counterexamples + r2.counterexamples,
-            r1.seconds + r2.seconds,
-        )
-    elif claim.startswith("subset-n"):
-        report = ver.verify_subset_prop(int(claim[len("subset-n"):]))
-    elif claim == "order-axioms":
-        r1 = ver.verify_order_axioms(2, 2)
-        r2 = ver.verify_order_axioms(3, 2, seed=args.seed)
-        report = ver.CampaignReport(
+def _merged(claim: str, *reports: ver.CampaignReport) -> ver.CampaignReport:
+    return ver.CampaignReport(
+        claim,
+        sum(r.space for r in reports),
+        [ce for r in reports for ce in r.counterexamples],
+        sum(r.seconds for r in reports),
+    )
+
+
+def _theorem_main(args: argparse.Namespace, n: int) -> ver.CampaignReport:
+    return ver.verify_theorem_main(
+        n=n,
+        s_max=args.s_max,
+        threads=args.threads,
+        fast_path=args.fast_path == "on",
+        checkpoint=args.checkpoint,
+        ce_dir=args.ce_dir,
+        progress=args.progress,
+        sample=args.samples if n > 3 else None,
+        seed=args.seed,
+    )
+
+
+# Claim name -> (campaign, its values for the options left unset).  Each
+# campaign looks its function up on ``ver`` when it runs, so a function
+# rebound there is the one called.
+CLAIMS: dict[str, tuple[Callable[[argparse.Namespace], ver.CampaignReport], dict]] = {
+    **{f"theorem-main-n{n}": (lambda a, n=n: _theorem_main(a, n), {}) for n in (1, 2, 3)},
+    "theorem-main-n4": (lambda a: _theorem_main(a, 4), {"samples": 100_000}),
+    "loop-bound-n3": (lambda a: ver.verify_loop_bound(3, progress=a.progress), {}),
+    "small-n": (lambda a: _merged("small-n", ver.verify_small_n(1), ver.verify_small_n(2)), {}),
+    **{f"subset-n{n}": (lambda a, n=n: ver.verify_subset_prop(n), {}) for n in (1, 2, 3, 4)},
+    "order-axioms": (
+        lambda a: _merged(
             "order-axioms",
-            r1.space + r2.space,
-            r1.counterexamples + r2.counterexamples,
-            r1.seconds + r2.seconds,
-        )
-    elif claim == "g2-properties":
-        report = ver.verify_g2_properties(playouts=args.playouts, seed=args.seed)
-    elif claim == "g2prime":
-        report = ver.verify_g2prime(plays=args.playouts if args.playouts != 10_000 else 1000, seed=args.seed)
-    elif claim == "figures":
-        report = ver.verify_figures()
-    elif claim == "php-trees":
-        build = args.samples or 10_000
-        report = ver.verify_php_trees(build_samples=build, seed=args.seed)
-    elif claim == "oracle-equivalence":
-        n3 = args.samples or 10_000
-        report = ver.verify_oracle_equivalence(n3_samples=n3, n4_samples=max(1, n3 // 10), seed=args.seed)
-    else:
-        print(f"unknown claim {claim!r}", file=sys.stderr)
-        return 2
+            ver.verify_order_axioms(2, 2),
+            ver.verify_order_axioms(3, 2, seed=a.seed),
+        ),
+        {},
+    ),
+    "g2-properties": (
+        lambda a: ver.verify_g2_properties(playouts=a.playouts, seed=a.seed),
+        {"playouts": 10_000},
+    ),
+    "g2prime": (
+        lambda a: ver.verify_g2prime(plays=a.playouts, seed=a.seed),
+        {"playouts": 1000},
+    ),
+    "figures": (lambda a: ver.verify_figures(), {}),
+    "php-trees": (
+        lambda a: ver.verify_php_trees(build_samples=a.samples, seed=a.seed),
+        {"samples": 10_000},
+    ),
+    "oracle-equivalence": (
+        lambda a: ver.verify_oracle_equivalence(
+            n3_samples=a.samples, n4_samples=max(1, a.samples // 10), seed=a.seed
+        ),
+        {"samples": 10_000},
+    ),
+}
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.claim not in CLAIMS:
+        raise InputError(f"unknown claim {args.claim!r}; claims: {', '.join(CLAIMS)}")
+    campaign, defaults = CLAIMS[args.claim]
+    for option, value in defaults.items():
+        if getattr(args, option) is None:
+            setattr(args, option, value)
+    report = campaign(args)
     print(report.line(timing=not args.no_timing))
     for ce in report.counterexamples[:16]:
         print("counterexample:\n" + ce if "\n" in ce else "counterexample: " + ce)
@@ -175,8 +207,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
-    ta = treemod.parse_tree(args.tree_a.read_text().splitlines())
-    tb = treemod.parse_tree(args.tree_b.read_text().splitlines())
+    ta = _input(lambda: treemod.parse_tree(args.tree_a.read_text().splitlines()))
+    tb = _input(lambda: treemod.parse_tree(args.tree_b.read_text().splitlines()))
     cmp = treemod.tree_compare(ta, tb)
     name = {
         treemod.Ordering.LESS: "Less",
@@ -197,12 +229,12 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_g2sim(args: argparse.Namespace) -> int:
-    cfg = LogPower(args.n, args.C)
-    tree, strategy = g2mod.prover_root_ramify(args.n, cfg)
+    cfg = _input(lambda: LogPower(args.n, args.C))
+    tree, strategy = _input(lambda: g2mod.prover_root_ramify(args.n, cfg))
     oracle = treemod.TreeOracle.explicit(tree)
     answers: list[int] = []
     if args.answers:
-        answers = [int(x) for x in args.answers.read_text().split() if x.strip()]
+        answers = _input(lambda: [int(x) for x in args.answers.read_text().split()])
     size = GameSize(cfg.n)
     pointer = {"i": 0}
 
@@ -229,21 +261,18 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = {
+        "analyze": _cmd_analyze,
+        "play": _cmd_play,
+        "verify": _cmd_verify,
+        "order": _cmd_order,
+        "g2sim": _cmd_g2sim,
+    }[args.command]
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "play":
-            return _cmd_play(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "order":
-            return _cmd_order(args)
-        if args.command == "g2sim":
-            return _cmd_g2sim(args)
-    except (sg.StrategyParseError, ValueError, OSError) as exc:
+        return command(args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

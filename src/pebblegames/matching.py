@@ -148,10 +148,6 @@ def matchings_consistent(a: Matching, b: Matching) -> bool:
     return True
 
 
-def matchings_contradict(a: Matching, b: Matching) -> bool:
-    return not matchings_consistent(a, b)
-
-
 @dataclass(frozen=True)
 class Query:
     """A set of queried pigeons and holes."""

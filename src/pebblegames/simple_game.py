@@ -417,9 +417,6 @@ class WinCertificate:
     def wins_all(self) -> bool:
         return len(self.explicit) == self.s_max and len(self.residues) == self.period
 
-    def winning_forever(self) -> bool:
-        return self.wins_all()
-
     def check_overlap(self) -> bool:
         return all(
             (s in self.explicit) == ((s - self.preperiod - 1) % self.period in self.residues)
@@ -730,10 +727,6 @@ def parse_strategy(text: str) -> SimpleStrategy:
     if len(cells) != expected:
         raise StrategyParseError(1, f"expected {expected} map lines, got {len(cells)}")
     return make_strategy(n, s, init, cells, pigeon_count)
-
-
-def format_play(play: Play) -> str:
-    return "answers " + " ".join(str(h) for h in play.answers) + "\n"
 
 
 def parse_play(text: str) -> Play:

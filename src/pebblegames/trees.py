@@ -49,10 +49,6 @@ def lex_compare(v: Vertex, w: Vertex) -> Ordering:
     return Ordering.EQUAL
 
 
-def lex_less(v: Vertex, w: Vertex) -> bool:
-    return lex_compare(v, w) is Ordering.LESS
-
-
 @dataclass(frozen=True)
 class FiniteTree:
     """A nonempty prefix-closed set of vertices, kept sorted lexicographically.
@@ -124,10 +120,6 @@ def tree_compare(t: FiniteTree, u: FiniteTree) -> Ordering:
     # One list is a prefix of the other; the next vertex of the longer tree
     # witnesses that the shorter tree is below it.
     return Ordering.LESS if len(a) < len(b) else Ordering.GREATER
-
-
-def tree_less(t: FiniteTree, u: FiniteTree) -> bool:
-    return tree_compare(t, u) is Ordering.LESS
 
 
 def universe(b: int, h: int) -> list[Vertex]:

@@ -7,6 +7,11 @@ The sweep is vectorized over strategy batches with per-candidate reachable
 edge sets packed into integer masks; a loop fast path dispatches tables
 whose certificate is forced by an absorbing loop edge, and a deterministic
 sample of dispatched tables is cross-checked against the full certificate.
+
+One engine serves both batch sweeps: ``_batch_tables`` decodes a batch into
+its bit tables and ``_step`` advances every candidate's edge set by one
+walk step.  ``certify_batch`` (the headline sweep) and ``verify_loop_bound``
+differ only in the mask the step keeps and in how they walk.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ class CampaignReport:
     space: int
     counterexamples: list[str] = field(default_factory=list)
     seconds: float = 0.0
-    shards: int = 1
     details: dict = field(default_factory=dict)
 
     @property
@@ -172,7 +176,7 @@ class BoardTables:
     compat: np.ndarray  # (E,) mask of edges compatible with e
     out_mask: np.ndarray  # (P,) mask of edges with tail p
     cand_tail: np.ndarray  # (E,) tail pigeon of candidate e
-    full: int
+    bits: np.ndarray  # (E,) the one-bit mask of edge e
 
 
 def board_tables(n: int) -> BoardTables:
@@ -192,9 +196,8 @@ def board_tables(n: int) -> BoardTables:
         [((1 << n) - 1) << (p * n) for p in range(pigeons)], dtype=dtype
     )
     cand_tail = np.arange(num_edges, dtype=np.int64) // n
-    return BoardTables(
-        n, num_edges, dtype, compat, out_mask, cand_tail, (1 << num_edges) - 1
-    )
+    bits = (np.uint64(1) << np.arange(num_edges, dtype=np.uint64)).astype(dtype)
+    return BoardTables(n, num_edges, dtype, compat, out_mask, cand_tail, bits)
 
 
 def decode_batch(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -209,6 +212,32 @@ def decode_batch(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         heads[:, e] = rest % pigeons
         rest //= pigeons
     return init, heads
+
+
+def _batch_tables(indices: np.ndarray, bt: BoardTables) -> tuple[np.ndarray, ...]:
+    """The per-table bit tables of a batch: ``init`` (B,) is the first
+    question; ``t_base`` (B, E) holds the edges that may follow edge e (out
+    of its head, compatible with e); ``targets`` (B, E) the edges whose head
+    is candidate e's tail; ``is_loop`` (B, E) whether edge e is a loop."""
+    n, dt = bt.n, bt.dtype
+    init, heads = decode_batch(indices, n)
+    head_mask = np.empty((len(indices), n + 1), dtype=dt)  # edges whose head is p
+    for p in range(n + 1):
+        head_mask[:, p] = ((heads == p).astype(dt) * bt.bits[None, :]).sum(
+            axis=1, dtype=np.uint64
+        ).astype(dt)
+    t_base = bt.out_mask[heads] & bt.compat[None, :]
+    is_loop = heads == np.arange(bt.num_edges, dtype=np.uint8)[None, :] // n
+    return init, t_base, head_mask[:, bt.cand_tail], is_loop
+
+
+def _step(rr: np.ndarray, t_base: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """One walk step of every candidate's edge set, kept to ``allowed``."""
+    nxt = np.zeros_like(rr)
+    for e in range(t_base.shape[1]):
+        sel = (rr >> e) & 1
+        np.bitwise_or(nxt, np.where(sel.astype(bool), t_base[:, e][:, None], 0), out=nxt)
+    return nxt & allowed
 
 
 @dataclass
@@ -237,24 +266,10 @@ def certify_batch(
     the full per-candidate state vector.
     """
     n = bt.n
-    E = bt.num_edges
-    dt = bt.dtype
     B = len(indices)
-    init, heads = decode_batch(indices, n)
-
-    t_base = bt.out_mask[heads] & bt.compat[None, :]  # (B, E)
-    # targets[b, c]: edges whose head equals candidate c's tail.
-    head_mask = np.zeros((B, n + 2), dtype=dt)
-    bitvals = (np.ones(E, dtype=np.uint64) << np.arange(E, dtype=np.uint64)).astype(dt)
-    for p in range(n + 1):
-        head_mask[:, p] = ((heads == p).astype(dt) * bitvals[None, :]).sum(
-            axis=1, dtype=np.uint64
-        ).astype(dt)
-    targets = head_mask[:, bt.cand_tail]  # (B, E)
-    is_loop = heads == np.arange(E, dtype=np.uint8)[None, :] // n  # (B, E)
-
-    start = bt.out_mask[init]  # (B,)
-    r = start[:, None] & bt.compat[None, :]  # (B, E) per-candidate state
+    init, tb, tg, lp = _batch_tables(indices, bt)
+    allowed = bt.compat[None, :]
+    rr = bt.out_mask[init][:, None] & allowed  # (B, E) per-candidate state
 
     ok = np.ones(B, dtype=bool)  # all explicit lengths so far are wins
     first_fail = np.zeros(B, dtype=np.int64)
@@ -263,18 +278,7 @@ def certify_batch(
     K = 2 * (n - 2) + 1 if n >= 2 else 1
     loop_hit = np.zeros(B, dtype=bool)
 
-    def step(rr: np.ndarray, tb: np.ndarray) -> np.ndarray:
-        nxt = np.zeros_like(rr)
-        for e in range(E):
-            sel = (rr >> e) & 1
-            np.bitwise_or(nxt, np.where(sel.astype(bool), tb[:, e][:, None], 0), out=nxt)
-        return nxt & bt.compat[None, :]
-
     active = np.arange(B)
-    rr = r
-    tb = t_base
-    tg = targets
-    lp = is_loop
     t = 1
     anchor = None
     anchor_t = 0
@@ -295,6 +299,8 @@ def certify_batch(
             keep = ~disp
             active = active[keep]
             rr, tb, tg, lp = rr[keep], tb[keep], tg[keep], lp[keep]
+            if anchor is not None:  # set already when s_max < K
+                anchor = anchor[keep]
             if not len(active):
                 break
         if t >= s_max:
@@ -319,7 +325,7 @@ def certify_batch(
                     anchor = anchor[keep]
         if not len(active):
             break
-        rr = step(rr, tb)
+        rr = _step(rr, tb, allowed)
         t += 1
 
     uncertified = np.zeros(B, dtype=bool)
@@ -377,7 +383,6 @@ def _theorem_span(
 def verify_theorem_main(
     n: int = 3,
     s_max: int = 64,
-    shards: int = 1,
     threads: int = 1,
     fast_path: bool = True,
     batch_size: int = 1 << 18,
@@ -422,11 +427,6 @@ def verify_theorem_main(
                 lo, hi = int(parts[1]), int(parts[2])
                 done[(lo, hi)] = [int(x) for x in parts[3:]]
 
-    spans = []
-    for shard in range(shards):
-        lo, hi = shard_bounds(total, shard, shards)
-        spans.append((shard, lo, hi))
-
     ces: list[int] = []
     fast_count = 0
     sampled = 0
@@ -447,13 +447,12 @@ def verify_theorem_main(
             print(f"  [{pct:5.1f}%] indices {stop}/{total} fast={fast_count}", flush=True)
 
     jobs = []
-    for _shard, lo, hi in spans:
-        for start in range(lo, hi, batch_size):
-            stop = min(start + batch_size, hi)
-            if (start, stop) in done:
-                ces.extend(done[(start, stop)])
-            else:
-                jobs.append((start, stop, n, s_max, fast_path, batch_size, sample_denom))
+    for start in range(0, total, batch_size):
+        stop = min(start + batch_size, total)
+        if (start, stop) in done:
+            ces.extend(done[(start, stop)])
+        else:
+            jobs.append((start, stop, n, s_max, fast_path, batch_size, sample_denom))
 
     if threads <= 1:
         for job in jobs:
@@ -481,7 +480,6 @@ def verify_theorem_main(
         space=total,
         counterexamples=serialized,
         seconds=time.time() - t0,
-        shards=shards,
         details={"fast_path": fast_count, "sampled_crosschecks": sampled},
     )
 
@@ -489,7 +487,6 @@ def verify_theorem_main(
 def verify_loop_bound(
     n: int = 3,
     batch_size: int = 1 << 18,
-    threads: int = 1,
     progress: bool = False,
     limit: Optional[int] = None,
 ) -> CampaignReport:
@@ -500,51 +497,31 @@ def verify_loop_bound(
     """
     t0 = time.time()
     bt = board_tables(n)
-    E = bt.num_edges
     K = 2 * (n - 2) + 1
+    # Walks may not reuse the loop edge itself (it carries the loop hole).
+    allowed = (bt.compat & ~bt.bits)[None, :]
     total = min(strategy_space(n), limit) if limit else strategy_space(n)
     bad: list[str] = []
     for start in range(0, total, batch_size):
         stop = min(start + batch_size, total)
         idxs = np.arange(start, stop, dtype=np.uint64)
-        init, heads = decode_batch(idxs, n)
-        t_base = bt.out_mask[heads] & bt.compat[None, :]
-        is_loop = heads == (np.arange(E, dtype=np.uint8)[None, :] // n)
-        # Walks may not reuse the loop edge itself (it carries the loop hole).
-        self_bit = (np.ones(E, dtype=np.uint64) << np.arange(E, dtype=np.uint64)).astype(bt.dtype)
-        allowed = bt.compat[None, :] & ~self_bit[None, :]
-        head_mask = np.zeros((len(idxs), n + 2), dtype=bt.dtype)
-        for p in range(n + 1):
-            head_mask[:, p] = (
-                (heads == p).astype(bt.dtype) * self_bit[None, :]
-            ).sum(axis=1, dtype=np.uint64).astype(bt.dtype)
-        targets = head_mask[:, bt.cand_tail]
-        def step(rr: np.ndarray) -> np.ndarray:
-            nxt = np.zeros_like(rr)
-            for e in range(E):
-                sel = (rr >> e) & 1
-                np.bitwise_or(
-                    nxt, np.where(sel.astype(bool), t_base[:, e][:, None], 0), out=nxt
-                )
-            return nxt & allowed
-
+        init, t_base, targets, is_loop = _batch_tables(idxs, bt)
         # Exact-length sets up to the bound give the shortest-hit check; the
         # cumulative union (a monotone fixpoint) decides reachability-ever.
         rr = bt.out_mask[init][:, None] & allowed
-        hit_by_k = np.zeros((len(idxs), E), dtype=bool)
+        hit_by_k = np.zeros(rr.shape, dtype=bool)
         union = rr.copy()
         for _t in range(1, K + 1):
             hit_by_k |= (rr & targets) != 0
-            rr = step(rr)
+            rr = _step(rr, t_base, allowed)
             union |= rr
         while True:
-            grown = union | step(union)
+            grown = union | _step(union, t_base, allowed)
             if (grown == union).all():
                 break
             union = grown
         ever_hit = (union & targets) != 0
-        tails = bt.cand_tail[None, :]
-        at_init = init[:, None] == tails
+        at_init = init[:, None] == bt.cand_tail[None, :]
         violation = is_loop & ever_hit & ~hit_by_k & ~at_init
         rows = violation.any(axis=1)
         for row in np.nonzero(rows)[0]:

@@ -29,7 +29,7 @@ def test_criterion_01_theorem_main_n3_exhaustive():
     """All 4**13 strategies Delayer-won for every length (exact)."""
     t0 = time.time()
     report = ver.verify_theorem_main(
-        n=3, s_max=64, shards=THREADS, threads=THREADS, fast_path=True,
+        n=3, s_max=64, threads=THREADS, fast_path=True,
         batch_size=1 << 18,
     )
     ok = report.ok and report.space == 67_108_864

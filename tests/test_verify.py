@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pebblegames.simple_game import (
     brute_force_delayer_wins,
@@ -110,6 +111,35 @@ def test_certify_batch_matches_certificate():
     for row in range(0, 800, 7):
         strat = index_to_strategy(int(idxs[row]), 3)
         assert bool(res.wins_all[row]) == delayer_wins_lengths(strat).wins_all()
+
+
+def _first_loss(cert) -> int:
+    """The least losing length of a certificate, 0 when every length wins."""
+    horizon = cert.s_max + cert.preperiod + cert.period
+    return next((s for s in range(1, horizon + 1) if not cert.wins(s)), 0)
+
+
+@st.composite
+def _index_batches(draw):
+    n = draw(st.sampled_from((1, 2, 3, 4)))
+    idxs = draw(st.lists(st.integers(0, strategy_space(n) - 1), min_size=1, max_size=8))
+    return n, idxs
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_index_batches(), fast_path=st.booleans(), s_max=st.integers(1, 24))
+@example(batch=(4, [5, 1105]), fast_path=True, s_max=1)  # repeat anchor set before dispatch
+def test_certify_batch_matches_certificate_every_width(batch, fast_path, s_max):
+    # n=1..3 run on uint16 masks and n=4 on uint32 ones.
+    n, idxs = batch
+    res = certify_batch(
+        np.array(idxs, dtype=np.uint64), board_tables(n), s_max=s_max, fast_path=fast_path
+    )
+    assert not res.uncertified.any()
+    for row, idx in enumerate(idxs):
+        cert = delayer_wins_lengths(index_to_strategy(idx, n), s_max=s_max)
+        assert bool(res.wins_all[row]) == cert.wins_all()
+        assert int(res.first_fail[row]) == _first_loss(cert)
 
 
 def test_certify_batch_n2_finds_prover_wins():
