@@ -3,8 +3,9 @@
 Subcommands: ``analyze`` a strategy file, ``play`` it against an answers
 file, ``verify`` a claim campaign, ``order`` two tree files, and ``g2sim``
 a backtracking-game transcript.  Exit codes: 0 success / zero
-counterexamples, 1 counterexamples found, 2 usage or input errors.  Any
-other failure is a fault of the program and propagates as an exception.
+counterexamples, 1 counterexamples found, 2 usage or input errors (a
+checkpoint file of another run included).  Any other failure is a fault of
+the program and propagates as an exception.
 """
 
 from __future__ import annotations
@@ -50,16 +51,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ve = sub.add_parser("verify", help="run a verification campaign")
     p_ve.add_argument("claim")
-    p_ve.add_argument("--threads", type=_positive_int, default=1)
-    p_ve.add_argument("--s-max", type=_positive_int, default=64)
-    p_ve.add_argument("--seed", type=int, default=20240901)
-    p_ve.add_argument("--playouts", type=_positive_int, help="default: the claim's own")
-    p_ve.add_argument("--samples", type=_positive_int, help="default: the claim's own")
-    p_ve.add_argument("--fast-path", choices=["on", "off"], default="on")
-    p_ve.add_argument("--checkpoint", type=Path, default=None)
-    p_ve.add_argument("--ce-dir", type=Path, default=None)
+    # Every option but --no-timing defaults to None, meaning unset: the claim
+    # fills in its own default, and a claim that does not read it refuses it.
+    p_ve.add_argument("--threads", type=_positive_int)
+    p_ve.add_argument("--s-max", type=_positive_int)
+    p_ve.add_argument("--seed", type=int)
+    p_ve.add_argument("--playouts", type=_positive_int)
+    p_ve.add_argument("--samples", type=_positive_int)
+    p_ve.add_argument("--checkpoint", type=Path)
+    p_ve.add_argument("--ce-dir", type=Path)
     p_ve.add_argument("--no-timing", action="store_true", help="print seconds=0.000 for reproducible output")
-    p_ve.add_argument("--progress", action="store_true")
+    p_ve.add_argument("--progress", action="store_true", default=None)
 
     p_or = sub.add_parser("order", help="compare two tree files under the tree order")
     p_or.add_argument("tree_a", type=Path)
@@ -85,10 +87,9 @@ def _input(read: Callable[[], object]):
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     strat = _input(lambda: sg.parse_strategy(args.strategy.read_text()))
-    graph = sg.build_graph(strat)
     print(f"strategy: n={strat.size.n} s={strat.s} init={strat.init}")
-    print(f"graph: {len(list(graph.nodes))} nodes, {len(graph.edges())} edges")
-    for line in graph.adjacency_lines():
+    print(f"graph: {len(strat.size.pigeons)} nodes, {len(strat.edges())} edges")
+    for line in sg.adjacency_lines(strat):
         print("  " + line)
     loops = sorted(sg.find_loops(strat))
     print("loops: " + (" ".join(f"({e.tail},{e.label})" for e in loops) if loops else "none"))
@@ -144,22 +145,39 @@ def _theorem_main(args: argparse.Namespace, n: int) -> ver.CampaignReport:
         n=n,
         s_max=args.s_max,
         threads=args.threads,
-        fast_path=args.fast_path == "on",
         checkpoint=args.checkpoint,
         ce_dir=args.ce_dir,
         progress=args.progress,
-        sample=args.samples if n > 3 else None,
+        sample=args.samples,
         seed=args.seed,
     )
 
 
-# Claim name -> (campaign, its values for the options left unset).  Each
+SEED = 20240901
+# The options a theorem-main sweep reads, but for --samples, whose default
+# differs by board.
+SWEEP = {
+    "threads": 1,
+    "s_max": 64,
+    "seed": SEED,
+    "checkpoint": None,
+    "ce_dir": None,
+    "progress": False,
+}
+
+# Claim name -> (campaign, the options it reads with their defaults).  Each
 # campaign looks its function up on ``ver`` when it runs, so a function
 # rebound there is the one called.
 CLAIMS: dict[str, tuple[Callable[[argparse.Namespace], ver.CampaignReport], dict]] = {
-    **{f"theorem-main-n{n}": (lambda a, n=n: _theorem_main(a, n), {}) for n in (1, 2, 3)},
-    "theorem-main-n4": (lambda a: _theorem_main(a, 4), {"samples": 100_000}),
-    "loop-bound-n3": (lambda a: ver.verify_loop_bound(3, progress=a.progress), {}),
+    **{
+        f"theorem-main-n{n}": (lambda a, n=n: _theorem_main(a, n), {**SWEEP, "samples": None})
+        for n in (1, 2, 3)
+    },
+    "theorem-main-n4": (lambda a: _theorem_main(a, 4), {**SWEEP, "samples": 100_000}),
+    "loop-bound-n3": (
+        lambda a: ver.verify_loop_bound(3, progress=a.progress),
+        {"progress": False},
+    ),
     "small-n": (lambda a: _merged("small-n", ver.verify_small_n(1), ver.verify_small_n(2)), {}),
     **{f"subset-n{n}": (lambda a, n=n: ver.verify_subset_prop(n), {}) for n in (1, 2, 3, 4)},
     "order-axioms": (
@@ -168,26 +186,26 @@ CLAIMS: dict[str, tuple[Callable[[argparse.Namespace], ver.CampaignReport], dict
             ver.verify_order_axioms(2, 2),
             ver.verify_order_axioms(3, 2, seed=a.seed),
         ),
-        {},
+        {"seed": SEED},
     ),
     "g2-properties": (
         lambda a: ver.verify_g2_properties(playouts=a.playouts, seed=a.seed),
-        {"playouts": 10_000},
+        {"playouts": 10_000, "seed": SEED},
     ),
     "g2prime": (
         lambda a: ver.verify_g2prime(plays=a.playouts, seed=a.seed),
-        {"playouts": 1000},
+        {"playouts": 1000, "seed": SEED},
     ),
     "figures": (lambda a: ver.verify_figures(), {}),
     "php-trees": (
         lambda a: ver.verify_php_trees(build_samples=a.samples, seed=a.seed),
-        {"samples": 10_000},
+        {"samples": 10_000, "seed": SEED},
     ),
     "oracle-equivalence": (
         lambda a: ver.verify_oracle_equivalence(
             n3_samples=a.samples, n4_samples=max(1, a.samples // 10), seed=a.seed
         ),
-        {"samples": 10_000},
+        {"samples": 10_000, "seed": SEED},
     ),
 }
 
@@ -195,10 +213,15 @@ CLAIMS: dict[str, tuple[Callable[[argparse.Namespace], ver.CampaignReport], dict
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.claim not in CLAIMS:
         raise InputError(f"unknown claim {args.claim!r}; claims: {', '.join(CLAIMS)}")
-    campaign, defaults = CLAIMS[args.claim]
-    for option, value in defaults.items():
-        if getattr(args, option) is None:
-            setattr(args, option, value)
+    campaign, reads = CLAIMS[args.claim]
+    for option, value in vars(args).items():
+        if option in ("command", "claim", "no_timing"):
+            continue
+        if option not in reads and value is not None:
+            flag = "--" + option.replace("_", "-")
+            raise InputError(f"claim {args.claim!r} does not read {flag}")
+        if value is None:
+            setattr(args, option, reads.get(option))
     report = campaign(args)
     print(report.line(timing=not args.no_timing))
     for ce in report.counterexamples[:16]:
@@ -270,7 +293,7 @@ def run(argv: list[str]) -> int:
     }[args.command]
     try:
         return command(args)
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, ver.CheckpointMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,18 +104,6 @@ class Matching:
     def __contains__(self, rec: Record) -> bool:
         return rec in self.entries
 
-    def hole_of(self, pigeon: int) -> Optional[int]:
-        for r in self.entries:
-            if r.pigeon == pigeon:
-                return r.hole
-        return None
-
-    def pigeon_of(self, hole: int) -> Optional[int]:
-        for r in self.entries:
-            if r.hole == hole:
-                return r.pigeon
-        return None
-
     @property
     def pigeons(self) -> frozenset[int]:
         return frozenset(r.pigeon for r in self.entries)
@@ -127,10 +115,6 @@ class Matching:
     def union(self, other: "Matching") -> "Matching":
         """The combined matching; raises ValueError when they contradict."""
         return Matching(self.entries + other.entries)
-
-    def restrict_to(self, pigeons: Iterable[int], holes: Iterable[int]) -> "Matching":
-        ps, hs = set(pigeons), set(holes)
-        return Matching(tuple(r for r in self.entries if r.pigeon in ps and r.hole in hs))
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"({r.pigeon},{r.hole})" for r in self.entries) + "}"

@@ -161,40 +161,14 @@ def all_plays(strat: SimpleStrategy) -> Iterator[Play]:
 # The strategy graph view.
 
 
-@dataclass(frozen=True)
-class StrategyGraph:
-    """Adjacency view of the strategy multigraph."""
-
-    strat: SimpleStrategy
-
-    @property
-    def nodes(self) -> range:
-        return self.strat.size.pigeons
-
-    @property
-    def initial(self) -> int:
-        return self.strat.init
-
-    def head(self, e: EdgeRef) -> int:
-        return self.strat.table[e.tail][e.label]
-
-    def out_edges(self, p: int) -> list[EdgeRef]:
-        return [EdgeRef(p, h) for h in self.strat.size.holes]
-
-    def edges(self) -> list[EdgeRef]:
-        return self.strat.edges()
-
-    def adjacency_lines(self) -> list[str]:
-        lines = []
-        for p in self.nodes:
-            outs = " ".join(f"{h}->{self.head(EdgeRef(p, h))}" for h in self.strat.size.holes)
-            mark = "*" if p == self.initial else " "
-            lines.append(f"{mark}{p}: {outs}")
-        return lines
-
-
-def build_graph(strat: SimpleStrategy) -> StrategyGraph:
-    return StrategyGraph(strat)
+def adjacency_lines(strat: SimpleStrategy) -> list[str]:
+    """One line per pigeon, ``*`` marking the initial one: ``p: h->head ...``."""
+    lines = []
+    for p in strat.size.pigeons:
+        outs = " ".join(f"{h}->{strat.table[p][h]}" for h in strat.size.holes)
+        mark = "*" if p == strat.init else " "
+        lines.append(f"{mark}{p}: {outs}")
+    return lines
 
 
 def edges_compatible(a: EdgeRef, b: EdgeRef) -> bool:
@@ -212,10 +186,9 @@ class PathFlags:
 
 def path_consistency(strat: SimpleStrategy, path: Sequence[EdgeRef]) -> PathFlags:
     """The walk/consistency predicates for a candidate edge sequence."""
-    graph = build_graph(strat)
     ok_walk = bool(path) and path[0].tail == strat.init
     for prev, nxt in zip(path, path[1:]):
-        if graph.head(prev) != nxt.tail:
+        if strat.table[prev.tail][prev.label] != nxt.tail:
             ok_walk = False
             break
     local = all(edges_compatible(a, b) for a, b in zip(path, path[1:]))

@@ -97,13 +97,6 @@ class FiniteTree:
     def leaves(self) -> list[Vertex]:
         return [v for v in self.vertices if not self.children(v)]
 
-    def max_extension(self, v: Vertex) -> Vertex:
-        """The lexicographically largest vertex extending ``v``."""
-        exts = [w for w in self.vertices if is_prefix(v, w)]
-        if not exts:
-            raise KeyError(f"{v} not in tree")
-        return exts[-1]
-
 
 def tree_compare(t: FiniteTree, u: FiniteTree) -> Ordering:
     """The tree order: ``t`` is below ``u`` iff some witness ``w`` in ``u``

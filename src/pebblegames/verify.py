@@ -1,12 +1,16 @@
 """Exhaustive and randomized verification campaigns.
 
 The headline campaign sweeps every strategy table of the simplified game at
-a given board size and proves each one Delayer-won for every round count:
-explicitly up to ``s_max`` and beyond it by a repeated-state certificate.
-The sweep is vectorized over strategy batches with per-candidate reachable
-edge sets packed into integer masks; a loop fast path dispatches tables
-whose certificate is forced by an absorbing loop edge, and a deterministic
-sample of dispatched tables is cross-checked against the full certificate.
+a given board size, or a seeded sample of them, and proves each one
+Delayer-won for every round count: explicitly up to ``s_max`` and beyond it
+by a repeated-state certificate.  The sweep is vectorized over strategy
+batches with per-candidate reachable edge sets packed into integer masks; a
+loop fast path dispatches tables whose certificate is forced by an
+absorbing loop edge, and a hash-selected 1% of the tables is held back from
+it and certified in full as a cross-check.  Exhaustive and sampled sweeps
+take the same route: one worker per batch, one checkpoint file (whose first
+line names the run, so that a mismatched resume is refused), one
+counterexample writer and one process pool.
 
 One engine serves both batch sweeps: ``_batch_tables`` decodes a batch into
 its bit tables and ``_step`` advances every candidate's edge set by one
@@ -20,7 +24,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -121,39 +125,6 @@ def canonical_strategy(strat: SimpleStrategy) -> SimpleStrategy:
     return best[1]
 
 
-def shard_bounds(total: int, shard: int, shards: int) -> tuple[int, int]:
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard {shard} outside 0..{shards - 1}")
-    per = total // shards
-    extra = total % shards
-    start = shard * per + min(shard, extra)
-    length = per + (1 if shard < extra else 0)
-    return start, start + length
-
-
-def enumerate_strategies(
-    n: int,
-    symmetry: bool = False,
-    shard: int = 0,
-    shards: int = 1,
-    ceiling: int = 4,
-    s: int = 1,
-) -> Iterator[SimpleStrategy]:
-    """Every (init, table) pair in deterministic index order.
-
-    With symmetry reduction only orbit representatives (least index) are
-    yielded.  Sharding splits the index range into contiguous blocks.
-    """
-    if n > ceiling:
-        raise ValueError(f"n={n} above ceiling {ceiling}")
-    lo, hi = shard_bounds(strategy_space(n), shard, shards)
-    for index in range(lo, hi):
-        strat = index_to_strategy(index, n, s)
-        if symmetry and strategy_to_index(canonical_strategy(strat)) != index:
-            continue
-        yield strat
-
-
 # ---------------------------------------------------------------------------
 # The vectorized certificate engine.
 
@@ -234,9 +205,14 @@ def _batch_tables(indices: np.ndarray, bt: BoardTables) -> tuple[np.ndarray, ...
 def _step(rr: np.ndarray, t_base: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """One walk step of every candidate's edge set, kept to ``allowed``."""
     nxt = np.zeros_like(rr)
+    sel = np.empty_like(rr)
     for e in range(t_base.shape[1]):
-        sel = (rr >> e) & 1
-        np.bitwise_or(nxt, np.where(sel.astype(bool), t_base[:, e][:, None], 0), out=nxt)
+        # Bit e of each set times edge e's successors, computed in one
+        # scratch array rather than in fresh temporaries for every edge.
+        np.right_shift(rr, e, out=sel)
+        np.bitwise_and(sel, 1, out=sel)
+        np.multiply(sel, t_base[:, e, None], out=sel)
+        nxt |= sel
     return nxt & allowed
 
 
@@ -355,36 +331,58 @@ def _oracle_gate(n: int, seed: int = 20240901, samples: int = 150, s_hi: int = 6
             raise AssertionError(f"oracle gate: engine mismatch at index {idx}")
 
 
-def _theorem_span(
-    args: tuple,
-) -> tuple[int, int, list[int], int, int]:
-    """Worker: certify one contiguous index span; returns span stats."""
-    (lo, hi, n, s_max, fast_path, batch_size, sample_denom) = args
-    bt = board_tables(n)
-    ces: list[int] = []
-    fast = 0
-    checked = 0
-    for start in range(lo, hi, batch_size):
-        stop = min(start + batch_size, hi)
-        idxs = np.arange(start, stop, dtype=np.uint64)
-        sample = (idxs * np.uint64(2654435761) % np.uint64(sample_denom)) == 0
-        res = certify_batch(idxs, bt, s_max=s_max, fast_path=fast_path, sample_mask=sample)
-        bad = ~res.wins_all
-        if bad.any():
-            ces.extend(int(i) for i in idxs[bad])
-        fast += int(res.fast_path.sum())
-        # Cross-check: sampled strategies skip the fast path by construction
-        # and must still certify via the full route (disagreement would
-        # surface as a counterexample above).
-        checked += int(sample.sum())
-    return lo, hi, ces, fast, checked
+class CheckpointMismatch(Exception):
+    """A checkpoint file written by another run, or in another format."""
+
+
+def _read_checkpoint(path: Path, header: str) -> dict[tuple[int, int], tuple]:
+    """The finished batches recorded in ``path``: ``(lo, hi)`` maps to the
+    batch's counterexamples, fast-path count and cross-check count, from a
+    line ``batch lo hi fast checked ce...``.
+
+    The file opens with ``header``, which names the run it belongs to; any
+    other first line is refused.  A last line without its newline is a write
+    cut short, so it is cut from the file and its batch runs again.
+    """
+    text = path.read_text() if path.exists() else ""
+    whole = text[: text.rfind("\n") + 1]
+    lines = whole.splitlines()
+    if not lines:
+        path.write_text(header + "\n")
+        return {}
+    if lines[0] != header:
+        raise CheckpointMismatch(f"{path} starts {lines[0]!r}, this run writes {header!r}")
+    done = {}
+    for number, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) < 5 or parts[0] != "batch" or not all(x.isdigit() for x in parts[1:]):
+            raise CheckpointMismatch(f"{path} line {number} is not a batch record: {line!r}")
+        lo, hi, fast, checked, *batch_ces = map(int, parts[1:])
+        done[(lo, hi)] = (batch_ces, fast, checked)
+    if whole != text:
+        path.write_text(whole)
+    return done
+
+
+def _certify_job(job: tuple) -> tuple[int, int, list[int], int, int]:
+    """Worker: certify the batch ``idxs``, or the index range [lo, hi) when
+    ``idxs`` is None; returns the batch's counterexamples, its fast-path
+    count and its cross-check count."""
+    lo, hi, idxs, n, s_max = job
+    if idxs is None:
+        idxs = np.arange(lo, hi, dtype=np.uint64)
+    # A hash-selected 1% of the tables skip the fast path, so they cross-check
+    # it through the full certificate (a disagreement is a counterexample).
+    crosscheck = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0
+    res = certify_batch(idxs, board_tables(n), s_max=s_max, sample_mask=crosscheck)
+    ces = [int(i) for i in idxs[~res.wins_all]]
+    return lo, hi, ces, int(res.fast_path.sum()), int(crosscheck.sum())
 
 
 def verify_theorem_main(
     n: int = 3,
     s_max: int = 64,
     threads: int = 1,
-    fast_path: bool = True,
     batch_size: int = 1 << 18,
     checkpoint: Optional[Path] = None,
     ce_dir: Optional[Path] = None,
@@ -394,54 +392,43 @@ def verify_theorem_main(
 ) -> CampaignReport:
     """Every strategy must be Delayer-won for all lengths.
 
-    Expected outcome: zero counterexamples at three or more holes; at two
-    holes Prover-winning tables exist and are reported.  Boards beyond
-    three holes are too large to sweep and require ``sample``.
+    The sweep covers every index, or with ``sample`` that many seeded
+    indices; either way it runs batch by batch through the same worker,
+    checkpoint and counterexample writer.  Expected outcome: zero
+    counterexamples at three or more holes; at two holes Prover-winning
+    tables exist and are reported.  Boards beyond three holes are too large
+    to sweep and require ``sample``.
     """
     t0 = time.time()
     if n > 3 and sample is None:
         raise ValueError("full sweeps stop at n=3; pass sample= for larger boards")
-    _oracle_gate(min(n, 3))
-    if sample is not None:
+    header = f"theorem-main checkpoint n={n} s_max={s_max} batch_size={batch_size}"
+    if sample is None:
+        picks = None
+        total = strategy_space(n)
+    else:
         rng = np.random.default_rng(seed)
-        idxs = np.sort(
-            rng.integers(0, strategy_space(n), size=sample, dtype=np.uint64)
-        )
-        bt = board_tables(n)
-        res = certify_batch(idxs, bt, s_max=s_max, fast_path=fast_path)
-        bad = sorted(int(i) for i in idxs[~res.wins_all])
-        serialized = [format_strategy(index_to_strategy(i, n)) for i in bad]
-        return CampaignReport(
-            claim=f"theorem-main-n{n}-sampled",
-            space=sample,
-            counterexamples=serialized,
-            seconds=time.time() - t0,
-            details={"fast_path": int(res.fast_path.sum())},
-        )
-    total = strategy_space(n)
-    done: dict[tuple[int, int], list[int]] = {}
-    if checkpoint and Path(checkpoint).exists():
-        for line in Path(checkpoint).read_text().splitlines():
-            parts = line.split()
-            if len(parts) >= 3 and parts[0] == "batch":
-                lo, hi = int(parts[1]), int(parts[2])
-                done[(lo, hi)] = [int(x) for x in parts[3:]]
+        picks = np.sort(rng.integers(0, strategy_space(n), size=sample, dtype=np.uint64))
+        total = sample
+        header += f" sample={sample} seed={seed}"
+    done = _read_checkpoint(Path(checkpoint), header) if checkpoint else {}
+    _oracle_gate(min(n, 3))
 
     ces: list[int] = []
     fast_count = 0
-    sampled = 0
-    sample_denom = 100
+    crosschecks = 0
 
     def note_batch(start: int, stop: int, batch_ces: list[int], fast: int, checked: int) -> None:
-        nonlocal fast_count, sampled
+        nonlocal fast_count, crosschecks
         ces.extend(batch_ces)
         fast_count += fast
-        sampled += checked
+        crosschecks += checked
+        if (start, stop) in done:
+            return
         if checkpoint:
             with open(checkpoint, "a") as fh:
-                fh.write(
-                    "batch " + " ".join(str(x) for x in [start, stop, *batch_ces]) + "\n"
-                )
+                fields = [start, stop, fast, checked, *batch_ces]
+                fh.write("batch " + " ".join(map(str, fields)) + "\n")
         if progress:
             pct = 100.0 * stop / total
             print(f"  [{pct:5.1f}%] indices {stop}/{total} fast={fast_count}", flush=True)
@@ -450,37 +437,33 @@ def verify_theorem_main(
     for start in range(0, total, batch_size):
         stop = min(start + batch_size, total)
         if (start, stop) in done:
-            ces.extend(done[(start, stop)])
+            note_batch(start, stop, *done[(start, stop)])
         else:
-            jobs.append((start, stop, n, s_max, fast_path, batch_size, sample_denom))
+            idxs = None if picks is None else picks[start:stop]
+            jobs.append((start, stop, idxs, n, s_max))
 
     if threads <= 1:
         for job in jobs:
-            lo, hi, batch_ces, fast, checked = _theorem_span(job)
-            note_batch(lo, hi, batch_ces, fast, checked)
+            note_batch(*_certify_job(job))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for lo, hi, batch_ces, fast, checked in pool.map(
-                _theorem_span, jobs, chunksize=1
-            ):
-                note_batch(lo, hi, batch_ces, fast, checked)
+            for result in pool.map(_certify_job, jobs, chunksize=1):
+                note_batch(*result)
 
-    ces = sorted(set(ces))
     serialized = []
-    for idx in ces:
-        strat = index_to_strategy(idx, n)
-        serialized.append(format_strategy(strat))
+    for idx in sorted(ces):
+        serialized.append(format_strategy(index_to_strategy(idx, n)))
         if ce_dir:
             Path(ce_dir).mkdir(parents=True, exist_ok=True)
             (Path(ce_dir) / f"strategy-{idx}.strat").write_text(serialized[-1])
     return CampaignReport(
-        claim=f"theorem-main-n{n}",
+        claim=f"theorem-main-n{n}" if picks is None else f"theorem-main-n{n}-sampled",
         space=total,
         counterexamples=serialized,
         seconds=time.time() - t0,
-        details={"fast_path": fast_count, "sampled_crosschecks": sampled},
+        details={"fast_path": fast_count, "sampled_crosschecks": crosschecks},
     )
 
 

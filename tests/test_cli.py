@@ -1,9 +1,10 @@
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from pebblegames.cli import run
+from pebblegames.cli import CLAIMS, run
 
 
 @pytest.fixture()
@@ -89,6 +90,51 @@ def test_unknown_claim_exit_2(capsys):
 def test_verify_counts_must_be_positive(option, capsys):
     assert run(["verify", "figures", option, "0"]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["figures", "--samples", "7"], "--samples"),
+        (["g2prime", "--samples", "7"], "--samples"),
+        (["small-n", "--seed", "3"], "--seed"),
+        (["order-axioms", "--playouts", "9"], "--playouts"),
+        (["loop-bound-n3", "--checkpoint", "ck.txt"], "--checkpoint"),
+        (["php-trees", "--threads", "2"], "--threads"),
+        (["subset-n2", "--progress"], "--progress"),
+        (["oracle-equivalence", "--s-max", "9"], "--s-max"),
+        (["figures", "--ce-dir", "ces"], "--ce-dir"),
+    ],
+)
+def test_unread_option_exit_2(argv, option, capsys):
+    assert run(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[0]!r} does not read {option}" in err
+
+
+def test_theorem_main_samples_runs_a_sampled_sweep(capsys):
+    assert run(["verify", "theorem-main-n3", "--samples", "2000", "--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert out == "claim=theorem-main-n3-sampled space=2000 counterexamples=0 seconds=0.000\n"
+
+
+def test_checkpoint_of_another_run_exit_2(tmp_path, capsys):
+    ck = tmp_path / "ck.txt"
+    ck.write_text("batch 0 8\n")  # a batch record with no header line
+    assert run(["verify", "theorem-main-n1", "--checkpoint", str(ck)]) == 2
+    ck.write_text("theorem-main checkpoint n=1 s_max=64 batch_size=262144\n")
+    assert run(["verify", "theorem-main-n1", "--checkpoint", str(ck), "--s-max", "32"]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert ck.read_text() == "theorem-main checkpoint n=1 s_max=64 batch_size=262144\n"
+
+
+def test_readme_lists_the_registered_claims():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \|(.*)\|$", readme, flags=re.M)
+    assert [name for name, _ in rows] == list(CLAIMS)
+    for name, options in rows:
+        reads = {"--" + option.replace("_", "-") for option in CLAIMS[name][1]}
+        assert set(re.findall(r"`(--[a-z-]+)`", options)) == reads, name
 
 
 def test_campaign_failure_is_not_a_usage_error(monkeypatch):

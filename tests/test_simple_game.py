@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebblegames.figures import all_figures, example_strategy, load_figure, parse_cover
 from pebblegames.matching import GameSize, Record
@@ -8,10 +9,10 @@ from pebblegames.simple_game import (
     PathSpec,
     Play,
     PlayOutcome,
+    adjacency_lines,
     all_canonical_plays,
     all_plays,
     brute_force_delayer_wins,
-    build_graph,
     canonical_antistrategy,
     check_cover_by_two,
     delayer_wins_lengths,
@@ -58,9 +59,14 @@ def test_play_incomplete_and_too_long():
 
 def test_build_graph_counts():
     fig1 = example_strategy()
-    g = build_graph(fig1)
-    assert len(g.edges()) == 12
-    assert g.initial == 0
+    assert len(fig1.edges()) == 12
+    assert fig1.init == 0
+    assert adjacency_lines(fig1) == [
+        "*0: 0->1 1->1 2->3",
+        " 1: 0->2 1->2 2->3",
+        " 2: 0->2 1->2 2->3",
+        " 3: 0->1 1->2 2->3",
+    ]
     all_loops = make_strategy(3, 1, 0, {(p, h): p for p in range(4) for h in range(3)})
     assert len(find_loops(all_loops)) == 12
 
@@ -169,14 +175,13 @@ def test_play_outcome_matches_path_classification():
     rng = np.random.default_rng(6)
     for _ in range(40):
         strat = index_to_strategy(int(rng.integers(0, strategy_space(3))), 3, s=4)
-        g = build_graph(strat)
         for play in all_plays(strat):
             result = play_simplified(strat, play)
             edges = []
             q = strat.init
             for h in play.answers:
                 edges.append(EdgeRef(q, h))
-                q = g.head(edges[-1])
+                q = strat.table[q][h]
             flags = path_consistency(strat, edges)
             delayer_won = flags.locally_consistent and flags.last_edge_globally_consistent
             assert (result.outcome is PlayOutcome.DELAYER_WINS) == delayer_won
@@ -282,6 +287,14 @@ def test_strategy_file_round_trip():
     assert parse_strategy(format_strategy(fig1)) == fig1
     sub = subset_prover(2)
     assert parse_strategy(format_strategy(sub)) == sub
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), s=st.integers(1, 8))
+def test_strategy_file_round_trip_property(data, n, s):
+    idx = data.draw(st.integers(0, strategy_space(n) - 1))
+    strat = index_to_strategy(idx, n, s)
+    assert parse_strategy(format_strategy(strat)) == strat
 
 
 def test_strategy_file_rejects_unknown_keys():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebblegames.matching import LogPower
 from pebblegames.trees import (
@@ -147,6 +148,17 @@ def test_tree_text_round_trip():
     assert parse_tree(format_tree(t).splitlines()) == t
     with pytest.raises(ValueError):
         parse_tree(["1.x"])
+
+
+# Any vertex set, closed under prefixes, is a tree.
+_vertex_sets = st.lists(st.lists(st.integers(1, 12), max_size=4).map(tuple), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vertices=_vertex_sets)
+def test_tree_text_round_trip_property(vertices):
+    t = FiniteTree(tuple({v[:k] for v in vertices for k in range(len(v) + 1)} | {()}))
+    assert parse_tree(format_tree(t).splitlines()) == t
 
 
 def test_ordinal_embed_child_index_example():

@@ -9,12 +9,11 @@ from pebblegames.simple_game import (
     prover_small_n,
 )
 from pebblegames.verify import (
+    CheckpointMismatch,
     board_tables,
     canonical_strategy,
     certify_batch,
-    enumerate_strategies,
     index_to_strategy,
-    shard_bounds,
     strategy_space,
     strategy_to_index,
     verify_g2prime,
@@ -23,6 +22,7 @@ from pebblegames.verify import (
     verify_order_axioms,
     verify_small_n,
     verify_subset_prop,
+    verify_theorem_main,
 )
 
 
@@ -40,34 +40,22 @@ def test_index_round_trip():
             assert strategy_to_index(strat) == int(idx)
 
 
+def _orbit_representatives(n: int) -> list:
+    """The tables that are their own canonical form, in index order."""
+    tables = (index_to_strategy(i, n) for i in range(strategy_space(n)))
+    return [t for t in tables if canonical_strategy(t) == t]
+
+
 def test_enumerate_n1_full():
-    strategies = list(enumerate_strategies(1))
+    strategies = [index_to_strategy(i, 1) for i in range(strategy_space(1))]
     assert len(strategies) == 8
-    assert len({strategy_to_index(s) for s in strategies}) == 8
-
-
-def test_enumerate_ceiling():
-    with pytest.raises(ValueError):
-        next(enumerate_strategies(5))
-
-
-def test_shards_partition():
-    total = strategy_space(1)
-    seen = []
-    for k in range(3):
-        lo, hi = shard_bounds(total, k, 3)
-        seen.extend(range(lo, hi))
-    assert seen == list(range(total))
-    # And through the enumerator:
-    parts = [list(enumerate_strategies(1, shard=k, shards=3)) for k in range(3)]
-    flat = [strategy_to_index(s) for part in parts for s in part]
-    assert flat == list(range(total))
+    assert len(set(strategies)) == 8
 
 
 def test_symmetry_reduction_n1():
-    reps = list(enumerate_strategies(1, symmetry=True))
+    reps = _orbit_representatives(1)
     # Orbits cover the full space exactly once each.
-    full = {strategy_to_index(s) for s in enumerate_strategies(1)}
+    full = set(range(strategy_space(1)))
     covered = set()
     for rep in reps:
         orbit = set()
@@ -90,16 +78,17 @@ def test_symmetry_reduction_n1():
     assert covered == full
 
 
-def test_canonical_is_idempotent_and_invariant():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        strat = index_to_strategy(int(rng.integers(0, strategy_space(2))), 2)
-        canon = canonical_strategy(strat)
-        assert canonical_strategy(canon) == canon
-        # Winning lengths are invariant under relabeling.
-        assert delayer_wins_lengths(strat, 24).explicit == delayer_wins_lengths(
-            canon, 24
-        ).explicit
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from((1, 2, 3)))
+def test_canonical_is_idempotent_and_invariant(data, n):
+    strat = index_to_strategy(data.draw(st.integers(0, strategy_space(n) - 1)), n)
+    canon = canonical_strategy(strat)
+    assert canonical_strategy(canon) == canon
+    assert strategy_to_index(canon) <= strategy_to_index(strat)
+    # Winning lengths are invariant under relabeling.
+    assert delayer_wins_lengths(strat, 24).explicit == delayer_wins_lengths(
+        canon, 24
+    ).explicit
 
 
 def test_certify_batch_matches_certificate():
@@ -233,12 +222,11 @@ def test_oracle_gate_runs():
 
 
 def test_theorem_main_checkpoint_resume(tmp_path):
-    from pebblegames.verify import verify_theorem_main
-
     ck = tmp_path / "progress.txt"
     first = verify_theorem_main(n=1, s_max=16, checkpoint=ck, batch_size=4)
     lines = ck.read_text().splitlines()
-    assert lines and all(l.startswith("batch ") for l in lines)
+    assert lines[0] == "theorem-main checkpoint n=1 s_max=16 batch_size=4"
+    assert len(lines) == 3 and all(l.startswith("batch ") for l in lines[1:])
     # Resuming replays only the recorded batches and reproduces the report.
     second = verify_theorem_main(n=1, s_max=16, checkpoint=ck, batch_size=4)
     assert first.counterexamples == second.counterexamples
@@ -249,7 +237,7 @@ def test_symmetry_reduction_counts_n2():
     # Orbit sizes of the representatives add back up to the full space.
     import itertools as it
 
-    reps = list(enumerate_strategies(2, symmetry=True))
+    reps = _orbit_representatives(2)
     total = 0
     for rep in reps:
         orbit = set()
@@ -269,12 +257,77 @@ def test_symmetry_reduction_counts_n2():
 
 
 def test_theorem_main_sampled_n4():
-    from pebblegames.verify import verify_theorem_main
-
     rep = verify_theorem_main(n=4, sample=3000, seed=8)
     assert rep.ok and rep.space == 3000
     with pytest.raises(ValueError):
         verify_theorem_main(n=4)
+
+
+def _sampled(tmp_path, n=4, **change):
+    """A small sampled sweep, in several batches, checkpointed to one file."""
+    run = dict(n=n, sample=600, seed=8, batch_size=128, checkpoint=tmp_path / "ck.txt")
+    return verify_theorem_main(**{**run, **change})
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_theorem_main_sampled_checkpoint_resume(tmp_path, n):
+    first = _sampled(tmp_path, n)
+    lines = (tmp_path / "ck.txt").read_text().splitlines()
+    assert lines[0] == f"theorem-main checkpoint n={n} s_max=64 batch_size=128 sample=600 seed=8"
+    bounds = [line.split()[1:3] for line in lines[1:]]
+    assert bounds == [[str(lo), str(min(lo + 128, 600))] for lo in range(0, 600, 128)]
+    assert first.claim == f"theorem-main-n{n}-sampled" and first.space == 600
+    assert first.ok == (n > 2)
+    # Resuming replays only the recorded batches and reproduces the report.
+    second = _sampled(tmp_path, n)
+    assert (tmp_path / "ck.txt").read_text().splitlines() == lines
+    assert (second.claim, second.space, second.counterexamples, second.details) == (
+        first.claim, first.space, first.counterexamples, first.details
+    )
+
+
+def test_theorem_main_sampled_crosschecks():
+    rep = verify_theorem_main(n=4, sample=3000, seed=8)
+    idxs = np.random.default_rng(8).integers(0, strategy_space(4), size=3000, dtype=np.uint64)
+    held_back = int(((idxs * np.uint64(2654435761)) % np.uint64(100) == 0).sum())
+    assert rep.details["sampled_crosschecks"] == held_back > 0
+    assert 0 < rep.details["fast_path"] <= 3000 - held_back
+
+
+@pytest.mark.parametrize(
+    "change", [{"seed": 9}, {"s_max": 32}, {"batch_size": 256}, {"sample": 599}]
+)
+def test_checkpoint_refuses_another_run(tmp_path, change):
+    _sampled(tmp_path)
+    before = (tmp_path / "ck.txt").read_text()
+    with pytest.raises(CheckpointMismatch):
+        _sampled(tmp_path, **change)
+    assert (tmp_path / "ck.txt").read_text() == before
+
+
+def test_checkpoint_refuses_headerless_file(tmp_path):
+    ck = tmp_path / "ck.txt"
+    ck.write_text("batch 0 8\n")  # a batch record with no header line
+    with pytest.raises(CheckpointMismatch):
+        verify_theorem_main(n=1, checkpoint=ck)
+    assert ck.read_text() == "batch 0 8\n"
+
+
+def test_checkpoint_reruns_a_batch_cut_short(tmp_path, monkeypatch):
+    first = _sampled(tmp_path, 2)
+    ck = tmp_path / "ck.txt"
+    whole = ck.read_text()
+    # A crash in the middle of writing the last batch record.
+    ck.write_text(whole[:-3])
+    from pebblegames import verify as ver
+
+    ran = []
+    certify_job = ver._certify_job
+    monkeypatch.setattr(ver, "_certify_job", lambda job: ran.append(job[:2]) or certify_job(job))
+    second = _sampled(tmp_path, 2)
+    assert ran == [(512, 600)]
+    assert second.counterexamples == first.counterexamples
+    assert ck.read_text() == whole
 
 
 def test_canonical_orbit_membership_n3_sample():
