@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # Every option but --no-timing defaults to None, meaning unset: the claim
     # fills in its own default, and a claim that does not read it refuses it.
     p_ve.add_argument("--threads", type=_positive_int)
-    p_ve.add_argument("--s-max", type=_positive_int)
     p_ve.add_argument("--seed", type=int)
     p_ve.add_argument("--playouts", type=_positive_int)
     p_ve.add_argument("--samples", type=_positive_int)
@@ -141,25 +140,29 @@ def _merged(claim: str, *reports: ver.CampaignReport) -> ver.CampaignReport:
 
 
 def _theorem_main(args: argparse.Namespace, n: int) -> ver.CampaignReport:
+    if args.samples is None and args.seed is not None:
+        raise InputError(f"claim 'theorem-main-n{n}' reads --seed only with --samples")
+    space = ver.strategy_space(n)
+    if args.samples is not None and args.samples > space:
+        raise InputError(f"--samples {args.samples} exceeds the {space} tables at n={n}")
     return ver.verify_theorem_main(
         n=n,
-        s_max=args.s_max,
         threads=args.threads,
         checkpoint=args.checkpoint,
         ce_dir=args.ce_dir,
         progress=args.progress,
         sample=args.samples,
-        seed=args.seed,
+        seed=SEED if args.seed is None else args.seed,
     )
 
 
 SEED = 20240901
 # The options a theorem-main sweep reads, but for --samples, whose default
-# differs by board.
+# differs by board.  --seed is read only with --samples, and defaults to
+# SEED there.
 SWEEP = {
     "threads": 1,
-    "s_max": 64,
-    "seed": SEED,
+    "seed": None,
     "checkpoint": None,
     "ce_dir": None,
     "progress": False,

@@ -1,16 +1,18 @@
 """Exhaustive and randomized verification campaigns.
 
 The headline campaign sweeps every strategy table of the simplified game at
-a given board size, or a seeded sample of them, and proves each one
-Delayer-won for every round count: explicitly up to ``s_max`` and beyond it
-by a repeated-state certificate.  The sweep is vectorized over strategy
-batches with per-candidate reachable edge sets packed into integer masks; a
-loop fast path dispatches tables whose certificate is forced by an
-absorbing loop edge, and a hash-selected 1% of the tables is held back from
-it and certified in full as a cross-check.  Exhaustive and sampled sweeps
-take the same route: one worker per batch, one checkpoint file (whose first
-line names the run, so that a mismatched resume is refused), one
-counterexample writer and one process pool.
+a given board size, or a seeded sample of them drawn without replacement,
+and proves each one Delayer-won for every round count.  The sweep is
+vectorized over strategy batches with per-candidate reachable edge sets
+packed into integer masks.  A table leaves the batch at its first failing
+length, at a hit of an absorbing loop candidate (the fast path), or at the
+first repeat of its state (Brent anchors at steps 1, 2, 4, ...), which
+closes every longer length; there is no explicit range of lengths.  A
+hash-selected 1% of the tables is held back from the fast path and
+certified by the repeat alone as a cross-check.  Exhaustive and sampled
+sweeps take the same route: one worker per batch, one checkpoint file
+(whose first line names the run, so that a mismatched resume is refused),
+one counterexample writer and one process pool.
 
 One engine serves both batch sweeps: ``_batch_tables`` decodes a batch into
 its bit tables and ``_step`` advances every candidate's edge set by one
@@ -219,95 +221,71 @@ def _step(rr: np.ndarray, t_base: np.ndarray, allowed: np.ndarray) -> np.ndarray
 @dataclass
 class BatchResult:
     wins_all: np.ndarray  # every s is Delayer-won and the tail is certified
-    fast_path: np.ndarray  # dispatched via the absorbing-loop shortcut
+    fast_path: np.ndarray  # left at a hit of an absorbing loop candidate
     first_fail: np.ndarray  # failing length, 0 when none
     uncertified: np.ndarray  # never saw a state repeat (soundness guard)
+
+
+# Steps after which a table whose state has not repeated is reported
+# uncertified rather than iterated further.
+T_LIMIT = 4200
 
 
 def certify_batch(
     indices: np.ndarray,
     bt: BoardTables,
-    s_max: int = 64,
-    fast_path: bool = True,
     sample_mask: Optional[np.ndarray] = None,
-    t_limit: int = 4200,
 ) -> BatchResult:
     """Decide wins-for-all-s for a batch of strategy indices.
 
     Per final-edge candidate the reachable-edge set is iterated; a length
     ``s >= 2`` is winning iff some candidate's set at time ``s - 1`` contains
-    an edge whose head is the candidate tail.  Wins are required explicitly
-    for ``s <= s_max``; the tail beyond is closed either by a loop-candidate
-    hit (absorbing, so all longer lengths stay winning) or by a repeat of
-    the full per-candidate state vector.
+    an edge whose head is the candidate tail.  At every step one rule decides
+    which tables leave: a table leaves at its first failing length; while
+    every length so far has won, it leaves at a hit of a loop candidate
+    (absorbing, so every longer length stays winning) or when its full
+    per-candidate state equals the anchor state, taken at t = 1, 2, 4, ...
+    (Brent), so that the orbit repeats from there.  Rows set in
+    ``sample_mask`` are held back from the loop exit and certified by the
+    repeat alone.
     """
-    n = bt.n
     B = len(indices)
     init, tb, tg, lp = _batch_tables(indices, bt)
+    if sample_mask is not None:
+        lp = lp & ~sample_mask[:, None]
     allowed = bt.compat[None, :]
     rr = bt.out_mask[init][:, None] & allowed  # (B, E) per-candidate state
 
-    ok = np.ones(B, dtype=bool)  # all explicit lengths so far are wins
     first_fail = np.zeros(B, dtype=np.int64)
-    certified = np.zeros(B, dtype=bool)
-    dispatched = np.zeros(B, dtype=bool)
-    K = 2 * (n - 2) + 1 if n >= 2 else 1
-    loop_hit = np.zeros(B, dtype=bool)
-
+    wins_all = np.zeros(B, dtype=bool)
+    fast_path = np.zeros(B, dtype=bool)
     active = np.arange(B)
-    t = 1
-    anchor = None
-    anchor_t = 0
-    while len(active) and t <= t_limit:
+    anchor = rr  # no compare at t = 1, which takes the first anchor
+    for t in range(1, T_LIMIT + 1):
         hits = (rr & tg) != 0  # (b, E) candidate wins at s = t + 1
-        win = hits.any(axis=1)
-        newly_failed = ~win & (first_fail[active] == 0)
-        first_fail[active[newly_failed]] = t + 1
-        ok[active[newly_failed]] = False
-        if t <= K:
-            loop_hit[active] |= (hits & lp).any(axis=1)
-        if fast_path and t == K:
-            disp = loop_hit[active] & ok[active]
-            if sample_mask is not None:
-                disp &= ~sample_mask[active]
-            dispatched[active[disp]] = True
-            certified[active[disp]] = True
-            keep = ~disp
-            active = active[keep]
-            rr, tb, tg, lp = rr[keep], tb[keep], tg[keep], lp[keep]
-            if anchor is not None:  # set already when s_max < K
-                anchor = anchor[keep]
-            if not len(active):
-                break
-        if t >= s_max:
-            if anchor is None or t >= anchor_t * 2:
-                anchor = rr.copy()
-                anchor_t = t
-            elif t > anchor_t:
-                same = (rr == anchor).all(axis=1) & ok[active]
-                if same.any():
-                    certified[active[same]] = True
-                    keep = ~same
-                    active = active[keep]
-                    rr, tb, tg, lp = rr[keep], tb[keep], tg[keep], lp[keep]
-                    anchor = anchor[keep]
-            # Failed strategies stop iterating once past the explicit range.
-            dead = ~ok[active]
-            if dead.any():
-                keep = ~dead
-                active = active[keep]
-                rr, tb, tg, lp = rr[keep], tb[keep], tg[keep], lp[keep]
-                if anchor is not None:
-                    anchor = anchor[keep]
+        won = hits.any(axis=1)
+        looped = (hits & lp).any(axis=1)
+        brent = (t & (t - 1)) == 0
+        # A state equal to an earlier one repeats every hit seen since.
+        repeated = won & (rr == anchor).all(axis=1) & (not brent)
+        first_fail[active[~won]] = t + 1
+        fast_path[active[looped]] = True
+        wins_all[active[looped | repeated]] = True
+        leave = ~won | looped | repeated
+        if leave.any():
+            keep = ~leave
+            active, rr, tb, tg, lp, anchor = (
+                a[keep] for a in (active, rr, tb, tg, lp, anchor)
+            )
         if not len(active):
             break
+        if brent:
+            anchor = rr
         rr = _step(rr, tb, allowed)
-        t += 1
 
     uncertified = np.zeros(B, dtype=bool)
-    uncertified[active] = ok[active]
-    wins_all = ok & certified
-    return BatchResult(wins_all, dispatched, first_fail, uncertified)
+    uncertified[active] = True
+    return BatchResult(wins_all, fast_path, first_fail, uncertified)
 
 
 def _oracle_gate(n: int, seed: int = 20240901, samples: int = 150, s_hi: int = 6) -> None:
@@ -323,7 +301,7 @@ def _oracle_gate(n: int, seed: int = 20240901, samples: int = 150, s_hi: int = 6
             if cert.wins(s) != brute_force_delayer_wins(strat, s):
                 raise AssertionError(f"oracle gate: certificate mismatch at index {idx}, s={s}")
     bt = board_tables(n)
-    res = certify_batch(idxs, bt, s_max=16, fast_path=False)
+    res = certify_batch(idxs, bt, sample_mask=np.ones(samples, dtype=bool))
     for row, idx in enumerate(idxs):
         strat = index_to_strategy(int(idx), n)
         cert = delayer_wins_lengths(strat, s_max=16)
@@ -368,20 +346,19 @@ def _certify_job(job: tuple) -> tuple[int, int, list[int], int, int]:
     """Worker: certify the batch ``idxs``, or the index range [lo, hi) when
     ``idxs`` is None; returns the batch's counterexamples, its fast-path
     count and its cross-check count."""
-    lo, hi, idxs, n, s_max = job
+    lo, hi, idxs, n = job
     if idxs is None:
         idxs = np.arange(lo, hi, dtype=np.uint64)
     # A hash-selected 1% of the tables skip the fast path, so they cross-check
-    # it through the full certificate (a disagreement is a counterexample).
+    # it through the repeat certificate (a disagreement is a counterexample).
     crosscheck = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0
-    res = certify_batch(idxs, board_tables(n), s_max=s_max, sample_mask=crosscheck)
+    res = certify_batch(idxs, board_tables(n), sample_mask=crosscheck)
     ces = [int(i) for i in idxs[~res.wins_all]]
     return lo, hi, ces, int(res.fast_path.sum()), int(crosscheck.sum())
 
 
 def verify_theorem_main(
     n: int = 3,
-    s_max: int = 64,
     threads: int = 1,
     batch_size: int = 1 << 18,
     checkpoint: Optional[Path] = None,
@@ -392,8 +369,8 @@ def verify_theorem_main(
 ) -> CampaignReport:
     """Every strategy must be Delayer-won for all lengths.
 
-    The sweep covers every index, or with ``sample`` that many seeded
-    indices; either way it runs batch by batch through the same worker,
+    The sweep covers every index, or with ``sample`` that many distinct
+    seeded indices; either way it runs batch by batch through the same worker,
     checkpoint and counterexample writer.  Expected outcome: zero
     counterexamples at three or more holes; at two holes Prover-winning
     tables exist and are reported.  Boards beyond three holes are too large
@@ -402,17 +379,20 @@ def verify_theorem_main(
     t0 = time.time()
     if n > 3 and sample is None:
         raise ValueError("full sweeps stop at n=3; pass sample= for larger boards")
-    header = f"theorem-main checkpoint n={n} s_max={s_max} batch_size={batch_size}"
+    header = f"theorem-main checkpoint n={n} batch_size={batch_size}"
     if sample is None:
         picks = None
         total = strategy_space(n)
     else:
+        if sample > strategy_space(n):
+            raise ValueError(f"sample={sample} exceeds the {strategy_space(n)} tables at n={n}")
         rng = np.random.default_rng(seed)
-        picks = np.sort(rng.integers(0, strategy_space(n), size=sample, dtype=np.uint64))
+        picks = rng.choice(strategy_space(n), size=sample, replace=False, shuffle=False)
+        picks = np.sort(picks).astype(np.uint64)
         total = sample
         header += f" sample={sample} seed={seed}"
     done = _read_checkpoint(Path(checkpoint), header) if checkpoint else {}
-    _oracle_gate(min(n, 3))
+    _oracle_gate(n)
 
     ces: list[int] = []
     fast_count = 0
@@ -440,7 +420,7 @@ def verify_theorem_main(
             note_batch(start, stop, *done[(start, stop)])
         else:
             idxs = None if picks is None else picks[start:stop]
-            jobs.append((start, stop, idxs, n, s_max))
+            jobs.append((start, stop, idxs, n))
 
     if threads <= 1:
         for job in jobs:

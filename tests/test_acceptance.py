@@ -28,7 +28,7 @@ THREADS = min(2, os.cpu_count() or 1)
 def test_criterion_01_theorem_main_n3_exhaustive():
     """All 4**13 strategies Delayer-won for every length (exact)."""
     t0 = time.time()
-    report = ver.verify_theorem_main(n=3, s_max=64, threads=THREADS, batch_size=1 << 18)
+    report = ver.verify_theorem_main(n=3, threads=THREADS, batch_size=1 << 18)
     ok = report.ok and report.space == 67_108_864
     _line(
         "criterion 1: theorem main at n=3 (4^13 strategies, 0 counterexamples)",
@@ -42,7 +42,7 @@ def test_criterion_01_theorem_main_n3_exhaustive():
 
 def test_criterion_01b_theorem_main_n2_control():
     """The sweep must find the small-board Prover wins when they exist."""
-    report = ver.verify_theorem_main(n=2, s_max=32)
+    report = ver.verify_theorem_main(n=2)
     paper = ver.prover_small_n(2, 3)
     serialized = ver.format_strategy(paper.with_s(1))
     ok = (not report.ok) and serialized in report.counterexamples

@@ -86,9 +86,14 @@ def test_unknown_claim_exit_2(capsys):
     assert run(["verify", "theorem-main-n5"]) == 2
 
 
-@pytest.mark.parametrize("option", ["--samples", "--playouts", "--s-max", "--threads"])
+@pytest.mark.parametrize("option", ["--samples", "--playouts", "--threads"])
 def test_verify_counts_must_be_positive(option, capsys):
     assert run(["verify", "figures", option, "0"]) == 2
+    assert "positive" in capsys.readouterr().err
+
+
+def test_analyze_s_max_must_be_positive(fig1_path, capsys):
+    assert run(["analyze", str(fig1_path), "--s-max", "0"]) == 2
     assert "positive" in capsys.readouterr().err
 
 
@@ -102,7 +107,7 @@ def test_verify_counts_must_be_positive(option, capsys):
         (["loop-bound-n3", "--checkpoint", "ck.txt"], "--checkpoint"),
         (["php-trees", "--threads", "2"], "--threads"),
         (["subset-n2", "--progress"], "--progress"),
-        (["oracle-equivalence", "--s-max", "9"], "--s-max"),
+        (["theorem-main-n3", "--playouts", "9"], "--playouts"),
         (["figures", "--ce-dir", "ces"], "--ce-dir"),
     ],
 )
@@ -116,16 +121,28 @@ def test_theorem_main_samples_runs_a_sampled_sweep(capsys):
     assert run(["verify", "theorem-main-n3", "--samples", "2000", "--no-timing"]) == 0
     out = capsys.readouterr().out
     assert out == "claim=theorem-main-n3-sampled space=2000 counterexamples=0 seconds=0.000\n"
+    assert run(["verify", "theorem-main-n3", "--samples", "2000", "--seed", "5"]) == 0
+
+
+def test_seed_without_samples_exit_2(capsys):
+    assert run(["verify", "theorem-main-n3", "--seed", "5"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_sample_larger_than_the_space_exit_2(capsys):
+    assert run(["verify", "theorem-main-n1", "--samples", "100"]) == 2
+    assert "--samples 100 exceeds the 8 tables" in capsys.readouterr().err
+    assert run(["verify", "theorem-main-n1", "--samples", "8", "--no-timing"]) == 1
 
 
 def test_checkpoint_of_another_run_exit_2(tmp_path, capsys):
     ck = tmp_path / "ck.txt"
     ck.write_text("batch 0 8\n")  # a batch record with no header line
     assert run(["verify", "theorem-main-n1", "--checkpoint", str(ck)]) == 2
-    ck.write_text("theorem-main checkpoint n=1 s_max=64 batch_size=262144\n")
-    assert run(["verify", "theorem-main-n1", "--checkpoint", str(ck), "--s-max", "32"]) == 2
+    ck.write_text("theorem-main checkpoint n=1 batch_size=262144\n")
+    assert run(["verify", "theorem-main-n1", "--checkpoint", str(ck), "--samples", "4"]) == 2
     assert capsys.readouterr().err.count("error: ") == 2
-    assert ck.read_text() == "theorem-main checkpoint n=1 s_max=64 batch_size=262144\n"
+    assert ck.read_text() == "theorem-main checkpoint n=1 batch_size=262144\n"
 
 
 def test_readme_lists_the_registered_claims():

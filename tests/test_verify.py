@@ -95,7 +95,7 @@ def test_certify_batch_matches_certificate():
     bt = board_tables(3)
     rng = np.random.default_rng(7)
     idxs = rng.integers(0, strategy_space(3), size=800, dtype=np.uint64)
-    res = certify_batch(idxs, bt, s_max=16, fast_path=True)
+    res = certify_batch(idxs, bt)
     assert not res.uncertified.any()
     for row in range(0, 800, 7):
         strat = index_to_strategy(int(idxs[row]), 3)
@@ -110,31 +110,47 @@ def _first_loss(cert) -> int:
 
 @st.composite
 def _index_batches(draw):
+    """A board, a batch of its indices and a hold-back mask (or None)."""
     n = draw(st.sampled_from((1, 2, 3, 4)))
     idxs = draw(st.lists(st.integers(0, strategy_space(n) - 1), min_size=1, max_size=8))
-    return n, idxs
+    held = draw(st.none() | st.lists(st.booleans(), min_size=len(idxs), max_size=len(idxs)))
+    return n, idxs, held
 
 
 @settings(max_examples=60, deadline=None)
-@given(batch=_index_batches(), fast_path=st.booleans(), s_max=st.integers(1, 24))
-@example(batch=(4, [5, 1105]), fast_path=True, s_max=1)  # repeat anchor set before dispatch
-def test_certify_batch_matches_certificate_every_width(batch, fast_path, s_max):
+@given(batch=_index_batches())
+@example(batch=(4, [5, 1105], [False, True]))
+def test_certify_batch_matches_certificate_every_width(batch):
     # n=1..3 run on uint16 masks and n=4 on uint32 ones.
-    n, idxs = batch
-    res = certify_batch(
-        np.array(idxs, dtype=np.uint64), board_tables(n), s_max=s_max, fast_path=fast_path
-    )
+    n, idxs, held = batch
+    mask = None if held is None else np.array(held)
+    res = certify_batch(np.array(idxs, dtype=np.uint64), board_tables(n), sample_mask=mask)
     assert not res.uncertified.any()
+    if mask is not None:
+        assert not res.fast_path[mask].any()
     for row, idx in enumerate(idxs):
-        cert = delayer_wins_lengths(index_to_strategy(idx, n), s_max=s_max)
+        cert = delayer_wins_lengths(index_to_strategy(idx, n))
         assert bool(res.wins_all[row]) == cert.wins_all()
         assert int(res.first_fail[row]) == _first_loss(cert)
+
+
+@pytest.mark.parametrize("n, losers", [(1, 4), (2, 108)])
+@pytest.mark.parametrize("held", [False, True])
+def test_certify_batch_whole_space_matches_certificate(n, losers, held):
+    idxs = np.arange(strategy_space(n), dtype=np.uint64)
+    res = certify_batch(idxs, board_tables(n), sample_mask=np.full(len(idxs), held))
+    certs = [delayer_wins_lengths(index_to_strategy(i, n)) for i in range(len(idxs))]
+    assert res.wins_all.tolist() == [c.wins_all() for c in certs]
+    assert res.first_fail.tolist() == [_first_loss(c) for c in certs]
+    assert int((~res.wins_all).sum()) == losers
+    assert not res.uncertified.any()
+    assert res.fast_path.any() != held
 
 
 def test_certify_batch_n2_finds_prover_wins():
     bt = board_tables(2)
     idxs = np.arange(strategy_space(2), dtype=np.uint64)
-    res = certify_batch(idxs, bt, s_max=32, fast_path=True)
+    res = certify_batch(idxs, bt)
     losers = int((~res.wins_all).sum())
     assert losers > 0
     paper = prover_small_n(2, 3)
@@ -151,10 +167,11 @@ def test_fast_path_agrees_with_slow_path():
     bt = board_tables(3)
     rng = np.random.default_rng(11)
     idxs = rng.integers(0, strategy_space(3), size=3000, dtype=np.uint64)
-    fast = certify_batch(idxs, bt, s_max=64, fast_path=True)
-    slow = certify_batch(idxs, bt, s_max=64, fast_path=False)
+    fast = certify_batch(idxs, bt, sample_mask=None)
+    slow = certify_batch(idxs, bt, sample_mask=np.ones(len(idxs), dtype=bool))
     assert (fast.wins_all == slow.wins_all).all()
-    assert fast.fast_path.sum() > 0
+    assert (fast.first_fail == slow.first_fail).all()
+    assert fast.fast_path.sum() > 0 and not slow.fast_path.any()
 
 
 def test_verify_small_n_campaign():
@@ -223,12 +240,12 @@ def test_oracle_gate_runs():
 
 def test_theorem_main_checkpoint_resume(tmp_path):
     ck = tmp_path / "progress.txt"
-    first = verify_theorem_main(n=1, s_max=16, checkpoint=ck, batch_size=4)
+    first = verify_theorem_main(n=1, checkpoint=ck, batch_size=4)
     lines = ck.read_text().splitlines()
-    assert lines[0] == "theorem-main checkpoint n=1 s_max=16 batch_size=4"
+    assert lines[0] == "theorem-main checkpoint n=1 batch_size=4"
     assert len(lines) == 3 and all(l.startswith("batch ") for l in lines[1:])
     # Resuming replays only the recorded batches and reproduces the report.
-    second = verify_theorem_main(n=1, s_max=16, checkpoint=ck, batch_size=4)
+    second = verify_theorem_main(n=1, checkpoint=ck, batch_size=4)
     assert first.counterexamples == second.counterexamples
     assert len(ck.read_text().splitlines()) == len(lines)
 
@@ -263,6 +280,16 @@ def test_theorem_main_sampled_n4():
         verify_theorem_main(n=4)
 
 
+def test_theorem_main_samples_without_replacement():
+    rep = verify_theorem_main(n=2, sample=600)
+    assert rep.counterexamples and len(set(rep.counterexamples)) == len(rep.counterexamples)
+    # A sample of the whole space is the whole space, in another claim.
+    whole = verify_theorem_main(n=1, sample=strategy_space(1))
+    assert whole.counterexamples == verify_theorem_main(n=1).counterexamples
+    with pytest.raises(ValueError, match="exceeds"):
+        verify_theorem_main(n=1, sample=strategy_space(1) + 1)
+
+
 def _sampled(tmp_path, n=4, **change):
     """A small sampled sweep, in several batches, checkpointed to one file."""
     run = dict(n=n, sample=600, seed=8, batch_size=128, checkpoint=tmp_path / "ck.txt")
@@ -273,7 +300,7 @@ def _sampled(tmp_path, n=4, **change):
 def test_theorem_main_sampled_checkpoint_resume(tmp_path, n):
     first = _sampled(tmp_path, n)
     lines = (tmp_path / "ck.txt").read_text().splitlines()
-    assert lines[0] == f"theorem-main checkpoint n={n} s_max=64 batch_size=128 sample=600 seed=8"
+    assert lines[0] == f"theorem-main checkpoint n={n} batch_size=128 sample=600 seed=8"
     bounds = [line.split()[1:3] for line in lines[1:]]
     assert bounds == [[str(lo), str(min(lo + 128, 600))] for lo in range(0, 600, 128)]
     assert first.claim == f"theorem-main-n{n}-sampled" and first.space == 600
@@ -288,14 +315,15 @@ def test_theorem_main_sampled_checkpoint_resume(tmp_path, n):
 
 def test_theorem_main_sampled_crosschecks():
     rep = verify_theorem_main(n=4, sample=3000, seed=8)
-    idxs = np.random.default_rng(8).integers(0, strategy_space(4), size=3000, dtype=np.uint64)
+    idxs = np.random.default_rng(8).choice(strategy_space(4), 3000, replace=False, shuffle=False)
+    idxs = idxs.astype(np.uint64)
     held_back = int(((idxs * np.uint64(2654435761)) % np.uint64(100) == 0).sum())
     assert rep.details["sampled_crosschecks"] == held_back > 0
     assert 0 < rep.details["fast_path"] <= 3000 - held_back
 
 
 @pytest.mark.parametrize(
-    "change", [{"seed": 9}, {"s_max": 32}, {"batch_size": 256}, {"sample": 599}]
+    "change", [{"seed": 9}, {"n": 3}, {"batch_size": 256}, {"sample": 599}]
 )
 def test_checkpoint_refuses_another_run(tmp_path, change):
     _sampled(tmp_path)
