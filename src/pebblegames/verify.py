@@ -3,21 +3,26 @@
 The headline campaign sweeps every strategy table of the simplified game at
 a given board size, or a seeded sample of them drawn without replacement,
 and proves each one Delayer-won for every round count.  The sweep is
-vectorized over strategy batches with per-candidate reachable edge sets
-packed into integer masks.  A table leaves the batch at its first failing
-length, at a hit of an absorbing loop candidate (the fast path), or at the
-first repeat of its state (Brent anchors at steps 1, 2, 4, ...), which
-closes every longer length; there is no explicit range of lengths.  A
-hash-selected 1% of the tables is held back from the fast path and
-certified by the repeat alone as a cross-check.  Exhaustive and sampled
-sweeps take the same route: one worker per batch, one checkpoint file
-(whose first line names the run, so that a mismatched resume is refused),
-one counterexample writer and one process pool.
+vectorized over strategy batches held in bit-planes: one ``uint64`` word
+carries one fact for 64 tables, with bit ``i`` of word ``w`` standing for
+table ``64 w + i``.  A batch decodes into one plane per (edge, head pigeon)
+and one per initial pigeon; each candidate's reachable edge set is one plane
+per (candidate, edge) slot that the candidate allows.  A step and a hit test
+are each one gather, one AND and one OR-reduction over the planes, driven by
+index tables that ``board_tables`` builds once per board.  A table leaves
+the batch at its first failing length, at a hit of an absorbing loop
+candidate (the fast path), or at the first repeat of its state (Brent
+anchors at steps 1, 2, 4, ...), which closes every longer length; there is
+no explicit range of lengths, and leaving tables are packed out of the
+planes at once.  A hash-selected 1% of the tables is held back from the fast
+path and certified by the repeat alone as a cross-check.  Exhaustive and
+sampled sweeps take the same route: one worker per batch, one checkpoint
+file (whose first line names the run, so that a mismatched resume is
+refused), one counterexample writer and one process pool.
 
-One engine serves both batch sweeps: ``_batch_tables`` decodes a batch into
-its bit tables and ``_step`` advances every candidate's edge set by one
-walk step.  ``certify_batch`` (the headline sweep) and ``verify_loop_bound``
-differ only in the mask the step keeps and in how they walk.
+One engine serves both batch sweeps.  ``certify_batch`` (the headline
+sweep) walks the edges compatible with each candidate; ``loop_bound_batch``
+(criterion 10) walks the same planes without the candidate edge itself.
 """
 
 from __future__ import annotations
@@ -128,94 +133,132 @@ def canonical_strategy(strat: SimpleStrategy) -> SimpleStrategy:
 
 
 # ---------------------------------------------------------------------------
-# The vectorized certificate engine.
+# The vectorized certificate engine.  A plane is one bit per table of a
+# batch: a table plane holds a fact of each table ("edge e points at pigeon
+# q"), a state plane one slot of each table's state ("candidate c has reached
+# edge f").  Bit i of word w is table 64 w + i.
 
 
-def _mask_dtype(num_edges: int):
-    if num_edges <= 16:
-        return np.uint16
-    if num_edges <= 32:
-        return np.uint32
-    return np.uint64
+@dataclass
+class Walk:
+    """Index tables of one walk rule.  The state keeps one plane per slot, a
+    (candidate c, edge f) pair that the rule allows, in candidate order with
+    the same number of slots per candidate.  Table planes are indexed as in
+    ``_table_planes``."""
+
+    slot_tail: np.ndarray  # (S,) tail pigeon of the slot's edge: its initial plane
+    hit_plane: np.ndarray  # (E, S / E) table plane of "the slot's edge points at c's tail"
+    step_src: np.ndarray  # (S, g) slot (c, e) of each term of slot (c, f)
+    step_plane: np.ndarray  # (S, g) table plane of "e points at f's tail"
+
+    def step(self, state: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """One walk step of every candidate's edge set: slot (c, f) is set
+        when some edge e in c's set points at f's tail and f may follow e."""
+        terms = state[self.step_src] & tables[self.step_plane]
+        return np.bitwise_or.reduce(terms, axis=1)
+
+    def hits(self, state: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """(E, W) planes: candidate c's set holds an edge pointing at c's tail."""
+        by_cand = state.reshape(self.hit_plane.shape + state.shape[1:])
+        return np.bitwise_or.reduce(by_cand & tables[self.hit_plane], axis=1)
+
+
+def _walk(n: int, compat: np.ndarray, allowed: np.ndarray) -> Walk:
+    """The index tables of the walk in which candidate c keeps the edges f
+    with ``allowed[c, f]``; edge f may follow edge e when f leaves e's head
+    and ``compat[e, f]``."""
+    pigeons = n + 1
+    num_edges = len(compat)
+    tail = np.arange(num_edges) // n
+    cand, edge = np.nonzero(allowed)  # the slots, in candidate order
+    slot_of = np.zeros((num_edges, num_edges), dtype=np.intp)
+    slot_of[cand, edge] = np.arange(len(cand))
+    # Slot (c, f) ORs the terms "slot (c, e) and e points at f's tail" over
+    # the edges e that c allows and f may follow.  Every slot gets the same
+    # number of terms, padded with the all-zero table plane, so that a step
+    # reduces one regular array (np.bitwise_or.reduceat over ragged groups is
+    # an order of magnitude slower).
+    real = allowed[cand] & compat[edge]
+    width = real.sum(axis=1).max(initial=0)
+    e = np.argsort(~real, axis=1, kind="stable")[:, :width]  # real terms first
+    real = np.take_along_axis(real, e, axis=1)
+    return Walk(
+        slot_tail=tail[edge],
+        hit_plane=(edge * pigeons + tail[cand]).reshape(num_edges, -1),
+        step_src=np.where(real, slot_of[cand[:, None], e], 0),
+        step_plane=np.where(real, e * pigeons + tail[edge, None], num_edges * pigeons),
+    )
 
 
 @dataclass
 class BoardTables:
-    """Strategy-independent bit tables for one board size."""
+    """Strategy-independent index tables for one board size."""
 
     n: int
     num_edges: int
-    dtype: type
-    compat: np.ndarray  # (E,) mask of edges compatible with e
-    out_mask: np.ndarray  # (P,) mask of edges with tail p
-    cand_tail: np.ndarray  # (E,) tail pigeon of candidate e
-    bits: np.ndarray  # (E,) the one-bit mask of edge e
+    certify: Walk  # candidate c walks the edges compatible with c
+    loop: Walk  # the same without c itself, which carries the loop hole
+    loop_plane: np.ndarray  # (E,) table plane of "candidate c is a loop"
+    cand_tail: np.ndarray  # (E,) tail pigeon of candidate c
 
 
 def board_tables(n: int) -> BoardTables:
     pigeons = n + 1
     num_edges = pigeons * n
-    dtype = _mask_dtype(num_edges)
-    compat = np.zeros(num_edges, dtype=dtype)
-    for e in range(num_edges):
-        p, h = divmod(e, n)
-        m = 0
-        for f in range(num_edges):
-            q, g = divmod(f, n)
-            if (p == q) == (h == g):
-                m |= 1 << f
-        compat[e] = m
-    out_mask = np.array(
-        [((1 << n) - 1) << (p * n) for p in range(pigeons)], dtype=dtype
+    e = np.arange(num_edges)
+    compat = (e[:, None] // n == e // n) == (e[:, None] % n == e % n)
+    return BoardTables(
+        n,
+        num_edges,
+        certify=_walk(n, compat, compat),
+        loop=_walk(n, compat, compat & ~np.eye(num_edges, dtype=bool)),
+        loop_plane=e * pigeons + e // n,
+        cand_tail=e // n,
     )
-    cand_tail = np.arange(num_edges, dtype=np.int64) // n
-    bits = (np.uint64(1) << np.arange(num_edges, dtype=np.uint64)).astype(dtype)
-    return BoardTables(n, num_edges, dtype, compat, out_mask, cand_tail, bits)
 
 
 def decode_batch(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base-(n+1) digits of the strategy indices: init plus table heads."""
-    pigeons = n + 1
-    num_edges = pigeons * n
-    rest = indices.astype(np.uint64).copy()
-    init = (rest % pigeons).astype(np.uint8)
-    rest //= pigeons
-    heads = np.empty((len(indices), num_edges), dtype=np.uint8)
-    for e in range(num_edges):
-        heads[:, e] = rest % pigeons
-        rest //= pigeons
-    return init, heads
+    """Base-(n+1) digits of the strategy indices: init (B,) plus table heads
+    (B, E)."""
+    digits = np.empty(((n + 1) * n + 1, len(indices)), dtype=np.uint8)
+    rest = indices.astype(np.uint64)
+    for row in digits:
+        rest, row[:] = np.divmod(rest, n + 1)
+    return digits[0], digits[1:].T
 
 
-def _batch_tables(indices: np.ndarray, bt: BoardTables) -> tuple[np.ndarray, ...]:
-    """The per-table bit tables of a batch: ``init`` (B,) is the first
-    question; ``t_base`` (B, E) holds the edges that may follow edge e (out
-    of its head, compatible with e); ``targets`` (B, E) the edges whose head
-    is candidate e's tail; ``is_loop`` (B, E) whether edge e is a loop."""
-    n, dt = bt.n, bt.dtype
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(rows, b) booleans to (rows, ceil(b / 64)) planes; the padding is 0."""
+    rows, b = bits.shape
+    packed = np.zeros((rows, -(-b // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-b // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _unpack(planes: np.ndarray, b: int) -> np.ndarray:
+    """The first ``b`` tables of each plane, as booleans."""
+    return np.unpackbits(planes.view(np.uint8), axis=-1, count=b, bitorder="little").view(bool)
+
+
+def _repack(planes: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The planes of the tables set in ``keep``, one flag per packed table."""
+    return _pack(np.compress(keep, _unpack(planes, len(keep)), axis=-1))
+
+
+def _table_planes(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The planes of a batch: ``init`` (P, W) holds "the first question is
+    pigeon p"; ``tables`` (E * P + 1, W) holds "edge e points at pigeon q" at
+    row ``e * P + q``, and zeros in its last row.  Padding tables are in no
+    plane."""
     init, heads = decode_batch(indices, n)
-    head_mask = np.empty((len(indices), n + 1), dtype=dt)  # edges whose head is p
-    for p in range(n + 1):
-        head_mask[:, p] = ((heads == p).astype(dt) * bt.bits[None, :]).sum(
-            axis=1, dtype=np.uint64
-        ).astype(dt)
-    t_base = bt.out_mask[heads] & bt.compat[None, :]
-    is_loop = heads == np.arange(bt.num_edges, dtype=np.uint8)[None, :] // n
-    return init, t_base, head_mask[:, bt.cand_tail], is_loop
-
-
-def _step(rr: np.ndarray, t_base: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """One walk step of every candidate's edge set, kept to ``allowed``."""
-    nxt = np.zeros_like(rr)
-    sel = np.empty_like(rr)
-    for e in range(t_base.shape[1]):
-        # Bit e of each set times edge e's successors, computed in one
-        # scratch array rather than in fresh temporaries for every edge.
-        np.right_shift(rr, e, out=sel)
-        np.bitwise_and(sel, 1, out=sel)
-        np.multiply(sel, t_base[:, e, None], out=sel)
-        nxt |= sel
-    return nxt & allowed
+    pigeons = np.arange(n + 1, dtype=np.uint8)[:, None]
+    num_digits = heads.shape[1] + 1
+    bits = np.zeros((num_digits * (n + 1) + 1, len(indices)), dtype=bool)
+    rows = bits[:-1].reshape(num_digits, n + 1, len(indices))
+    np.equal(init, pigeons, out=rows[0])
+    np.equal(heads.T[:, None, :], pigeons, out=rows[1:])
+    planes = _pack(bits)
+    return planes[: n + 1], planes[n + 1 :]
 
 
 @dataclass
@@ -247,41 +290,46 @@ def certify_batch(
     per-candidate state equals the anchor state, taken at t = 1, 2, 4, ...
     (Brent), so that the orbit repeats from there.  Rows set in
     ``sample_mask`` are held back from the loop exit and certified by the
-    repeat alone.
+    repeat alone.  Leaving tables are packed out of the planes at once.
     """
     B = len(indices)
-    init, tb, tg, lp = _batch_tables(indices, bt)
-    if sample_mask is not None:
-        lp = lp & ~sample_mask[:, None]
-    allowed = bt.compat[None, :]
-    rr = bt.out_mask[init][:, None] & allowed  # (B, E) per-candidate state
+    walk = bt.certify
+    held = np.zeros(B, dtype=bool) if sample_mask is None else np.asarray(sample_mask, dtype=bool)
 
     first_fail = np.zeros(B, dtype=np.int64)
     wins_all = np.zeros(B, dtype=bool)
     fast_path = np.zeros(B, dtype=bool)
     active = np.arange(B)
-    anchor = rr  # no compare at t = 1, which takes the first anchor
+    init, tables = _table_planes(indices, bt.n)
+    rr = init[walk.slot_tail]  # one plane per state slot
+    anchor = rr
     for t in range(1, T_LIMIT + 1):
-        hits = (rr & tg) != 0  # (b, E) candidate wins at s = t + 1
-        won = hits.any(axis=1)
-        looped = (hits & lp).any(axis=1)
+        b = len(active)
+        if not b:
+            break
+        hits = walk.hits(rr, tables)  # (E, W) candidate wins at s = t + 1
+        won = _unpack(np.bitwise_or.reduce(hits, axis=0), b)
+        looped = _unpack(np.bitwise_or.reduce(hits & tables[bt.loop_plane], axis=0), b)
+        looped &= ~held[active]
         brent = (t & (t - 1)) == 0
         # A state equal to an earlier one repeats every hit seen since.
-        repeated = won & (rr == anchor).all(axis=1) & (not brent)
+        moved = _unpack(np.bitwise_or.reduce(rr ^ anchor, axis=0), b)
+        repeated = won & ~moved & (not brent)
         first_fail[active[~won]] = t + 1
         fast_path[active[looped]] = True
         wins_all[active[looped | repeated]] = True
         leave = ~won | looped | repeated
         if leave.any():
             keep = ~leave
-            active, rr, tb, tg, lp, anchor = (
-                a[keep] for a in (active, rr, tb, tg, lp, anchor)
-            )
-        if not len(active):
-            break
+            active = active[keep]
+            init, tables = _table_planes(indices[active], bt.n)
+            # At t = 1 the state is still the initial one.
+            rr = init[walk.slot_tail] if t == 1 else _repack(rr, keep)
+            if not brent:
+                anchor = _repack(anchor, keep)
         if brent:
             anchor = rr
-        rr = _step(rr, tb, allowed)
+        rr = walk.step(rr, tables)
 
     uncertified = np.zeros(B, dtype=bool)
     uncertified[active] = True
@@ -290,21 +338,21 @@ def certify_batch(
 
 def _oracle_gate(n: int, seed: int = 20240901, samples: int = 150, s_hi: int = 6) -> None:
     """Refuse to run the big sweep until the certificate matches the DFS
-    oracle and the vectorized engine matches the certificate."""
+    oracle and the vectorized engine matches the certificate, on distinct
+    seeded tables."""
     rng = np.random.default_rng(seed)
     space = strategy_space(n)
-    idxs = rng.integers(0, space, size=samples, dtype=np.uint64)
+    idxs = rng.choice(space, min(samples, space), replace=False)
+    certs = []
     for idx in idxs:
         strat = index_to_strategy(int(idx), n)
         cert = delayer_wins_lengths(strat, s_max=16)
         for s in range(1, s_hi + 1):
             if cert.wins(s) != brute_force_delayer_wins(strat, s):
                 raise AssertionError(f"oracle gate: certificate mismatch at index {idx}, s={s}")
-    bt = board_tables(n)
-    res = certify_batch(idxs, bt, sample_mask=np.ones(samples, dtype=bool))
-    for row, idx in enumerate(idxs):
-        strat = index_to_strategy(int(idx), n)
-        cert = delayer_wins_lengths(strat, s_max=16)
+        certs.append(cert)
+    res = certify_batch(idxs, board_tables(n), sample_mask=np.ones(len(idxs), dtype=bool))
+    for row, (idx, cert) in enumerate(zip(idxs, certs)):
         if bool(res.wins_all[row]) != cert.wins_all():
             raise AssertionError(f"oracle gate: engine mismatch at index {idx}")
 
@@ -447,6 +495,32 @@ def verify_theorem_main(
     )
 
 
+def loop_bound_batch(indices: np.ndarray, bt: BoardTables) -> np.ndarray:
+    """The tables of a batch that break the loop bound: some loop edge's
+    tail is reachable, but not within ``2(n-2)+1`` steps of the start."""
+    walk = bt.loop
+    K = 2 * (bt.n - 2) + 1
+    init, tables = _table_planes(indices, bt.n)
+    # Exact-length sets up to the bound give the shortest-hit check; the
+    # cumulative union (a monotone fixpoint) decides reachability-ever.
+    rr = init[walk.slot_tail]
+    hit_by_k = np.zeros((bt.num_edges, rr.shape[1]), dtype=np.uint64)
+    union = rr
+    for _t in range(1, K + 1):
+        hit_by_k |= walk.hits(rr, tables)
+        rr = walk.step(rr, tables)
+        union = union | rr
+    while True:
+        grown = union | walk.step(union, tables)
+        if (grown == union).all():
+            break
+        union = grown
+    ever_hit = walk.hits(union, tables)
+    at_init = init[bt.cand_tail]
+    violation = tables[bt.loop_plane] & ever_hit & ~hit_by_k & ~at_init
+    return _unpack(np.bitwise_or.reduce(violation, axis=0), len(indices))
+
+
 def verify_loop_bound(
     n: int = 3,
     batch_size: int = 1 << 18,
@@ -460,35 +534,13 @@ def verify_loop_bound(
     """
     t0 = time.time()
     bt = board_tables(n)
-    K = 2 * (n - 2) + 1
-    # Walks may not reuse the loop edge itself (it carries the loop hole).
-    allowed = (bt.compat & ~bt.bits)[None, :]
     total = min(strategy_space(n), limit) if limit else strategy_space(n)
     bad: list[str] = []
     for start in range(0, total, batch_size):
         stop = min(start + batch_size, total)
         idxs = np.arange(start, stop, dtype=np.uint64)
-        init, t_base, targets, is_loop = _batch_tables(idxs, bt)
-        # Exact-length sets up to the bound give the shortest-hit check; the
-        # cumulative union (a monotone fixpoint) decides reachability-ever.
-        rr = bt.out_mask[init][:, None] & allowed
-        hit_by_k = np.zeros(rr.shape, dtype=bool)
-        union = rr.copy()
-        for _t in range(1, K + 1):
-            hit_by_k |= (rr & targets) != 0
-            rr = _step(rr, t_base, allowed)
-            union |= rr
-        while True:
-            grown = union | _step(union, t_base, allowed)
-            if (grown == union).all():
-                break
-            union = grown
-        ever_hit = (union & targets) != 0
-        at_init = init[:, None] == bt.cand_tail[None, :]
-        violation = is_loop & ever_hit & ~hit_by_k & ~at_init
-        rows = violation.any(axis=1)
-        for row in np.nonzero(rows)[0]:
-            bad.append(format_strategy(index_to_strategy(int(idxs[row]), n)))
+        for idx in idxs[loop_bound_batch(idxs, bt)]:
+            bad.append(format_strategy(index_to_strategy(int(idx), n)))
         if progress:
             print(f"  loop bound {stop}/{total}", flush=True)
     return CampaignReport(

@@ -14,6 +14,7 @@ from pebblegames.verify import (
     canonical_strategy,
     certify_batch,
     index_to_strategy,
+    loop_bound_batch,
     strategy_space,
     strategy_to_index,
     verify_g2prime,
@@ -112,7 +113,11 @@ def _first_loss(cert) -> int:
 def _index_batches(draw):
     """A board, a batch of its indices and a hold-back mask (or None)."""
     n = draw(st.sampled_from((1, 2, 3, 4)))
-    idxs = draw(st.lists(st.integers(0, strategy_space(n) - 1), min_size=1, max_size=8))
+    # Up to 200 tables, the size drawn first so that most batches span
+    # several 64-table words and end in a partial one, whose padding must not
+    # reach the result.
+    size = draw(st.integers(1, 200))
+    idxs = draw(st.lists(st.integers(0, strategy_space(n) - 1), min_size=size, max_size=size))
     held = draw(st.none() | st.lists(st.booleans(), min_size=len(idxs), max_size=len(idxs)))
     return n, idxs, held
 
@@ -121,7 +126,6 @@ def _index_batches(draw):
 @given(batch=_index_batches())
 @example(batch=(4, [5, 1105], [False, True]))
 def test_certify_batch_matches_certificate_every_width(batch):
-    # n=1..3 run on uint16 masks and n=4 on uint32 ones.
     n, idxs, held = batch
     mask = None if held is None else np.array(held)
     res = certify_batch(np.array(idxs, dtype=np.uint64), board_tables(n), sample_mask=mask)
@@ -223,6 +227,55 @@ def test_verify_loop_bound_slice():
                     w = shortest_loop_witness(strat, p, h)
                     if w is not None:
                         assert w <= bound
+
+
+def _breaks_loop_bound(strat) -> bool:
+    """The scalar verdict: some loop's tail is reachable from the start, but
+    by no qualifying walk of at most 2(n-2)+1 steps."""
+    from pebblegames.php_tree import shortest_loop_witness
+
+    n = strat.size.n
+    return any(
+        (w := shortest_loop_witness(strat, p, h)) is not None and w > 2 * (n - 2) + 1
+        for p in range(n + 1)
+        for h in range(n)
+        if strat.table[p][h] == p
+    )
+
+
+@pytest.mark.parametrize(
+    "n, idxs, violators",
+    [
+        (2, np.arange(strategy_space(2)), 0),
+        (4, np.random.default_rng(5).choice(strategy_space(4), 4096, replace=False), 5),
+    ],
+    ids=["n2-whole-space", "n4-sample"],
+)
+def test_loop_bound_batch_matches_scalar_witness(n, idxs, violators):
+    # At n=4 the bound 2(n-2)+1 = 5 is broken by some tables, so this is also
+    # a negative control: the batch engine must find exactly those.
+    got = loop_bound_batch(idxs.astype(np.uint64), board_tables(n))
+    expected = [_breaks_loop_bound(index_to_strategy(int(i), n)) for i in idxs]
+    assert got.tolist() == expected
+    assert sum(expected) == violators
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_oracle_gate_checks_distinct_tables_once(n, monkeypatch):
+    from pebblegames import verify as ver
+
+    batches, certs = [], []
+    certify, certificate = ver.certify_batch, ver.delayer_wins_lengths
+    monkeypatch.setattr(
+        ver, "certify_batch", lambda idxs, *a, **k: batches.append(list(idxs)) or certify(idxs, *a, **k)
+    )
+    monkeypatch.setattr(
+        ver, "delayer_wins_lengths", lambda s, *a, **k: certs.append(s) or certificate(s, *a, **k)
+    )
+    ver._oracle_gate(n)
+    [checked] = batches
+    assert len(set(checked)) == len(checked) == min(150, strategy_space(n))
+    assert len(certs) == len(checked)
 
 
 def test_report_line_format():
