@@ -116,10 +116,8 @@ def _cmd_play(args: argparse.Namespace) -> int:
     strat = _input(lambda: sg.parse_strategy(args.strategy.read_text()))
     play = _input(lambda: sg.parse_play(args.answers.read_text()))
     result = _input(lambda: sg.play_simplified(strat, play))  # rejects answers that do not fit
-    question = strat.init
     for i, rec in enumerate(result.records, start=1):
         print(f"round {i}: question {rec.pigeon} answer {rec.hole}")
-        question = strat.next_question(rec)
     tag = {
         sg.PlayOutcome.PROVER_WINS_MIDGAME: f"prover wins midgame at round {result.step}",
         sg.PlayOutcome.PROVER_WINS_FINAL: "prover wins on the final comparison",

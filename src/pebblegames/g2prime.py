@@ -18,6 +18,7 @@ from pebblegames.matching import (
     LogPower,
     Matching,
     Query,
+    matchings_consistent,
     minimal_covers,
 )
 from pebblegames.trees import TreeOracle, Vertex, is_prefix
@@ -83,7 +84,7 @@ def g2prime_apply(
         if target not in tree:
             return G2Tag.PROVER_LOSES, None
         carried = pos.labels[c]
-        if not _consistent(carried, answer):
+        if not matchings_consistent(carried, answer):
             return G2Tag.PROVER_WINS, None
         new = dict(pos.labels)
         new[target] = carried.union(answer)
@@ -99,7 +100,7 @@ def g2prime_apply(
         if target not in tree:
             return G2Tag.PROVER_LOSES, None
         carried = pos.labels[x]
-        if not _consistent(carried, answer):
+        if not matchings_consistent(carried, answer):
             return G2Tag.PROVER_WINS, None
         new = dict(pos.labels)
         new[target] = carried.union(answer)
@@ -113,20 +114,12 @@ def g2prime_apply(
     if tree.is_leaf(landing_base):
         return G2Tag.PROVER_LOSES, None
     carried = pos.labels[landing_base]
-    if not _consistent(carried, answer):
+    if not matchings_consistent(carried, answer):
         return G2Tag.PROVER_WINS, None
     erased_prefix = x + (k,)
     new = {v: m for v, m in pos.labels.items() if not is_prefix(erased_prefix, v)}
     new[landing_base + (1,)] = carried.union(answer)
     return G2Tag.ONGOING, G2PrimePosition(new)
-
-
-def _consistent(a: Matching, b: Matching) -> bool:
-    try:
-        a.union(b)
-        return True
-    except ValueError:
-        return False
 
 
 def g2prime_play(

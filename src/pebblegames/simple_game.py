@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from pebblegames.matching import GameSize, Record, records_conflict
 
@@ -214,13 +214,6 @@ def find_loops(strat: SimpleStrategy) -> frozenset[EdgeRef]:
 # ---------------------------------------------------------------------------
 # Canonical anti-strategies.
 
-HolePolicy = Callable[[Sequence[int]], int]
-
-
-def smallest_unused_policy(unused: Sequence[int]) -> int:
-    return unused[0]
-
-
 @dataclass(frozen=True)
 class CanonicalPlay:
     play: Play
@@ -230,43 +223,15 @@ class CanonicalPlay:
     gave_up_step: Optional[int] = None
 
 
-def canonical_antistrategy(
-    strat: SimpleStrategy, hole_policy: HolePolicy = smallest_unused_policy
-) -> CanonicalPlay:
-    """The play where fresh questions get fresh holes and repeats repeat.
+def canonical_antistrategy(strat: SimpleStrategy) -> CanonicalPlay:
+    """The play where fresh questions get the smallest fresh hole and repeats
+    repeat: the first of ``all_canonical_plays``, which tries fresh holes in
+    ascending order.
 
     When the fresh holes run out Delayer gives up and answers 0, as the
     construction prescribes.
     """
-    first_answer: dict[int, int] = {}
-    used: list[int] = []
-    answers: list[int] = []
-    question = strat.init
-    gave_up_step: Optional[int] = None
-    revisit: Optional[int] = None
-    for i in range(1, strat.s + 1):
-        if question in first_answer:
-            if revisit is None:
-                revisit = i
-            h = first_answer[question]
-        else:
-            unused = [h for h in strat.size.holes if h not in used]
-            if not unused:
-                if gave_up_step is None:
-                    gave_up_step = i
-                h = 0
-            else:
-                h = hole_policy(unused)
-                if h not in unused:
-                    raise ValueError("hole policy picked a used hole")
-            first_answer[question] = h
-            used.append(h)
-        answers.append(h)
-        question = strat.next_question(Record(question, h))
-    play = Play(tuple(answers))
-    return CanonicalPlay(
-        play, play_simplified(strat, play), gave_up_step is not None, revisit, gave_up_step
-    )
+    return next(all_canonical_plays(strat))
 
 
 def all_canonical_plays(strat: SimpleStrategy) -> Iterator[CanonicalPlay]:

@@ -13,9 +13,10 @@ index tables that ``board_tables`` builds once per board.  A table leaves
 the batch at its first failing length, at a hit of an absorbing loop
 candidate (the fast path), or at the first repeat of its state (Brent
 anchors at steps 1, 2, 4, ...), which closes every longer length; there is
-no explicit range of lengths, and leaving tables are packed out of the
-planes at once.  A hash-selected 1% of the tables is held back from the fast
-path and certified by the repeat alone as a cross-check.  Exhaustive and
+no explicit range of lengths.  A leaving table gets its verdict at once, but
+its column stays in the planes, masked off, until the next anchor, where the
+batch is compacted.  A hash-selected 1% of the tables is held back from the
+fast path and certified by the repeat alone as a cross-check.  Exhaustive and
 sampled sweeps take the same route: one worker per batch, one checkpoint
 file (whose first line names the run, so that a mismatched resume is
 refused), one counterexample writer and one process pool.
@@ -290,7 +291,10 @@ def certify_batch(
     per-candidate state equals the anchor state, taken at t = 1, 2, 4, ...
     (Brent), so that the orbit repeats from there.  Rows set in
     ``sample_mask`` are held back from the loop exit and certified by the
-    repeat alone.  Leaving tables are packed out of the planes at once.
+    repeat alone.  A leaving table's column stays in the planes under the
+    ``live`` mask; the batch is compacted only at an anchor, whose packed
+    state is then the new anchor, so the planes are decoded at most once per
+    anchor.
     """
     B = len(indices)
     walk = bt.certify
@@ -299,40 +303,40 @@ def certify_batch(
     first_fail = np.zeros(B, dtype=np.int64)
     wins_all = np.zeros(B, dtype=bool)
     fast_path = np.zeros(B, dtype=bool)
-    active = np.arange(B)
+    active = np.arange(B)  # the tables in the planes
     init, tables = _table_planes(indices, bt.n)
     rr = init[walk.slot_tail]  # one plane per state slot
-    anchor = rr
+    live = np.ones(B, dtype=bool)  # the tables in the planes that have not left
     for t in range(1, T_LIMIT + 1):
         b = len(active)
-        if not b:
-            break
         hits = walk.hits(rr, tables)  # (E, W) candidate wins at s = t + 1
         won = _unpack(np.bitwise_or.reduce(hits, axis=0), b)
         looped = _unpack(np.bitwise_or.reduce(hits & tables[bt.loop_plane], axis=0), b)
-        looped &= ~held[active]
-        brent = (t & (t - 1)) == 0
-        # A state equal to an earlier one repeats every hit seen since.
-        moved = _unpack(np.bitwise_or.reduce(rr ^ anchor, axis=0), b)
-        repeated = won & ~moved & (not brent)
-        first_fail[active[~won]] = t + 1
+        first_fail[active[live & ~won]] = t + 1
+        live &= won
+        looped &= live & ~held[active]
         fast_path[active[looped]] = True
-        wins_all[active[looped | repeated]] = True
-        leave = ~won | looped | repeated
-        if leave.any():
-            keep = ~leave
-            active = active[keep]
+        wins_all[active[looped]] = True
+        live &= ~looped
+        if t & (t - 1):
+            # A state equal to the anchor repeats every hit seen since.
+            moved = _unpack(np.bitwise_or.reduce(rr ^ anchor, axis=0), b)
+            wins_all[active[live & ~moved]] = True
+            live &= moved
+        else:
+            # A Brent anchor: the tables that have left are packed out here.
+            active = active[live]
             init, tables = _table_planes(indices[active], bt.n)
             # At t = 1 the state is still the initial one.
-            rr = init[walk.slot_tail] if t == 1 else _repack(rr, keep)
-            if not brent:
-                anchor = _repack(anchor, keep)
-        if brent:
+            rr = init[walk.slot_tail] if t == 1 else _repack(rr, live)
             anchor = rr
+            live = np.ones(len(active), dtype=bool)
+        if not live.any():
+            break
         rr = walk.step(rr, tables)
 
     uncertified = np.zeros(B, dtype=bool)
-    uncertified[active] = True
+    uncertified[active[live]] = True
     return BatchResult(wins_all, fast_path, first_fail, uncertified)
 
 

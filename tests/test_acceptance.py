@@ -38,6 +38,8 @@ def test_criterion_01_theorem_main_n3_exhaustive():
     )
     assert report.space == 67_108_864
     assert report.counterexamples == []
+    assert report.details["fast_path"] == 62_995_648
+    assert report.details["sampled_crosschecks"] == 671_089
 
 
 def test_criterion_01b_theorem_main_n2_control():

@@ -132,6 +132,10 @@ def test_certify_batch_matches_certificate_every_width(batch):
     assert not res.uncertified.any()
     if mask is not None:
         assert not res.fast_path[mask].any()
+    # A table is flagged once, when it leaves: a fast-path exit is a win and
+    # no row both fails and wins.
+    assert not (res.fast_path & ~res.wins_all).any()
+    assert not (res.wins_all & (res.first_fail > 0)).any()
     for row, idx in enumerate(idxs):
         cert = delayer_wins_lengths(index_to_strategy(idx, n))
         assert bool(res.wins_all[row]) == cert.wins_all()
@@ -149,6 +153,23 @@ def test_certify_batch_whole_space_matches_certificate(n, losers, held):
     assert int((~res.wins_all).sum()) == losers
     assert not res.uncertified.any()
     assert res.fast_path.any() != held
+
+
+@pytest.mark.parametrize("n, size, fast", [(3, 1 << 18, 246_199), (4, 1 << 17, 127_941)])
+def test_certify_batch_packs_out_only_at_brent_anchors(n, size, fast, monkeypatch):
+    from pebblegames import verify as ver
+
+    idxs = np.sort(np.random.default_rng(n).choice(strategy_space(n), size, replace=False))
+    idxs = idxs.astype(np.uint64)
+    held = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0  # as in _certify_job
+    decodes = []
+    planes = ver._table_planes
+    monkeypatch.setattr(ver, "_table_planes", lambda *a: decodes.append(1) or planes(*a))
+    res = certify_batch(idxs, board_tables(n), sample_mask=held)
+    assert res.wins_all.all() and not res.uncertified.any()
+    assert int(res.fast_path.sum()) == fast
+    # One decode of the whole batch, then one per anchor at t = 1, 2, 4, ...
+    assert len(decodes) <= 1 + ver.T_LIMIT.bit_length()
 
 
 def test_certify_batch_n2_finds_prover_wins():
