@@ -78,7 +78,8 @@ class LogPower:
 
 def records_conflict(a: Record, b: Record) -> bool:
     """True iff the two records cannot belong to one matching."""
-    return (a.pigeon == b.pigeon) != (a.hole == b.hole)
+    (p, h), (q, k) = a, b
+    return (p == q) != (h == k)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ is what both the brute-force oracle and the certificate decide.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,10 +25,6 @@ class EdgeRef(NamedTuple):
 
     tail: int
     label: int
-
-    @property
-    def record(self) -> Record:
-        return Record(self.tail, self.label)
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,8 @@ def adjacency_lines(strat: SimpleStrategy) -> list[str]:
 
 def edges_compatible(a: EdgeRef, b: EdgeRef) -> bool:
     """True iff the two records form a partial one-to-one mapping."""
-    return not records_conflict(a.record, b.record)
+    (p, h), (q, k) = a, b
+    return (p == q) == (h == k)
 
 
 @dataclass(frozen=True)
@@ -377,18 +375,19 @@ def _edge_index(n: int, e: EdgeRef) -> int:
     return e.tail * n + e.label
 
 
-def compatibility_masks(size: GameSize) -> list[int]:
-    """Bitmask per edge of all edges compatible with it (board-level data)."""
+@functools.cache
+def compatibility_masks(size: GameSize) -> tuple[int, ...]:
+    """Bitmask per edge of all edges compatible with it.
+
+    This is board-level data: it is built once per ``GameSize``, cached, and
+    the same tuple is shared by every certificate on that board.
+    """
     n = size.n
     edges = [EdgeRef(p, h) for p in size.pigeons for h in size.holes]
-    masks = []
-    for e in edges:
-        m = 0
-        for f in edges:
-            if edges_compatible(e, f):
-                m |= 1 << _edge_index(n, f)
-        masks.append(m)
-    return masks
+    return tuple(
+        sum(1 << _edge_index(n, f) for f in edges if edges_compatible(e, f))
+        for e in edges
+    )
 
 
 def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertificate:
@@ -406,8 +405,10 @@ def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertifica
     compat = compatibility_masks(size)
     heads = [strat.table[e // n][e % n] for e in range(num_edges)]
     out_mask = [0] * len(size.pigeons)
+    in_mask = [0] * len(size.pigeons)
     for e in range(num_edges):
         out_mask[e // n] |= 1 << e
+        in_mask[heads[e]] |= 1 << e
     trans = [out_mask[heads[e]] & compat[e] for e in range(num_edges)]
     start = out_mask[strat.init]
 
@@ -416,11 +417,7 @@ def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertifica
     candidates = []
     for c in range(num_edges):
         allowed = compat[c]
-        target = 0
-        p = c // n
-        for e in range(num_edges):
-            if heads[e] == p:
-                target |= 1 << e
+        target = in_mask[c // n]
         r = start & allowed
         seen: dict[int, int] = {}
         hits: list[bool] = []  # hits[t] corresponds to win at s = t + 2

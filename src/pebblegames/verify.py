@@ -32,7 +32,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -197,6 +197,7 @@ class BoardTables:
 
     n: int
     num_edges: int
+    compat: np.ndarray  # (E, E) "edges e and f form a partial matching"
     certify: Walk  # candidate c walks the edges compatible with c
     loop: Walk  # the same without c itself, which carries the loop hole
     loop_plane: np.ndarray  # (E,) table plane of "candidate c is a loop"
@@ -211,6 +212,7 @@ def board_tables(n: int) -> BoardTables:
     return BoardTables(
         n,
         num_edges,
+        compat,
         certify=_walk(n, compat, compat),
         loop=_walk(n, compat, compat & ~np.eye(num_edges, dtype=bool)),
         loop_plane=e * pigeons + e // n,
@@ -612,49 +614,85 @@ def verify_subset_prop(n: int) -> CampaignReport:
     )
 
 
+# A failing claim lists at most this many counterexamples.
+_MAX_COUNTEREXAMPLES = 32
+# Triples are checked this many at a time, which bounds the temporaries.
+_TRIPLE_CHUNK = 1 << 16
+
+
+def _note_failures(
+    bad: list[str], checks: Sequence[tuple[str, np.ndarray]], labels: Optional[np.ndarray] = None
+) -> None:
+    """Append one message per failed check until ``bad`` holds
+    ``_MAX_COUNTEREXAMPLES``.  The checks are (format, failure mask) pairs
+    over one index grid.  Positions are visited in row-major order, and the
+    checks in their order within a position.  A message is formatted with
+    the position's indices, or with ``labels[position]`` when given."""
+    if len(bad) >= _MAX_COUNTEREXAMPLES:
+        return
+    failed = np.logical_or.reduce([mask for _, mask in checks])
+    for where in np.argwhere(failed)[: _MAX_COUNTEREXAMPLES - len(bad)]:
+        at = tuple(where)
+        label = at if labels is None else labels[at]
+        bad.extend(fmt.format(*label) for fmt, mask in checks if mask[at])
+
+
+def _triple_chunks(m: int, triple_budget: int, seed: int) -> Iterator[np.ndarray]:
+    """The triples of indices below ``m`` to check, as (rows, 3) chunks: all
+    of them in ``itertools.product`` order when there are at most
+    ``triple_budget``, else the seeded draw ``integers(0, m, (triple_budget,
+    3))``, taken a chunk of rows at a time (which draws the same rows)."""
+    if m**3 <= triple_budget:
+        for lo in range(0, m**3, _TRIPLE_CHUNK):
+            flat = np.arange(lo, min(lo + _TRIPLE_CHUNK, m**3))
+            yield np.stack(np.unravel_index(flat, (m, m, m)), axis=1)
+    else:
+        rng = np.random.default_rng(seed)
+        for lo in range(0, triple_budget, _TRIPLE_CHUNK):
+            yield rng.integers(0, m, size=(min(_TRIPLE_CHUNK, triple_budget - lo), 3))
+
+
 def verify_order_axioms(
     b: int, h: int, triple_budget: int = 1_000_000, seed: int = 7
 ) -> CampaignReport:
     """Antisymmetry, transitivity and trichotomy of the tree order plus
-    strict order reversal of the ordinal embedding."""
+    strict order reversal of the ordinal embedding.
+
+    Every ordered pair of trees is compared once with ``tree_compare``; the
+    axioms are then checked as array operations on the matrix of results."""
     t0 = time.time()
     ts = list(treemod.all_trees(b, h))
     m = len(ts)
-    bad = []
-    cmp = [[treemod.tree_compare(ts[i], ts[j]) for j in range(m)] for i in range(m)]
-    L, Eq, G = treemod.Ordering.LESS, treemod.Ordering.EQUAL, treemod.Ordering.GREATER
-    for i in range(m):
-        for j in range(m):
-            a, rev = cmp[i][j], cmp[j][i]
-            if (a is Eq) != (i == j):
-                bad.append(f"equality failure {i},{j}")
-            if (a is L and rev is not G) or (a is G and rev is not L):
-                bad.append(f"antisymmetry failure {i},{j}")
-    triples = m**3
-    if triples <= triple_budget:
-        universe: Iterable[tuple[int, int, int]] = itertools.product(
-            range(m), range(m), range(m)
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        picks = rng.integers(0, m, size=(triple_budget, 3))
-        universe = (tuple(row) for row in picks)
-    for i, j, k in universe:
-        if cmp[i][j] is L and cmp[j][k] is L and cmp[i][k] is not L:
-            bad.append(f"transitivity failure {i},{j},{k}")
+    bad: list[str] = []
+    cmp = np.empty((m, m), dtype=np.int8)
+    for row, t in enumerate(ts):
+        cmp[row] = [treemod.tree_compare(t, u).value for u in ts]
+    order = treemod.Ordering
+    lt, gt = cmp == order.LESS.value, cmp == order.GREATER.value
+    same = np.eye(m, dtype=bool)
+    _note_failures(bad, [
+        ("equality failure {},{}", (cmp == order.EQUAL.value) != same),
+        ("antisymmetry failure {},{}", (lt & ~gt.T) | (gt & ~lt.T)),
+    ])
+    for triples in _triple_chunks(m, triple_budget, seed):
+        i, j, k = triples.T
+        intransitive = lt[i, j] & lt[j, k] & ~lt[i, k]
+        _note_failures(bad, [("transitivity failure {},{},{}", intransitive)], triples)
+    # Dense ranks keep every comparison between embeddings, which may not fit
+    # a machine integer.
     emb = [treemod.ordinal_embed(t, b + 1, h) for t in ts]
-    for i in range(m):
-        for j in range(m):
-            if cmp[i][j] is L and not emb[i] > emb[j]:
-                bad.append(f"embedding not order-reversing at {i},{j}")
-            if i != j and emb[i] == emb[j]:
-                bad.append(f"embedding not injective at {i},{j}")
+    rank_of = {v: r for r, v in enumerate(sorted(set(emb)))}
+    rank = np.array([rank_of[v] for v in emb])
+    _note_failures(bad, [
+        ("embedding not order-reversing at {},{}", lt & ~(rank[:, None] > rank)),
+        ("embedding not injective at {},{}", (rank[:, None] == rank) & ~same),
+    ])
     return CampaignReport(
         claim=f"order-axioms-b{b}h{h}",
         space=m * m,
-        counterexamples=bad[:32],
+        counterexamples=bad[:_MAX_COUNTEREXAMPLES],
         seconds=time.time() - t0,
-        details={"trees": m, "triples": min(triples, triple_budget)},
+        details={"trees": m, "triples": min(m**3, triple_budget)},
     )
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebblegames.figures import all_figures, example_strategy, load_figure, parse_cover
-from pebblegames.matching import GameSize, Record
+from pebblegames import simple_game
+from pebblegames.matching import GameSize, Record, records_conflict
 from pebblegames.simple_game import (
     EdgeRef,
     PathSpec,
@@ -15,6 +16,7 @@ from pebblegames.simple_game import (
     brute_force_delayer_wins,
     canonical_antistrategy,
     check_cover_by_two,
+    compatibility_masks,
     delayer_wins_lengths,
     edges_compatible,
     find_loops,
@@ -27,7 +29,7 @@ from pebblegames.simple_game import (
     prover_small_n,
     subset_prover,
 )
-from pebblegames.verify import index_to_strategy, strategy_space
+from pebblegames.verify import board_tables, index_to_strategy, strategy_space
 
 
 def paper_n2():
@@ -75,6 +77,53 @@ def test_edges_compatible():
     assert not edges_compatible(EdgeRef(2, 0), EdgeRef(2, 1))
     assert not edges_compatible(EdgeRef(0, 0), EdgeRef(1, 0))
     assert edges_compatible(EdgeRef(0, 0), EdgeRef(1, 1))
+
+
+@st.composite
+def _two_cells(draw):
+    """Two (pigeon, hole) cells of one board, the 2**n-pigeon board included."""
+    n = draw(st.integers(1, 4))
+    size = GameSize(n, draw(st.sampled_from((None, 2**n))))
+    pigeon, hole = st.sampled_from(size.pigeons), st.sampled_from(size.holes)
+    return draw(pigeon), draw(hole), draw(pigeon), draw(hole)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_two_cells())
+def test_edges_compatible_is_the_matching_definition(cells):
+    p, h, q, k = cells
+    defined = (p == q) == (h == k)
+    assert edges_compatible(EdgeRef(p, h), EdgeRef(q, k)) == defined
+    assert (not records_conflict(Record(p, h), Record(q, k))) == defined
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compatibility_masks_match_the_engine_and_are_built_once(n):
+    masks = compatibility_masks(GameSize(n))
+    assert isinstance(masks, tuple)
+    # The batch engine derives the same board fact from its own formula.
+    compat = board_tables(n).compat
+    assert len(masks) == len(compat)
+    for mask, row in zip(masks, compat):
+        assert [bool(mask >> f & 1) for f in range(len(row))] == row.tolist()
+    compatibility_masks.cache_clear()
+    rng = np.random.default_rng(n)
+    for idx in rng.choice(strategy_space(n), min(100, strategy_space(n)), replace=False):
+        delayer_wins_lengths(index_to_strategy(int(idx), n))
+    assert compatibility_masks.cache_info().misses == 1
+
+
+def test_dfs_oracle_does_not_read_the_certificate_masks(monkeypatch):
+    strats = [index_to_strategy(i, 3) for i in (0, 12345, 4**13 - 1)]
+    expected = [[brute_force_delayer_wins(t, s) for s in range(1, 7)] for t in strats]
+
+    def refuse(size):
+        raise AssertionError("the DFS oracle read the certificate's masks")
+
+    monkeypatch.setattr(simple_game, "compatibility_masks", refuse)
+    with pytest.raises(AssertionError):
+        delayer_wins_lengths(strats[0])
+    assert [[brute_force_delayer_wins(t, s) for s in range(1, 7)] for t in strats] == expected
 
 
 def test_find_loops_fig1():

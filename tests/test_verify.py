@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pebblegames import trees as treemod
 from pebblegames.simple_game import (
     brute_force_delayer_wins,
     delayer_wins_lengths,
     make_strategy,
     prover_small_n,
 )
+from pebblegames.trees import Ordering
 from pebblegames.verify import (
     CheckpointMismatch,
     board_tables,
@@ -214,10 +218,122 @@ def test_verify_subset_campaign():
     assert r4.ok and r4.details["plays"] == 4**5 == 1024
 
 
-def test_verify_order_axioms_small():
+def test_verify_order_axioms_small(monkeypatch):
+    calls = []
+    compare = treemod.tree_compare
+    monkeypatch.setattr(treemod, "tree_compare", lambda t, u: calls.append(1) or compare(t, u))
     rep = verify_order_axioms(2, 2)
     assert rep.ok
     assert rep.details["trees"] == 25
+    assert len(calls) == 25 * 25
+
+
+def _order_axiom_failures_by_loops(b, h, triple_budget=1_000_000, seed=7):
+    """The checks of ``verify_order_axioms``, written as plain loops over the
+    same pairs, triples and messages."""
+    ts = list(treemod.all_trees(b, h))
+    m = len(ts)
+    cmp = [[treemod.tree_compare(t, u) for u in ts] for t in ts]
+    L, Eq, G = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
+    bad = []
+    for i, j in itertools.product(range(m), repeat=2):
+        a, rev = cmp[i][j], cmp[j][i]
+        if (a is Eq) != (i == j):
+            bad.append(f"equality failure {i},{j}")
+        if (a is L and rev is not G) or (a is G and rev is not L):
+            bad.append(f"antisymmetry failure {i},{j}")
+    if m**3 <= triple_budget:
+        triples = itertools.product(range(m), repeat=3)
+    else:
+        triples = np.random.default_rng(seed).integers(0, m, size=(triple_budget, 3)).tolist()
+    for i, j, k in triples:
+        if cmp[i][j] is L and cmp[j][k] is L and cmp[i][k] is not L:
+            bad.append(f"transitivity failure {i},{j},{k}")
+    emb = [treemod.ordinal_embed(t, b + 1, h) for t in ts]
+    for i, j in itertools.product(range(m), repeat=2):
+        if cmp[i][j] is L and not emb[i] > emb[j]:
+            bad.append(f"embedding not order-reversing at {i},{j}")
+        if i != j and emb[i] == emb[j]:
+            bad.append(f"embedding not injective at {i},{j}")
+    return bad[:32]
+
+
+_TREE_COMPARE, _ORDINAL_EMBED = treemod.tree_compare, treemod.ordinal_embed
+
+
+def _cyclic_compare(t, u):
+    """Antisymmetric but intransitive: trees of different sizes compare by
+    their size mod 3 around a cycle."""
+    a, b = len(t) % 3, len(u) % 3
+    if a == b:
+        return _TREE_COMPARE(t, u)
+    return Ordering.LESS if (b - a) % 3 == 1 else Ordering.GREATER
+
+
+# A planted fault: (what it replaces, the replacement, the message it must raise).
+_ORDER_FAULTS = {
+    "equality": (
+        "tree_compare",
+        lambda t, u: Ordering.EQUAL if len(t) == len(u) else _TREE_COMPARE(t, u),
+        "equality failure",
+    ),
+    "irreflexive": (
+        "tree_compare",
+        lambda t, u: Ordering.LESS if t == u else _TREE_COMPARE(t, u),
+        "antisymmetry failure",
+    ),
+    "antisymmetry": (
+        "tree_compare",
+        lambda t, u: Ordering.EQUAL if t == u else Ordering.LESS,
+        "antisymmetry failure",
+    ),
+    "transitivity": ("tree_compare", _cyclic_compare, "transitivity failure"),
+    "order-reversing": (
+        "ordinal_embed",
+        lambda t, b, h: -_ORDINAL_EMBED(t, b, h),
+        "embedding not order-reversing",
+    ),
+    "injective": (
+        "ordinal_embed",
+        lambda t, b, h: _ORDINAL_EMBED(t, b, h) // 3,
+        "embedding not injective",
+    ),
+}
+
+
+@pytest.mark.parametrize("triple_budget", [1_000_000, 500], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("fault", sorted(_ORDER_FAULTS))
+def test_verify_order_axioms_reports_planted_faults(fault, triple_budget, monkeypatch):
+    name, planted, message = _ORDER_FAULTS[fault]
+    monkeypatch.setattr(treemod, name, planted)
+    rep = verify_order_axioms(2, 2, triple_budget=triple_budget, seed=3)
+    assert any(c.startswith(message) for c in rep.counterexamples)
+    assert rep.counterexamples == _order_axiom_failures_by_loops(2, 2, triple_budget, seed=3)
+    if fault in ("antisymmetry", "transitivity"):
+        # Hundreds of failures, reported only up to the cap.
+        assert len(rep.counterexamples) == 32
+        assert all(c.startswith(message) for c in rep.counterexamples)
+
+
+@pytest.mark.parametrize("triple_budget", [1_000_000, 10_000], ids=["exhaustive", "sampled"])
+def test_verify_order_axioms_reports_rare_faults_in_every_chunk(triple_budget, monkeypatch):
+    # One flipped pair leaves the order antisymmetric and breaks transitivity
+    # on a few triples only, spread over many 1000-triple chunks.
+    from pebblegames import verify as ver
+
+    ts = list(treemod.all_trees(2, 2))
+    flipped = {(ts[3], ts[17]), (ts[17], ts[3])}
+    swap = {Ordering.LESS: Ordering.GREATER, Ordering.GREATER: Ordering.LESS}
+
+    def compare(t, u):
+        got = _TREE_COMPARE(t, u)
+        return swap[got] if (t, u) in flipped else got
+
+    monkeypatch.setattr(treemod, "tree_compare", compare)
+    monkeypatch.setattr(ver, "_TRIPLE_CHUNK", 1000)
+    rep = verify_order_axioms(2, 2, triple_budget=triple_budget, seed=3)
+    assert rep.counterexamples == _order_axiom_failures_by_loops(2, 2, triple_budget, seed=3)
+    assert sum(c.startswith("transitivity failure") for c in rep.counterexamples) > 16
 
 
 def test_verify_g2_properties_small():
