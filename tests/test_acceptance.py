@@ -161,7 +161,7 @@ def test_criterion_10_php_trees():
     10^3 tables, and the exhaustive loop bound at n=3."""
     t0 = time.time()
     report = ver.verify_php_trees(build_samples=10_000, biconditional_samples=1_000)
-    bound = ver.verify_loop_bound(3, batch_size=1 << 18)
+    bound = ver.verify_loop_bound(3)
     ok = report.ok and bound.ok
     _line(
         "criterion 10: php-tree build/biconditional + exhaustive loop bound",

@@ -8,6 +8,7 @@ from pebblegames import trees as treemod
 from pebblegames.simple_game import (
     brute_force_delayer_wins,
     delayer_wins_lengths,
+    format_strategy,
     make_strategy,
     prover_small_n,
 )
@@ -17,6 +18,7 @@ from pebblegames.verify import (
     board_tables,
     canonical_strategy,
     certify_batch,
+    decode_batch,
     index_to_strategy,
     loop_bound_batch,
     strategy_space,
@@ -43,6 +45,31 @@ def test_index_round_trip():
         for idx in rng.integers(0, space, size=50):
             strat = index_to_strategy(int(idx), n)
             assert strategy_to_index(strat) == int(idx)
+
+
+@st.composite
+def _decode_batches(draw):
+    """A board, a batch of its indices in an index dtype the engine receives,
+    with both ends of the space and, at n = 4, indices within 2 of multiples
+    of 5^13, where the uint32 limbs of ``decode_batch`` split."""
+    n = draw(st.sampled_from((1, 2, 3, 4)))
+    space = strategy_space(n)
+    idxs = [0, space - 1, *draw(st.lists(st.integers(0, space - 1), max_size=100))]
+    if n == 4:
+        for m in draw(st.lists(st.integers(1, space // 5**13 - 1), min_size=1, max_size=8)):
+            idxs += range(m * 5**13 - 2, m * 5**13 + 3)
+    return n, idxs, draw(st.sampled_from((np.int64, np.uint64)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=_decode_batches())
+def test_decode_batch_matches_index_to_strategy(batch):
+    n, idxs, dtype = batch
+    init, heads = decode_batch(np.array(idxs, dtype=dtype), n)
+    for row, idx in enumerate(idxs):
+        strat = index_to_strategy(idx, n)
+        assert init[row] == strat.init
+        assert heads[row].tolist() == [q for cells in strat.table for q in cells]
 
 
 def _orbit_representatives(n: int) -> list:
@@ -351,7 +378,7 @@ def test_verify_loop_bound_slice():
     # cross-checked against the per-strategy search.
     from pebblegames.php_tree import shortest_loop_witness
 
-    report = verify_loop_bound(3, batch_size=1 << 14, limit=60_000)
+    report = verify_loop_bound(3, limit=60_000)
     assert report.claim == "loop-bound-n3"
     assert report.ok
     rng = np.random.default_rng(13)
@@ -364,6 +391,33 @@ def test_verify_loop_bound_slice():
                     w = shortest_loop_witness(strat, p, h)
                     if w is not None:
                         assert w <= bound
+
+
+def test_verify_loop_bound_hands_each_index_to_one_block(monkeypatch):
+    from pebblegames import verify as ver
+
+    limit = 3 * ver.LOOP_BOUND_BLOCK + 1000
+    blocks = []
+    batch = ver.loop_bound_batch
+    monkeypatch.setattr(
+        ver, "loop_bound_batch", lambda idxs, bt: blocks.append(idxs) or batch(idxs, bt)
+    )
+    report = verify_loop_bound(3, limit=limit)
+    assert len(blocks) == 4
+    assert np.concatenate(blocks).tolist() == list(range(limit))
+    idxs = np.arange(limit, dtype=np.uint64)
+    whole = idxs[batch(idxs, board_tables(3))]
+    assert report.space == limit
+    assert report.counterexamples == [format_strategy(index_to_strategy(int(i), 3)) for i in whole]
+
+
+def test_verify_loop_bound_progress_every_2_18_tables(capsys):
+    limit = (1 << 18) + 5000
+    verify_loop_bound(3, progress=True, limit=limit)
+    assert capsys.readouterr().out.splitlines() == [
+        f"  loop bound {1 << 18}/{limit}",
+        f"  loop bound {limit}/{limit}",
+    ]
 
 
 def _breaks_loop_bound(strat) -> bool:
