@@ -10,8 +10,8 @@ table ``64 w + i``.  A batch's indices are split into base-(n+1) digits a
 pigeon) and one per initial pigeon; each candidate's reachable edge set is
 one plane per (candidate, edge) slot that the candidate allows.  A hit test
 is one gather, one AND and one OR-reduction over the planes.  A step is the
-same, except that the table planes it reads are gathered once per decode
-and ANDed in place into the gathered state.  Both are driven by index
+same, except that the table planes it reads are gathered once per set of
+planes and ANDed in place into the gathered state.  Both are driven by index
 tables that ``board_tables`` builds once per board.  A table leaves the
 batch at its first failing length, at a hit of an absorbing loop
 candidate (the fast path), or at the first repeat of its state (Brent
@@ -29,8 +29,11 @@ sweep) walks the edges compatible with each candidate; ``loop_bound_batch``
 (criterion 10) walks the same planes without the candidate edge itself.
 The headline sweep runs 2^18-table jobs, because each job pays the per-step
 cost of its longest repeat tail once.  The loop bound walks a few steps per
-table, so it runs 2^14-table blocks, whose temporaries stay in L2 and are
-reused from the heap.
+table, so it sweeps aligned blocks of at most 2^14 tables, whose
+temporaries stay in L2, and decodes none of them: a block of ``(n+1)^k``
+tables that starts at a multiple of its size shares its low ``k`` digits
+with block 0 and has constant higher digits, so its planes are block 0's,
+decoded once per sweep, with one row per nonzero high digit moved.
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ class Walk:
     def step(self, state: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """One walk step of every candidate's edge set: slot (c, f) is set
         when some edge e in c's set points at f's tail and f may follow e.
-        ``terms`` is ``tables[self.step_plane]``, gathered once per decode."""
+        ``terms`` is ``tables[self.step_plane]``, gathered once per set of
+        table planes."""
         gathered = state[self.step_src]
         gathered &= terms
         return np.bitwise_or.reduce(gathered, axis=1)
@@ -538,9 +542,14 @@ def verify_theorem_main(
 def loop_bound_batch(indices: np.ndarray, bt: BoardTables) -> np.ndarray:
     """The tables of a batch that break the loop bound: some loop edge's
     tail is reachable, but not within ``2(n-2)+1`` steps of the start."""
+    return _unpack(_loop_bound_planes(*_table_planes(indices, bt.n), bt), len(indices))
+
+
+def _loop_bound_planes(init: np.ndarray, tables: np.ndarray, bt: BoardTables) -> np.ndarray:
+    """The (W,) plane of the tables that break the loop bound, from the
+    planes of ``_table_planes``."""
     walk = bt.loop
     K = 2 * (bt.n - 2) + 1
-    init, tables = _table_planes(indices, bt.n)
     terms = tables[walk.step_plane]
     # Exact-length sets up to the bound give the shortest-hit check; the
     # cumulative union (a monotone fixpoint) decides reachability-ever.
@@ -560,16 +569,62 @@ def loop_bound_batch(indices: np.ndarray, bt: BoardTables) -> np.ndarray:
     ever_hit = walk.hits(union, tables)
     at_init = init[bt.cand_tail]
     violation = tables[bt.loop_plane] & ever_hit & ~hit_by_k & ~at_init
-    return _unpack(np.bitwise_or.reduce(violation, axis=0), len(indices))
+    return np.bitwise_or.reduce(violation, axis=0)
 
 
-# Tables per loop-bound block.  The temporaries of a 2^14-table block peak
-# near 1.5 MB at n = 3, so they stay in a 2 MB L2 and are reused from the
-# heap; 2^18-table blocks spent more on cache misses and fresh pages (about
-# 10,000 minor faults per 2^20 tables) than on the walk itself.
+# Tables per loop-bound block, at most.  The temporaries of a 2^14-table
+# block peak near 1.5 MB at n = 3, so they stay in a 2 MB L2; 2^18-table
+# blocks spent more on cache misses and fresh pages (about 10,000 minor
+# faults per 2^20 tables) than on the walk itself.
 LOOP_BOUND_BLOCK = 1 << 14
 # The loop-bound sweep reports progress once per this many tables.
 _PROGRESS_EVERY = 1 << 18
+
+
+class _AlignedBlocks:
+    """The planes of the aligned blocks of one board's index space.
+
+    A block holds ``size`` consecutive indices, the largest power
+    ``(n+1)^k`` of the base that is at most ``LOOP_BOUND_BLOCK`` (capped at
+    the whole space), and block ``j`` starts at ``j * size``.  Its digits
+    below ``k``, the initial pigeon among them, run through block 0's
+    pattern, and each higher digit ``d`` is the constant ``q_d``, digit
+    ``d - k`` of ``j``.  Block 0 is decoded once; in it row ``(d, 0)`` is the
+    plane of the valid tables, so block ``j``'s planes are block 0's with
+    that row moved to ``(d, q_d)``.  Every block is written into one buffer,
+    which the next call overwrites."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        digits = (n + 1) * n + 1
+        self.k = 1
+        while self.k < digits and (n + 1) ** (self.k + 1) <= LOOP_BOUND_BLOCK:
+            self.k += 1
+        self.size = (n + 1) ** self.k
+        self.init, self._pattern = _table_planes(np.arange(self.size, dtype=np.uint64), n)
+        self._tables = np.empty_like(self._pattern)
+
+    def planes(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """``init`` and ``tables`` of block ``j``, as ``_table_planes`` gives
+        them for ``np.arange(j * size, (j + 1) * size)``."""
+        np.copyto(self._tables, self._pattern)
+        pigeons = self.n + 1
+        edge = self.k - 1  # table digit d >= 1 is edge d - 1
+        while j:
+            j, q = divmod(j, pigeons)
+            if q:
+                self._tables[edge * pigeons + q] = self._tables[edge * pigeons]
+                self._tables[edge * pigeons] = 0
+            edge += 1
+        return self.init, self._tables
+
+
+def _loop_bound_block(blocks: _AlignedBlocks, bt: BoardTables, start: int, stop: int) -> np.ndarray:
+    """The indices in ``[start, stop)`` that break the loop bound, where
+    ``start`` begins an aligned block and ``stop`` lies in it.  The block is
+    walked whole and only its first ``stop - start`` rows are read."""
+    init, tables = blocks.planes(start // blocks.size)
+    return np.flatnonzero(_unpack(_loop_bound_planes(init, tables, bt), stop - start)) + start
 
 
 def verify_loop_bound(
@@ -580,18 +635,21 @@ def verify_loop_bound(
     """Shortest qualifying path to any reachable loop has length at most
     ``2(n-2)+1``, exhaustively over every strategy table.
 
-    ``limit`` truncates the sweep for unit tests; the campaign runs full.
+    ``limit`` truncates the sweep to the first ``limit`` indices for unit
+    tests; the campaign runs full.
     """
     t0 = time.time()
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit={limit} is negative")
     bt = board_tables(n)
-    total = min(strategy_space(n), limit) if limit else strategy_space(n)
+    total = strategy_space(n) if limit is None else min(strategy_space(n), limit)
+    blocks = _AlignedBlocks(n)
     bad: list[str] = []
-    for start in range(0, total, LOOP_BOUND_BLOCK):
-        stop = min(start + LOOP_BOUND_BLOCK, total)
-        idxs = np.arange(start, stop, dtype=np.uint64)
-        for idx in idxs[loop_bound_batch(idxs, bt)]:
+    for start in range(0, total, blocks.size):
+        stop = min(start + blocks.size, total)
+        for idx in _loop_bound_block(blocks, bt, start, stop):
             bad.append(format_strategy(index_to_strategy(int(idx), n)))
-        if progress and (stop % _PROGRESS_EVERY == 0 or stop == total):
+        if progress and (stop // _PROGRESS_EVERY > start // _PROGRESS_EVERY or stop == total):
             print(f"  loop bound {stop}/{total}", flush=True)
     return CampaignReport(
         claim=f"loop-bound-n{n}",

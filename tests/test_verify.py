@@ -398,17 +398,27 @@ def test_verify_loop_bound_hands_each_index_to_one_block(monkeypatch):
 
     limit = 3 * ver.LOOP_BOUND_BLOCK + 1000
     blocks = []
-    batch = ver.loop_bound_batch
-    monkeypatch.setattr(
-        ver, "loop_bound_batch", lambda idxs, bt: blocks.append(idxs) or batch(idxs, bt)
-    )
+    block = ver._loop_bound_block
+
+    def record(aligned, bt, start, stop):
+        blocks.append(np.arange(start, stop))
+        return block(aligned, bt, start, stop)
+
+    monkeypatch.setattr(ver, "_loop_bound_block", record)
     report = verify_loop_bound(3, limit=limit)
     assert len(blocks) == 4
     assert np.concatenate(blocks).tolist() == list(range(limit))
     idxs = np.arange(limit, dtype=np.uint64)
-    whole = idxs[batch(idxs, board_tables(3))]
+    whole = idxs[loop_bound_batch(idxs, board_tables(3))]
     assert report.space == limit
     assert report.counterexamples == [format_strategy(index_to_strategy(int(i), 3)) for i in whole]
+
+
+def test_verify_loop_bound_limit_zero_and_negative():
+    report = verify_loop_bound(3, limit=0)
+    assert report.space == 0 and report.ok
+    with pytest.raises(ValueError):
+        verify_loop_bound(3, limit=-1)
 
 
 def test_verify_loop_bound_progress_every_2_18_tables(capsys):
@@ -418,6 +428,66 @@ def test_verify_loop_bound_progress_every_2_18_tables(capsys):
         f"  loop bound {1 << 18}/{limit}",
         f"  loop bound {limit}/{limit}",
     ]
+
+
+def test_verify_loop_bound_progress_when_a_block_crosses_2_18_tables(capsys):
+    # At n = 4 a block holds 5^6 tables, so no block ends on a multiple of
+    # 2^18; the line comes at the end of the block that crosses it.
+    limit = (1 << 18) + 5000
+    verify_loop_bound(4, progress=True, limit=limit)
+    crossing = -(-(1 << 18) // 5**6) * 5**6
+    assert capsys.readouterr().out.splitlines() == [
+        f"  loop bound {crossing}/{limit}",
+        f"  loop bound {limit}/{limit}",
+    ]
+
+
+@st.composite
+def _aligned_blocks(draw):
+    """A board and block numbers of its aligned blocks, always with the first
+    and the last block of the space."""
+    from pebblegames import verify as ver
+
+    n = draw(st.sampled_from((1, 2, 3, 4)))
+    last = strategy_space(n) // ver._AlignedBlocks(n).size - 1
+    return n, [0, last, *draw(st.lists(st.integers(0, last), max_size=3))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_aligned_blocks())
+def test_aligned_block_planes_match_decoded_planes(case):
+    from pebblegames import verify as ver
+
+    n, js = case
+    blocks = ver._AlignedBlocks(n)
+    for j in js:
+        init, tables = blocks.planes(j)
+        idxs = np.arange(j * blocks.size, (j + 1) * blocks.size, dtype=np.uint64)
+        want_init, want_tables = ver._table_planes(idxs, n)
+        assert np.array_equal(init, want_init)
+        assert np.array_equal(tables, want_tables)
+
+
+def test_loop_bound_blocks_find_the_n4_violators():
+    # A negative control through the block route: the aligned n = 4 blocks
+    # that hold the violators of the scalar-witness test below.
+    from pebblegames import verify as ver
+
+    n = 4
+    bt = board_tables(n)
+    idxs = np.random.default_rng(5).choice(strategy_space(n), 4096, replace=False)
+    blocks = ver._AlignedBlocks(n)
+    counts = []
+    for v in idxs[loop_bound_batch(idxs.astype(np.uint64), bt)]:
+        start = int(v) // blocks.size * blocks.size
+        got = ver._loop_bound_block(blocks, bt, start, start + blocks.size)
+        block = np.arange(start, start + blocks.size, dtype=np.uint64)
+        assert got.tolist() == block[loop_bound_batch(block, bt)].tolist()
+        # A partial block reads the first rows of the whole block's walk.
+        part = ver._loop_bound_block(blocks, bt, start, start + 7000)
+        assert part.tolist() == [i for i in got.tolist() if i < start + 7000]
+        counts.append(len(got))
+    assert counts == [40, 185, 125, 75, 125]
 
 
 def _breaks_loop_bound(strat) -> bool:
