@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from pebblegames.matching import GameSize, LogPower, Query
+from pebblegames.matching import GameSize, LogPower, Query, minimal_covers
 from pebblegames import simple_game as sg
 from pebblegames import php_tree as phpmod
 from pebblegames import trees as treemod
@@ -263,8 +263,6 @@ def _cmd_g2sim(args: argparse.Namespace) -> int:
     pointer = {"i": 0}
 
     def delayer(pos: g2mod.G2Position, q: Query):
-        from pebblegames.matching import minimal_covers
-
         options = sorted(minimal_covers(q, None, size), key=lambda m: m.entries)
         if pointer["i"] < len(answers):
             pick = answers[pointer["i"]] % len(options)

@@ -4,10 +4,14 @@ Pigeons are ``0..n`` and holes are ``0..n-1`` unless the pigeon side is
 overridden (the subset-labeled variant uses ``2**n`` pigeons).  A matching is
 injective in both coordinates; two matchings contradict each other exactly
 when their union is not a matching.
+
+The minimal covers of a query are board-level data: they are built once per
+(query, board), cached, and a ``base`` only filters the cached set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -121,9 +125,6 @@ class Matching:
         return "{" + ", ".join(f"({r.pigeon},{r.hole})" for r in self.entries) + "}"
 
 
-EMPTY_MATCHING = Matching()
-
-
 def matchings_consistent(a: Matching, b: Matching) -> bool:
     """True iff the union of the two matchings is again a matching."""
     for x in a:
@@ -151,21 +152,6 @@ class Query:
         items = [f"p{i}" for i in sorted(self.pigeons)] + [f"h{i}" for i in sorted(self.holes)]
         return " ".join(items) if items else "-"
 
-    @staticmethod
-    def parse(text: str) -> "Query":
-        pigeons, holes = set(), set()
-        text = text.strip()
-        if text in ("", "-"):
-            return Query()
-        for item in text.split():
-            if item.startswith("p"):
-                pigeons.add(int(item[1:]))
-            elif item.startswith("h"):
-                holes.add(int(item[1:]))
-            else:
-                raise ValueError(f"bad query item {item!r}")
-        return Query.of(pigeons, holes)
-
 
 def covers(m: Matching, q: Query) -> bool:
     return q.pigeons <= m.pigeons and q.holes <= m.holes
@@ -179,6 +165,17 @@ def minimal_covers(
     When ``base`` is given, only covers consistent with it are returned.
     The empty result is meaningful: it signals that the query cannot be
     answered (a Prover win in the plain game).
+    """
+    if base is None:
+        return _covers(q, size)
+    return frozenset(m for m in _covers(q, size) if matchings_consistent(m, base))
+
+
+@functools.cache
+def _covers(q: Query, size: GameSize) -> frozenset[Matching]:
+    """The minimal covers of ``q`` on the board, built once per (query, board).
+
+    A query outside the board raises on every call and is never cached.
     """
     for p in q.pigeons:
         if p not in size.pigeons:
@@ -194,8 +191,7 @@ def minimal_covers(
         missing_p = sorted(q.pigeons - got.pigeons)
         missing_h = sorted(q.holes - got.holes)
         if not missing_p and not missing_h:
-            if base is None or matchings_consistent(got, base):
-                out.add(got)
+            out.add(got)
             return
         if missing_p:
             p = missing_p[0]

@@ -883,6 +883,7 @@ def verify_g2prime(plays: int = 1000, seed: int = 12345, n: int = 3, C: int = 2)
     """Winner preservation through the aux-free encoding on seeded plays."""
     t0 = time.time()
     cfg = LogPower(n, C)
+    size = GameSize(n)
     bad = []
     for i in range(plays):
         tree = g2mod.random_nc_tree(n, C, 3, seed * 31 + i)
@@ -890,9 +891,7 @@ def verify_g2prime(plays: int = 1000, seed: int = 12345, n: int = 3, C: int = 2)
         strategy = _seeded_oblivious(cfg, seed + i)
 
         def answer_for(key: tuple, q, tag: int) -> object:
-            options = sorted(
-                minimal_covers(q, None, GameSize(cfg.n)), key=lambda m: m.entries
-            )
+            options = sorted(minimal_covers(q, None, size), key=lambda m: m.entries)
             return options[g2mod._hash_int("dl", seed, tag, key, q) % len(options)]
 
         def delayer(pos: g2mod.G2Position, q) -> object:

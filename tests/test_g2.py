@@ -22,9 +22,9 @@ from pebblegames.g2prime import (
     required_prime_degree,
     to_g2prime,
 )
-from pebblegames.matching import LogPower, Matching, Query, Record
+from pebblegames.matching import LogPower, Matching, Query, Record, _covers
 from pebblegames.trees import FiniteTree, NCTreeShape, TreeOracle, is_nc_tree
-from pebblegames.verify import _seeded_oblivious, verify_g2prime
+from pebblegames.verify import _seeded_oblivious, verify_g2_properties, verify_g2prime
 
 CFG = LogPower(3, 2)
 RAMIFY = TreeOracle.explicit(root_ramify_tree(3))
@@ -242,6 +242,23 @@ def test_required_prime_degree():
 def test_g2prime_winner_preservation_sample():
     report = verify_g2prime(plays=60, seed=21)
     assert report.ok, report.counterexamples
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [lambda: verify_g2_properties(playouts=60), lambda: verify_g2prime(plays=20)],
+    ids=["g2-properties", "g2prime"],
+)
+def test_plays_do_not_depend_on_the_cover_cache(campaign):
+    def outcome():
+        report = campaign()
+        return report.space, report.counterexamples, report.details
+
+    _covers.cache_clear()
+    cold = outcome()
+    assert _covers.cache_info().misses > 0
+    assert outcome() == cold
+    assert _covers.cache_info().hits > 0
 
 
 def test_g2prime_tree_membership():

@@ -7,6 +7,7 @@ from pebblegames.matching import (
     Matching,
     Query,
     Record,
+    _covers,
     all_matchings,
     covers,
     format_matching_text,
@@ -104,6 +105,62 @@ def test_minimal_covers_minimality_exhaustive():
                 for drop in m:
                     rest = Matching(tuple(r for r in m if r != drop))
                     assert not covers(rest, q)
+
+
+def _queries(size, max_items):
+    items = [("p", i) for i in size.pigeons] + [("h", i) for i in size.holes]
+    for k in range(max_items + 1):
+        for picked in itertools.combinations(items, k):
+            yield Query.of(
+                [i for kind, i in picked if kind == "p"],
+                [i for kind, i in picked if kind == "h"],
+            )
+
+
+def _union_is_matching(a, b):
+    try:
+        a.union(b)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "size", [GameSize(1), GameSize(2), GameSize(3), GameSize(2, pigeon_count=4)]
+)
+def test_minimal_covers_match_their_definition(size):
+    # Brute force over every matching on the board: the covers of q from
+    # which no record can be dropped, then those whose union with the base
+    # is a matching.
+    pool = list(all_matchings(size))
+    bases = [None] + list(all_matchings(size, max_size=2))
+    for q in _queries(size, 3):
+        minimal = [
+            m
+            for m in pool
+            if covers(m, q)
+            and not any(covers(Matching(tuple(r for r in m if r != d)), q) for d in m)
+        ]
+        for base in bases:
+            expected = {m for m in minimal if base is None or _union_is_matching(base, m)}
+            assert minimal_covers(q, base, size) == expected, (q, base)
+
+
+def test_minimal_covers_are_built_once_per_query_and_board():
+    size = GameSize(3)
+    q = Query.of([0], [1])
+    _covers.cache_clear()
+    first = minimal_covers(q, None, size)
+    for base in (M(), M((0, 2)), M((1, 1)), M((3, 0), (2, 1))):
+        minimal_covers(q, base, size)
+    assert minimal_covers(q, None, size) is first
+    assert _covers.cache_info().misses == 1
+    stored = _covers.cache_info().currsize
+    for bad in (Query.of([size.n + 1]), Query.of(holes=[size.n])):
+        for base in (None, None, M((0, 0))):
+            with pytest.raises(ValueError, match="outside board"):
+                minimal_covers(bad, base, size)
+        assert _covers.cache_info().currsize == stored
 
 
 def test_empty_cover_set_is_meaningful():
