@@ -12,7 +12,6 @@ is what both the brute-force oracle and the certificate decide.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -390,6 +389,24 @@ def compatibility_masks(size: GameSize) -> tuple[int, ...]:
     )
 
 
+@functools.cache
+def _joint_masks(size: GameSize) -> tuple[int, int, tuple[int, ...]]:
+    """Board-level masks of the joint orbit, in which candidate edge ``c``
+    owns bits ``[E c, E c + E)``: bit ``E c`` of every candidate, each
+    candidate's compatibility mask in its own field, and per pigeon ``p``
+    bit ``E c`` of the candidates with tail ``p``.  A value ``m`` below
+    ``2**E`` times one of the bit masks puts ``m`` into each field it
+    marks."""
+    n = size.n
+    num_edges = len(size.pigeons) * n
+    compat = compatibility_masks(size)
+    tail_ones = [0] * len(size.pigeons)
+    for c in range(num_edges):
+        tail_ones[c // n] |= 1 << (num_edges * c)
+    allowed = sum(m << (num_edges * c) for c, m in enumerate(compat))
+    return sum(tail_ones), allowed, tuple(tail_ones)
+
+
 def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertificate:
     """Decide the winning lengths for every ``s >= 1``.
 
@@ -398,6 +415,13 @@ def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertifica
     tail ``p``; per candidate the reachable-edge set evolves by a fixed
     union-homomorphic map over a finite lattice, so its orbit is eventually
     periodic and the full quantifier closes.
+
+    The candidates are iterated as one joint orbit: candidate ``c``'s set
+    sits in bits ``[E c, E c + E)`` of one integer, and a step moves every
+    set at once.  The joint state first repeats once every candidate's set has
+    entered its cycle and all of them are back in phase, so its preperiod is
+    the largest candidate preperiod and its period the least common multiple
+    of the candidate periods.
     """
     size = strat.size
     n = size.n
@@ -410,49 +434,31 @@ def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertifica
         out_mask[e // n] |= 1 << e
         in_mask[heads[e]] |= 1 << e
     trans = [out_mask[heads[e]] & compat[e] for e in range(num_edges)]
-    start = out_mask[strat.init]
-
-    # win_seqs[c] = (mu, lam, values): hit-flags per time step, eventually
-    # periodic with the candidate's orbit.
-    candidates = []
-    for c in range(num_edges):
-        allowed = compat[c]
-        target = in_mask[c // n]
-        r = start & allowed
-        seen: dict[int, int] = {}
-        hits: list[bool] = []  # hits[t] corresponds to win at s = t + 2
-        t = 0
-        while r not in seen:
-            seen[r] = t
-            hits.append(bool(r & target))
-            nxt = 0
-            m = r
-            while m:
-                e = (m & -m).bit_length() - 1
-                nxt |= trans[e]
-                m &= m - 1
-            r = nxt & allowed
-            t += 1
-        mu = seen[r]
-        lam = t - mu
-        candidates.append((mu, lam, hits))
-
-    # Combine: win(1) is always true (a single edge is vacuously globally
-    # consistent); win(s) for s >= 2 is the OR over candidates at t = s - 2.
-    preperiod = max(mu for mu, _, _ in candidates) + 1
-    period = 1
-    for _, lam, _ in candidates:
-        period = period * lam // math.gcd(period, lam)
+    ones, allowed, tail_ones = _joint_masks(size)
+    target = sum(m * tail_ones[p] for p, m in enumerate(in_mask))
+    r = out_mask[strat.init] * ones & allowed
+    seen: dict[int, int] = {}
+    hits: list[bool] = []  # hits[t] corresponds to win at s = t + 2
+    while r not in seen:
+        seen[r] = len(hits)
+        hits.append(bool(r & target))
+        nxt = 0
+        for e, succ in enumerate(trans):
+            # Bit E c + e of r, moved to bit E c, times e's successors: no
+            # carries, since each product stays inside its E-bit field.
+            nxt |= ((r >> e) & ones) * succ
+        r = nxt & allowed
+    mu = seen[r]
+    period = len(hits) - mu
+    # win(1) is always true (a single edge is vacuously globally consistent);
+    # win(s) for s >= 2 is a hit of some candidate at t = s - 2.
+    preperiod = mu + 1
 
     def win_at(s: int) -> bool:
         if s == 1:
             return True
         t = s - 2
-        for mu, lam, hits in candidates:
-            idx = t if t < len(hits) else mu + (t - mu) % lam
-            if hits[idx]:
-                return True
-        return False
+        return hits[t if t < len(hits) else mu + (t - mu) % period]
 
     # The explicit region always covers the preperiod so the periodic
     # formula is only ever consulted on the tail it is valid for.

@@ -155,26 +155,31 @@ class Walk:
     """Index tables of one walk rule.  The state keeps one plane per slot, a
     (candidate c, edge f) pair that the rule allows, in candidate order with
     the same number of slots per candidate.  Table planes are indexed as in
-    ``_table_planes``."""
+    ``_table_planes``.  The step and hit tables are term-major: their first
+    axis runs over the terms that one slot ORs together, so that each kernel
+    gathers whole state rows and reduces over axis 0, a few long ORs however
+    narrow the batch is."""
 
     slot_tail: np.ndarray  # (S,) tail pigeon of the slot's edge: its initial plane
-    hit_plane: np.ndarray  # (E, S / E) table plane of "the slot's edge points at c's tail"
-    step_src: np.ndarray  # (S, g) slot (c, e) of each term of slot (c, f)
-    step_plane: np.ndarray  # (S, g) table plane of "e points at f's tail"
+    hit_plane: np.ndarray  # (S / E, E) table plane of "the slot's edge points at c's tail"
+    step_src: np.ndarray  # (g, S) slot (c, e) of each term of slot (c, f)
+    step_plane: np.ndarray  # (g, S) table plane of "e points at f's tail"
 
     def step(self, state: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """One walk step of every candidate's edge set: slot (c, f) is set
         when some edge e in c's set points at f's tail and f may follow e.
         ``terms`` is ``tables[self.step_plane]``, gathered once per set of
         table planes."""
-        gathered = state[self.step_src]
+        gathered = np.take(state, self.step_src, axis=0)
         gathered &= terms
-        return np.bitwise_or.reduce(gathered, axis=1)
+        return np.bitwise_or.reduce(gathered, axis=0)
 
     def hits(self, state: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """(E, W) planes: candidate c's set holds an edge pointing at c's tail."""
-        by_cand = state.reshape(self.hit_plane.shape + state.shape[1:])
-        return np.bitwise_or.reduce(by_cand & tables[self.hit_plane], axis=1)
+        per_cand, num_cands = self.hit_plane.shape
+        gathered = tables[self.hit_plane]
+        gathered &= state.reshape(num_cands, per_cand, state.shape[1]).transpose(1, 0, 2)
+        return np.bitwise_or.reduce(gathered, axis=0)
 
 
 def _walk(n: int, compat: np.ndarray, allowed: np.ndarray) -> Walk:
@@ -192,15 +197,15 @@ def _walk(n: int, compat: np.ndarray, allowed: np.ndarray) -> Walk:
     # number of terms, padded with the all-zero table plane, so that a step
     # reduces one regular array (np.bitwise_or.reduceat over ragged groups is
     # an order of magnitude slower).
-    real = allowed[cand] & compat[edge]
-    width = real.sum(axis=1).max(initial=0)
-    e = np.argsort(~real, axis=1, kind="stable")[:, :width]  # real terms first
-    real = np.take_along_axis(real, e, axis=1)
+    real = (allowed[cand] & compat[edge]).T  # (E, S): may edge e be a term of slot s
+    width = real.sum(axis=0).max(initial=0)
+    e = np.argsort(~real, axis=0, kind="stable")[:width]  # real terms first
+    real = np.take_along_axis(real, e, axis=0)
     return Walk(
         slot_tail=tail[edge],
-        hit_plane=(edge * pigeons + tail[cand]).reshape(num_edges, -1),
-        step_src=np.where(real, slot_of[cand[:, None], e], 0),
-        step_plane=np.where(real, e * pigeons + tail[edge, None], num_edges * pigeons),
+        hit_plane=(edge * pigeons + tail[cand]).reshape(num_edges, -1).T.copy(),
+        step_src=np.where(real, slot_of[cand, e], 0),
+        step_plane=np.where(real, e * pigeons + tail[edge], num_edges * pigeons),
     )
 
 

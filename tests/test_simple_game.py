@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from pebblegames.simple_game import (
     PathSpec,
     Play,
     PlayOutcome,
+    WinCertificate,
     adjacency_lines,
     all_canonical_plays,
     all_plays,
@@ -216,6 +219,109 @@ def test_certificate_vs_oracle_random():
         cert = delayer_wins_lengths(strat, s_max=12)
         for s in range(1, 7):
             assert cert.wins(s) == brute_force_delayer_wins(strat, s)
+
+
+def _candidate_orbits(strat):
+    """Each candidate's orbit found on its own, as the certificate once did:
+    (preperiod, period, hit flags) per final-edge candidate, with
+    ``hits[t]`` the win at ``s = t + 2``."""
+    size = strat.size
+    n = size.n
+    num_edges = len(size.pigeons) * n
+    compat = compatibility_masks(size)
+    heads = [strat.table[e // n][e % n] for e in range(num_edges)]
+    out_mask = [0] * len(size.pigeons)
+    in_mask = [0] * len(size.pigeons)
+    for e in range(num_edges):
+        out_mask[e // n] |= 1 << e
+        in_mask[heads[e]] |= 1 << e
+    trans = [out_mask[heads[e]] & compat[e] for e in range(num_edges)]
+    orbits = []
+    for c in range(num_edges):
+        allowed = compat[c]
+        target = in_mask[c // n]
+        r = out_mask[strat.init] & allowed
+        seen = {}
+        hits = []
+        while r not in seen:
+            seen[r] = len(hits)
+            hits.append(bool(r & target))
+            nxt = 0
+            m = r
+            while m:
+                e = (m & -m).bit_length() - 1
+                nxt |= trans[e]
+                m &= m - 1
+            r = nxt & allowed
+        orbits.append((seen[r], len(hits) - seen[r], hits))
+    return orbits
+
+
+def _per_candidate_certificate(strat, s_max=64):
+    """The certificate built from separate candidate orbits: the reference
+    the joint orbit of ``delayer_wins_lengths`` must reproduce."""
+    orbits = _candidate_orbits(strat)
+    preperiod = max(mu for mu, _, _ in orbits) + 1
+    period = math.lcm(*(lam for _, lam, _ in orbits))
+
+    def win_at(s):
+        t = s - 2
+        return s == 1 or any(
+            hits[t if t < len(hits) else mu + (t - mu) % lam] for mu, lam, hits in orbits
+        )
+
+    s_hi = max(s_max, preperiod)
+    explicit_all = {s for s in range(1, max(s_hi, preperiod + period) + 1) if win_at(s)}
+    return WinCertificate(
+        s_max=s_hi,
+        explicit=frozenset(s for s in explicit_all if s <= s_hi),
+        preperiod=preperiod,
+        period=period,
+        residues=frozenset(
+            (s - preperiod - 1) % period
+            for s in range(preperiod + 1, preperiod + period + 1)
+            if s in explicit_all
+        ),
+    )
+
+
+def _certificate_cases():
+    """(board, index, s_max): every table at n = 1, 2; at n = 3, 4 the oracle
+    gate's 150 tables at its s_max and 2,000 more seeded ones."""
+    for n in (1, 2):
+        for idx in range(strategy_space(n)):
+            yield n, idx, 64
+    for n in (3, 4):
+        gate = np.random.default_rng(20240901).choice(strategy_space(n), 150, replace=False)
+        for idx in gate:
+            yield n, int(idx), 16
+        for idx in np.random.default_rng(n).choice(strategy_space(n), 2000, replace=False):
+            yield n, int(idx), 64
+
+
+def test_joint_orbit_certificate_matches_per_candidate_orbits():
+    for n, idx, s_max in _certificate_cases():
+        strat = index_to_strategy(idx, n)
+        assert delayer_wins_lengths(strat, s_max) == _per_candidate_certificate(strat, s_max), (n, idx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_joint_orbit_certificate_on_subset_boards(n):
+    # 2^n pigeons, so the candidate count E = 2^n * n is not (n + 1) * n.
+    strat = subset_prover(n)
+    for s_max in (1, 16, 64):
+        assert delayer_wins_lengths(strat, s_max) == _per_candidate_certificate(strat, s_max)
+
+
+@pytest.mark.parametrize("n, idx, periods", [(3, 32541258, {2, 3}), (4, 23276192149384, {2, 3, 4})])
+def test_joint_orbit_period_is_the_lcm_of_candidate_periods(n, idx, periods):
+    strat = index_to_strategy(idx, n)
+    orbits = _candidate_orbits(strat)
+    assert {lam for _, lam, _ in orbits} - {1} == periods
+    cert = delayer_wins_lengths(strat)
+    assert cert.period == math.lcm(*periods)
+    assert cert.preperiod == max(mu for mu, _, _ in orbits) + 1
+    assert cert == _per_candidate_certificate(strat)
 
 
 def test_play_outcome_matches_path_classification():

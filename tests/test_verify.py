@@ -186,6 +186,15 @@ def test_certify_batch_whole_space_matches_certificate(n, losers, held):
     assert res.fast_path.any() != held
 
 
+# Two mutants of certify_batch pass this test and every other one, and are
+# equivalent: dropping ``live &`` from the ``first_fail`` update, or from the
+# ``looped`` mask.  Either lets a table that left earlier between anchors be
+# routed again, but no reachable input has such a table.  Every losing table
+# at n <= 2 fails at t = 1 or 2, both anchors, so it is packed out before the
+# next step, and n >= 3 has no losing table.  A table that left by a repeat
+# never hits a loop later: the repeat means its cycle's hits were all seen
+# before, and it had hit no loop then.  The mutants differ only on a board or
+# rule with a table that fails at a non-anchor step (t = 3, 5, 6, ...).
 @pytest.mark.parametrize("n, size, fast", [(3, 1 << 18, 246_199), (4, 1 << 17, 127_941)])
 def test_certify_batch_packs_out_only_at_brent_anchors(n, size, fast, monkeypatch):
     from pebblegames import verify as ver
@@ -201,6 +210,25 @@ def test_certify_batch_packs_out_only_at_brent_anchors(n, size, fast, monkeypatc
     assert int(res.fast_path.sum()) == fast
     # One decode of the whole batch, then one per anchor at t = 1, 2, 4, ...
     assert len(decodes) <= 1 + ver.T_LIMIT.bit_length()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [0, 1])
+def test_batches_of_zero_and_one_table(n, size):
+    # A zero-table batch has planes of zero words, which the kernels must
+    # step and reduce like any other width.
+    idxs = np.random.default_rng(n).choice(strategy_space(n), size, replace=False).astype(np.uint64)
+    bt = board_tables(n)
+    certs = [delayer_wins_lengths(index_to_strategy(int(i), n)) for i in idxs]
+    for held in (None, np.zeros(size, dtype=bool), np.ones(size, dtype=bool)):
+        res = certify_batch(idxs, bt, sample_mask=held)
+        for got in (res.wins_all, res.fast_path, res.first_fail, res.uncertified):
+            assert got.shape == (size,)
+        assert res.wins_all.tolist() == [c.wins_all() for c in certs]
+        assert res.first_fail.tolist() == [_first_loss(c) for c in certs]
+        assert not res.uncertified.any()
+    got = loop_bound_batch(idxs, bt)
+    assert got.tolist() == [_breaks_loop_bound(index_to_strategy(int(i), n)) for i in idxs]
 
 
 def test_certify_batch_n2_finds_prover_wins():
