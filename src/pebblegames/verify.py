@@ -12,13 +12,16 @@ one plane per (candidate, edge) slot that the candidate allows.  A hit test
 is one gather, one AND and one OR-reduction over the planes.  A step is the
 same, except that the table planes it reads are gathered once per set of
 planes and ANDed in place into the gathered state.  Both are driven by index
-tables that ``board_tables`` builds once per board.  A table leaves the
-batch at its first failing length, at a hit of an absorbing loop
+tables that ``board_tables`` builds once per board and caches.  A table
+leaves the batch at its first failing length, at a hit of an absorbing loop
 candidate (the fast path), or at the first repeat of its state (Brent
 anchors at steps 1, 2, 4, ...), which closes every longer length; there is
-no explicit range of lengths.  A leaving table gets its verdict at once, but
-its column stays in the planes, masked off, until the next anchor, where the
-batch is compacted.  A hash-selected 1% of the tables is held back from the
+no explicit range of lengths.  Most tables leave at the first step, which
+runs over blocks of at most 2^14 tables, so only the tables that stay are
+decoded for the rest of the walk.  After that a leaving table gets its
+verdict at once, but its column stays in the planes, masked off, until an
+anchor where at least half of the columns have left; only there is the
+batch compacted.  A hash-selected 1% of the tables is held back from the
 fast path and certified by the repeat alone as a cross-check.  Exhaustive and
 sampled sweeps take the same route: one worker per batch, one checkpoint
 file (whose first line names the run, so that a mismatched resume is
@@ -29,15 +32,17 @@ sweep) walks the edges compatible with each candidate; ``loop_bound_batch``
 (criterion 10) walks the same planes without the candidate edge itself.
 The headline sweep runs 2^18-table jobs, because each job pays the per-step
 cost of its longest repeat tail once.  The loop bound walks a few steps per
-table, so it sweeps aligned blocks of at most 2^14 tables, whose
-temporaries stay in L2, and decodes none of them: a block of ``(n+1)^k``
-tables that starts at a multiple of its size shares its low ``k`` digits
-with block 0 and has constant higher digits, so its planes are block 0's,
-decoded once per sweep, with one row per nonzero high digit moved.
+table, so it sweeps aligned blocks of at most 2^14 tables (the block size of
+a job's first step), whose temporaries stay in L2, and decodes none of
+them: a block of ``(n+1)^k`` tables that starts at a multiple of its size
+shares its low ``k`` digits with block 0 and has constant higher digits, so
+its planes are block 0's, decoded once per sweep, with one row per nonzero
+high digit moved.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -222,12 +227,16 @@ class BoardTables:
     cand_tail: np.ndarray  # (E,) tail pigeon of candidate c
 
 
+@functools.cache
 def board_tables(n: int) -> BoardTables:
+    """The index tables of board ``n``.  They are built once per board,
+    cached, and shared by every batch on that board, so their arrays are
+    read-only."""
     pigeons = n + 1
     num_edges = pigeons * n
     e = np.arange(num_edges)
     compat = (e[:, None] // n == e // n) == (e[:, None] % n == e % n)
-    return BoardTables(
+    bt = BoardTables(
         n,
         num_edges,
         compat,
@@ -236,6 +245,10 @@ def board_tables(n: int) -> BoardTables:
         loop_plane=e * pigeons + e // n,
         cand_tail=e // n,
     )
+    walks = (*vars(bt.certify).values(), *vars(bt.loop).values())
+    for array in (compat, bt.loop_plane, bt.cand_tail, *walks):
+        array.flags.writeable = False
+    return bt
 
 
 def decode_batch(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,6 +330,12 @@ class BatchResult:
 # Steps after which a table whose state has not repeated is reported
 # uncertified rather than iterated further.
 T_LIMIT = 4200
+# Tables per block, at most, of the loop bound and of certify_batch's first
+# step.  The temporaries of a 2^14-table block peak near 1.5 MB at n = 3, so
+# they stay in a 2 MB L2; 2^18-table blocks spent more on cache misses and
+# fresh pages (about 10,000 minor faults per 2^20 tables) than on the walk
+# itself.
+TABLE_BLOCK = 1 << 14
 
 
 def certify_batch(
@@ -335,10 +354,15 @@ def certify_batch(
     per-candidate state equals the anchor state, taken at t = 1, 2, 4, ...
     (Brent), so that the orbit repeats from there.  Rows set in
     ``sample_mask`` are held back from the loop exit and certified by the
-    repeat alone.  A leaving table's column stays in the planes under the
-    ``live`` mask; the batch is compacted only at an anchor, whose packed
-    state is then the new anchor, so the planes are decoded at most once per
-    anchor.
+    repeat alone.
+
+    Most tables leave at t = 1, so that step runs over blocks of
+    ``TABLE_BLOCK`` tables, and only the tables that stay are decoded into
+    the planes of the loop.  A leaving table's column stays in the planes
+    under the ``live`` mask.  At an anchor where at least half of the
+    columns have left, the planes are compacted and the packed state is the
+    new anchor, so the planes are decoded at most once per anchor, each time
+    with at most half of the tables of the decode before.
     """
     B = len(indices)
     walk = bt.certify
@@ -347,18 +371,38 @@ def certify_batch(
     first_fail = np.zeros(B, dtype=np.int64)
     wins_all = np.zeros(B, dtype=bool)
     fast_path = np.zeros(B, dtype=bool)
-    active = np.arange(B)  # the tables in the planes
-    init, tables = _table_planes(indices, bt.n)
-    rr = init[walk.slot_tail]  # one plane per state slot
-    live = np.ones(B, dtype=bool)  # the tables in the planes that have not left
-    for t in range(1, T_LIMIT + 1):
+    # t = 1: the state is the initial one.
+    won = np.empty(B, dtype=bool)
+    looped = np.empty(B, dtype=bool)
+    for lo in range(0, B, TABLE_BLOCK):
+        hi = min(lo + TABLE_BLOCK, B)
+        init, tables = _table_planes(indices[lo:hi], bt.n)
+        hits = walk.hits(init[walk.slot_tail], tables)
+        won[lo:hi] = _unpack(np.bitwise_or.reduce(hits, axis=0), hi - lo)
+        hits &= tables[bt.loop_plane]
+        looped[lo:hi] = _unpack(np.bitwise_or.reduce(hits, axis=0), hi - lo)
+    first_fail[~won] = 2
+    looped &= won & ~held
+    fast_path[looped] = True
+    wins_all[looped] = True
+
+    active = np.flatnonzero(won & ~looped)  # the tables in the planes
+    init, tables = _table_planes(indices[active], bt.n)
+    terms, loops, held_in = tables[walk.step_plane], tables[bt.loop_plane], held[active]
+    rr = anchor = init[walk.slot_tail]  # one plane per state slot
+    live = np.ones(len(active), dtype=bool)  # the tables in the planes that have not left
+    for t in range(2, T_LIMIT + 1):
+        if not live.any():
+            break
+        rr = walk.step(rr, terms)
         b = len(active)
         hits = walk.hits(rr, tables)  # (E, W) candidate wins at s = t + 1
         won = _unpack(np.bitwise_or.reduce(hits, axis=0), b)
-        looped = _unpack(np.bitwise_or.reduce(hits & tables[bt.loop_plane], axis=0), b)
+        hits &= loops
+        looped = _unpack(np.bitwise_or.reduce(hits, axis=0), b)
         first_fail[active[live & ~won]] = t + 1
         live &= won
-        looped &= live & ~held[active]
+        looped &= live & ~held_in
         fast_path[active[looped]] = True
         wins_all[active[looped]] = True
         live &= ~looped
@@ -367,18 +411,19 @@ def certify_batch(
             moved = _unpack(np.bitwise_or.reduce(rr ^ anchor, axis=0), b)
             wins_all[active[live & ~moved]] = True
             live &= moved
-        else:
-            # A Brent anchor: the tables that have left are packed out here.
+        elif 2 * np.count_nonzero(live) <= b:
+            # A Brent anchor where at least half of the columns have left:
+            # they are packed out here.
             active = active[live]
-            init, tables = _table_planes(indices[active], bt.n)
-            terms = tables[walk.step_plane]
-            # At t = 1 the state is still the initial one.
-            rr = init[walk.slot_tail] if t == 1 else _repack(rr, live)
-            anchor = rr
+            _, tables = _table_planes(indices[active], bt.n)
+            terms, loops, held_in = tables[walk.step_plane], tables[bt.loop_plane], held[active]
+            rr = anchor = _repack(rr, live)
             live = np.ones(len(active), dtype=bool)
-        if not live.any():
-            break
-        rr = walk.step(rr, terms)
+        else:
+            # A repack and re-decode cost 3 to 5 steps at n = 4 and 6 to 17
+            # at n = 3; until half of the columns have left, the anchor
+            # keeps them all.
+            anchor = rr
 
     uncertified = np.zeros(B, dtype=bool)
     uncertified[active[live]] = True
@@ -577,11 +622,6 @@ def _loop_bound_planes(init: np.ndarray, tables: np.ndarray, bt: BoardTables) ->
     return np.bitwise_or.reduce(violation, axis=0)
 
 
-# Tables per loop-bound block, at most.  The temporaries of a 2^14-table
-# block peak near 1.5 MB at n = 3, so they stay in a 2 MB L2; 2^18-table
-# blocks spent more on cache misses and fresh pages (about 10,000 minor
-# faults per 2^20 tables) than on the walk itself.
-LOOP_BOUND_BLOCK = 1 << 14
 # The loop-bound sweep reports progress once per this many tables.
 _PROGRESS_EVERY = 1 << 18
 
@@ -590,7 +630,7 @@ class _AlignedBlocks:
     """The planes of the aligned blocks of one board's index space.
 
     A block holds ``size`` consecutive indices, the largest power
-    ``(n+1)^k`` of the base that is at most ``LOOP_BOUND_BLOCK`` (capped at
+    ``(n+1)^k`` of the base that is at most ``TABLE_BLOCK`` (capped at
     the whole space), and block ``j`` starts at ``j * size``.  Its digits
     below ``k``, the initial pigeon among them, run through block 0's
     pattern, and each higher digit ``d`` is the constant ``q_d``, digit
@@ -603,7 +643,7 @@ class _AlignedBlocks:
         self.n = n
         digits = (n + 1) * n + 1
         self.k = 1
-        while self.k < digits and (n + 1) ** (self.k + 1) <= LOOP_BOUND_BLOCK:
+        while self.k < digits and (n + 1) ** (self.k + 1) <= TABLE_BLOCK:
             self.k += 1
         self.size = (n + 1) ** self.k
         self.init, self._pattern = _table_planes(np.arange(self.size, dtype=np.uint64), n)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -186,30 +187,105 @@ def test_certify_batch_whole_space_matches_certificate(n, losers, held):
     assert res.fast_path.any() != held
 
 
-# Two mutants of certify_batch pass this test and every other one, and are
-# equivalent: dropping ``live &`` from the ``first_fail`` update, or from the
-# ``looped`` mask.  Either lets a table that left earlier between anchors be
-# routed again, but no reachable input has such a table.  Every losing table
-# at n <= 2 fails at t = 1 or 2, both anchors, so it is packed out before the
-# next step, and n >= 3 has no losing table.  A table that left by a repeat
-# never hits a loop later: the repeat means its cycle's hits were all seen
-# before, and it had hit no loop then.  The mutants differ only on a board or
-# rule with a table that fails at a non-anchor step (t = 3, 5, 6, ...).
+# Two ``live &`` guards keep a table that has left from being routed again
+# while its column waits in the planes.  Dropping the one in the
+# ``first_fail`` update is caught: the 108 losing tables at n = 2 fail at
+# t = 2, an anchor where fewer than half of the columns have left, so they
+# stay in the planes, and the mutant overwrites their failing length when
+# they fail again (three tests fail).  Dropping the one in the ``looped``
+# mask is an equivalent mutant: a fast-path table is already a win; a table
+# that left by a repeat never hits a loop later, since the repeat means its
+# cycle's hits were all seen before and none was a loop; no losing table at
+# n <= 2 hits a loop after its first failure (seen by stepping both spaces
+# past every table's repeat); and n >= 3 has no losing table.
 @pytest.mark.parametrize("n, size, fast", [(3, 1 << 18, 246_199), (4, 1 << 17, 127_941)])
 def test_certify_batch_packs_out_only_at_brent_anchors(n, size, fast, monkeypatch):
     from pebblegames import verify as ver
 
+    stayed = {3: 29_247, 4: 8_465}[n]  # the tables that do not leave at t = 1
+
     idxs = np.sort(np.random.default_rng(n).choice(strategy_space(n), size, replace=False))
     idxs = idxs.astype(np.uint64)
     held = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0  # as in _certify_job
-    decodes = []
-    planes = ver._table_planes
-    monkeypatch.setattr(ver, "_table_planes", lambda *a: decodes.append(1) or planes(*a))
+    decodes, steps = [], []  # (steps taken so far, decoded indices)
+    planes, step = ver._table_planes, ver.Walk.step
+    monkeypatch.setattr(
+        ver, "_table_planes", lambda i, n: decodes.append((len(steps), i.copy())) or planes(i, n)
+    )
+    monkeypatch.setattr(ver.Walk, "step", lambda *a: steps.append(1) or step(*a))
     res = certify_batch(idxs, board_tables(n), sample_mask=held)
     assert res.wins_all.all() and not res.uncertified.any()
     assert int(res.fast_path.sum()) == fast
-    # One decode of the whole batch, then one per anchor at t = 1, 2, 4, ...
-    assert len(decodes) <= 1 + ver.T_LIMIT.bit_length()
+    # The first step decodes each index once, in blocks of at most
+    # TABLE_BLOCK rows.
+    blocks = -(-size // ver.TABLE_BLOCK)
+    assert all(taken == 0 and len(d) <= ver.TABLE_BLOCK for taken, d in decodes[:blocks])
+    assert np.concatenate([d for _, d in decodes[:blocks]]).tolist() == idxs.tolist()
+    # Then the loop decodes the tables that did not leave at t = 1 (by a
+    # failure or the fast path; no state repeats there).
+    (taken, first), *packed = decodes[blocks:]
+    in_loop = np.isin(idxs, first)
+    assert taken == 0 and int(in_loop.sum()) == len(first) == stayed
+    assert (res.fast_path | (res.first_fail == 2))[~in_loop].all()
+    # A later decode follows step t at an anchor t = 2, 4, ..., at most once
+    # per anchor, and keeps at most half of the tables of the decode before.
+    at = [taken + 1 for taken, _ in packed]
+    assert all(t & (t - 1) == 0 for t in at) and sorted(set(at)) == at
+    assert len(at) < (len(steps) + 1).bit_length() - 1  # some anchor kept its columns
+    for (_, before), (_, after) in zip([(0, first), *packed], packed):
+        assert 2 * len(after) <= len(before) and np.isin(after, before).all()
+
+
+@functools.cache
+def _certificate(idx: int, n: int):
+    return delayer_wins_lengths(index_to_strategy(idx, n))
+
+
+@functools.cache
+def _block_edge_draw(n: int) -> np.ndarray:
+    """Seeded distinct indices; each block-edge batch is a prefix of them."""
+    draw = np.random.default_rng(n).choice(strategy_space(n), 3 * (1 << 14) + 65, replace=False)
+    return draw.astype(np.uint64)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize(
+    "blocks, extra",
+    [(1, -1), (1, 0), (1, 1), (3, 65)],
+    ids=["block-1", "block", "block+1", "3blocks+65"],
+)
+def test_certify_batch_at_block_edges(n, blocks, extra):
+    # The first step runs over blocks of TABLE_BLOCK tables; a batch ending
+    # just short of, at, or past a block edge must give every row the
+    # certificate's verdict, the rows of its last, partial block among them.
+    from pebblegames import verify as ver
+
+    size = blocks * ver.TABLE_BLOCK + extra
+    idxs = _block_edge_draw(n)[:size]
+    partial = np.arange(size // ver.TABLE_BLOCK * ver.TABLE_BLOCK, size)
+    rows = np.union1d(partial, np.random.default_rng(size).choice(size, 300, replace=False))
+    certs = [_certificate(int(idxs[r]), n) for r in rows]
+    hashed = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0  # as in _certify_job
+    for held in (None, hashed, np.ones(size, dtype=bool)):
+        res = certify_batch(idxs, board_tables(n), sample_mask=held)
+        assert not res.uncertified.any()
+        if held is not None:
+            assert not res.fast_path[held].any()
+        assert res.wins_all[rows].tolist() == [c.wins_all() for c in certs]
+        assert res.first_fail[rows].tolist() == [_first_loss(c) for c in certs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_board_tables_are_cached_and_read_only(n):
+    bt = board_tables(n)
+    assert board_tables(n) is bt
+    walks = [*vars(bt.certify).values(), *vars(bt.loop).values()]
+    for array in (bt.compat, bt.loop_plane, bt.cand_tail, *walks):
+        assert not array.flags.writeable
+        if array.size:
+            first = (0,) * array.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                array[first] = array[first]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -424,7 +500,7 @@ def test_verify_loop_bound_slice():
 def test_verify_loop_bound_hands_each_index_to_one_block(monkeypatch):
     from pebblegames import verify as ver
 
-    limit = 3 * ver.LOOP_BOUND_BLOCK + 1000
+    limit = 3 * ver.TABLE_BLOCK + 1000
     blocks = []
     block = ver._loop_bound_block
 
