@@ -56,7 +56,7 @@ def test_criterion_01b_theorem_main_n2_control():
 def test_criterion_02_oracle_equivalence():
     """Certificate equals brute force for s <= 8 on seeded samples (exact)."""
     t0 = time.time()
-    report = ver.verify_oracle_equivalence(n3_samples=10_000, n4_samples=1_000, s_hi=8)
+    report = ver.verify_oracle_equivalence(n3_samples=10_000)
     _line(
         "criterion 2: certificate/brute-force agreement (10^4 at n=3, 10^3 at n=4)",
         report.ok,
@@ -67,8 +67,8 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_small_n():
     """Prover wins every play at (1,2), (2,3), (2,6) (exact)."""
-    r1 = ver.verify_small_n(1, (2,))
-    r2 = ver.verify_small_n(2, (3, 6))
+    r1 = ver.verify_small_n(1)
+    r2 = ver.verify_small_n(2)
     ok = r1.ok and r2.ok and r2.space == 8 + 64
     _line("criterion 3: small-board Prover wins exhaustively", ok)
     assert ok
@@ -104,7 +104,7 @@ def test_criterion_06_g2_monotonicity_determinacy():
     """10^4 playouts at n in {3,4,5}, C=2: zero order violations, all halt
     within the instantiated bound (exact)."""
     t0 = time.time()
-    report = ver.verify_g2_properties(n_values=(3, 4, 5), C=2, playouts=10_000, seed=11)
+    report = ver.verify_g2_properties(playouts=10_000, seed=11)
     _line(
         "criterion 6: backtracking-game monotonicity + determinacy",
         report.ok,
@@ -115,7 +115,7 @@ def test_criterion_06_g2_monotonicity_determinacy():
 
 def test_criterion_07_root_ramify():
     """The unrestricted Prover beats the full Delayer answer tree (exact)."""
-    report = ver.verify_g2_properties(n_values=(3,), playouts=10, seed=1, ramify_n=3)
+    report = ver.verify_g2_properties(playouts=30, seed=1)
     ok = report.ok and report.details["ramify_branches"] > 0
     _line(
         "criterion 7: root-ramify Prover wins every Delayer branch at n=3, C=2",
@@ -141,7 +141,7 @@ def test_criterion_09_figures():
     """Loops of the example table and all shipped figure certificates."""
     loops = find_loops(example_strategy())
     loops_ok = loops == frozenset({EdgeRef(2, 0), EdgeRef(2, 1), EdgeRef(3, 2)})
-    report = ver.verify_figures(horizon=60)
+    report = ver.verify_figures()
     expected = {
         "fig4", "fig5", "fig6", "fig7", "fig9", "fig12", "fig14", "fig15",
         "fig19", "fig21", "fig24", "php5", "php6", "php7", "php10", "php12",
@@ -160,7 +160,7 @@ def test_criterion_10_php_trees():
     """Validity/symmetry on 10^4 builds, the completeness biconditional on
     10^3 tables, and the exhaustive loop bound at n=3."""
     t0 = time.time()
-    report = ver.verify_php_trees(build_samples=10_000, biconditional_samples=1_000)
+    report = ver.verify_php_trees(build_samples=10_000)
     bound = ver.verify_loop_bound(3)
     ok = report.ok and bound.ok
     _line(

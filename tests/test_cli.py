@@ -129,6 +129,28 @@ def test_seed_without_samples_exit_2(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["php-trees", "--samples", "3", "--seed", "-1"],
+        ["theorem-main-n4", "--samples", "10", "--seed", "-5"],
+        ["oracle-equivalence", "--seed", "-1"],
+        ["order-axioms", "--seed", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exit_2(argv, capsys):
+    # A seed the generators refuse is bad input, not a counterexample (exit 1).
+    assert run(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed:" in err and "is not a non-negative integer" in err
+
+
+def test_seed_zero_is_a_seed(capsys):
+    assert run(["verify", "theorem-main-n1", "--samples", "8", "--seed", "0", "--no-timing"]) == 1
+    assert capsys.readouterr().out.startswith("claim=theorem-main-n1-sampled space=8 ")
+
+
 def test_sample_larger_than_the_space_exit_2(capsys):
     assert run(["verify", "theorem-main-n1", "--samples", "100"]) == 2
     assert "--samples 100 exceeds the 8 tables" in capsys.readouterr().err

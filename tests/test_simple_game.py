@@ -104,11 +104,12 @@ def test_edges_compatible_is_the_matching_definition(cells):
 def test_compatibility_masks_match_the_engine_and_are_built_once(n):
     masks = compatibility_masks(GameSize(n))
     assert isinstance(masks, tuple)
-    # The batch engine derives the same board fact from its own formula.
-    compat = board_tables(n).compat
-    assert len(masks) == len(compat)
-    for mask, row in zip(masks, compat):
-        assert [bool(mask >> f & 1) for f in range(len(row))] == row.tolist()
+    # The batch engine derives the same board fact from its own formula: the
+    # certificate walk's slots of candidate c hold the edges compatible with c.
+    walked = board_tables(n).certify.hit_plane.T // (n + 1)  # (E, slots per candidate)
+    assert len(masks) == len(walked)
+    for mask, edges in zip(masks, walked):
+        assert [f for f in range(len(masks)) if mask >> f & 1] == edges.tolist()
     compatibility_masks.cache_clear()
     rng = np.random.default_rng(n)
     for idx in rng.choice(strategy_space(n), min(100, strategy_space(n)), replace=False):

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import inspect
 import itertools
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pebblegames import trees as treemod
+from pebblegames import verify as ver
 from pebblegames.simple_game import (
     brute_force_delayer_wins,
     delayer_wins_lengths,
@@ -280,7 +283,7 @@ def test_board_tables_are_cached_and_read_only(n):
     bt = board_tables(n)
     assert board_tables(n) is bt
     walks = [*vars(bt.certify).values(), *vars(bt.loop).values()]
-    for array in (bt.compat, bt.loop_plane, bt.cand_tail, *walks):
+    for array in (bt.loop_plane, bt.cand_tail, *walks):
         assert not array.flags.writeable
         if array.size:
             first = (0,) * array.ndim
@@ -653,7 +656,61 @@ def test_report_line_format():
 def test_oracle_gate_runs():
     from pebblegames.verify import _oracle_gate
 
-    _oracle_gate(3, samples=30, s_hi=5)
+    _oracle_gate(3)
+
+
+def test_oracle_gate_refuses_a_certificate_that_disagrees_with_the_dfs(monkeypatch):
+    certificate = ver.delayer_wins_lengths
+
+    def flipped(strat, *a, **k):
+        cert = certificate(strat, *a, **k)
+        return dataclasses.replace(cert, explicit=cert.explicit ^ {3})  # wins(3) flips
+
+    monkeypatch.setattr(ver, "delayer_wins_lengths", flipped)
+    with pytest.raises(AssertionError, match=r"certificate mismatch at index \d+, s=3$"):
+        ver._oracle_gate(3)
+    rep = ver.verify_oracle_equivalence(n3_samples=20)
+    assert rep.counterexamples == [f"n=3 sample {i} s=3" for i in range(9)] + ["n=4 sample 0 s=3"]
+
+
+def test_oracle_gate_refuses_an_engine_that_reports_every_table_won(monkeypatch):
+    certify = ver.certify_batch
+
+    def all_won(idxs, *a, **k):
+        res = certify(idxs, *a, **k)
+        res.wins_all[:] = True
+        return res
+
+    monkeypatch.setattr(ver, "certify_batch", all_won)
+    # Only a board with Prover-won tables can show this fault: at n >= 3
+    # every table is Delayer-won, so the gate compares "won" with "won".
+    with pytest.raises(AssertionError, match="engine mismatch at index"):
+        ver._oracle_gate(2)
+
+
+def test_campaign_parameters_are_pinned():
+    # Each parameter is an input some caller varies; a value that every caller
+    # passes is a constant of the campaign.  A new parameter changes this pin.
+    pinned = {
+        "verify_theorem_main": [
+            "n", "threads", "batch_size", "checkpoint", "ce_dir", "progress", "sample", "seed",
+        ],
+        "verify_loop_bound": ["n", "progress", "limit"],
+        "verify_small_n": ["n"],
+        "verify_subset_prop": ["n"],
+        "verify_order_axioms": ["b", "h", "triple_budget", "seed"],
+        "verify_g2_properties": ["playouts", "seed"],
+        "verify_g2prime": ["plays", "seed"],
+        "verify_figures": [],
+        "verify_php_trees": ["build_samples", "seed"],
+        "verify_oracle_equivalence": ["n3_samples", "seed"],
+        "_oracle_gate": ["n"],
+        "random_strategy": ["rng", "n"],
+    }
+    names = [name for name in dir(ver) if name.startswith("verify_")]
+    names += ["_oracle_gate", "random_strategy"]
+    got = {name: list(inspect.signature(getattr(ver, name)).parameters) for name in names}
+    assert got == pinned
 
 
 def test_theorem_main_checkpoint_resume(tmp_path):
