@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_g2 = sub.add_parser("g2sim", help="simulate the backtracking game")
     p_g2.add_argument("--n", type=int, required=True)
     p_g2.add_argument("--C", type=int, default=2)
-    p_g2.add_argument("--strategy", choices=["root-ramify"], default="root-ramify")
     p_g2.add_argument("--answers", type=Path, default=None,
                       help="hole answers consumed left to right; canonical otherwise")
     return parser

@@ -144,6 +144,31 @@ def _validate_move(mv: ProverMove, frontier: Vertex, cfg: LogPower) -> None:
             raise MalformedMove(f"option {mv.option} needs a proper prefix of {frontier}")
 
 
+def _landing(
+    pos: G2Position, mv: ProverMove, tree: TreeOracle
+) -> Optional[tuple[Vertex, Vertex, Optional[Vertex]]]:
+    """Where a shape-legal move lands: the new vertex, the vertex whose label
+    it carries, and the root of the erased subtree (option 3 only); None
+    when the landing is off the board, which loses for Prover."""
+    c = pos.frontier
+    if mv.option == 1:
+        target = c + (mv.x,)
+        return (target, c, None) if target in tree else None
+    x: Vertex = mv.x  # type: ignore[assignment]
+    k = c[len(x)]
+    if mv.option == 2:
+        target = x + (k + 1,)
+        return (target, x, None) if target in tree else None
+    # Option 3: backtrack below the frontier and regrow to the right.
+    back = x + (k - 1,)
+    if k - 1 < 1 or back not in pos.labels:
+        return None
+    base = [v for v in pos.dom if is_prefix(back, v)][-1]
+    if tree.is_leaf(base):
+        return None
+    return base + (1,), base, x + (k,)
+
+
 def g2_apply(
     pos: G2Position,
     answer: Matching,
@@ -156,53 +181,19 @@ def g2_apply(
     Losing off-tree cases are decided before the contradiction check, which
     compares the answer against the matching carried to the landing vertex.
     """
-    c = pos.frontier
-    _validate_move(mv, c, cfg)
-    lab = pos.labels[c]
-
-    if mv.option == 1:
-        target = c + (mv.x,)
-        if target not in tree:
-            return G2StepResult(G2Tag.PROVER_LOSES)
-        if not matchings_consistent(lab.matching, answer):
-            return G2StepResult(G2Tag.PROVER_WINS)
-        new = dict(pos.labels)
-        new[target] = PositionLabel(lab.matching.union(answer), lab.aux + (mv.b,))
-        return G2StepResult(G2Tag.ONGOING, G2Position(new))
-
-    x: Vertex = mv.x  # type: ignore[assignment]
-    k = c[len(x)]
-
-    if mv.option == 2:
-        target = x + (k + 1,)
-        if target not in tree:
-            return G2StepResult(G2Tag.PROVER_LOSES)
-        carried = pos.labels[x]
-        if not matchings_consistent(carried.matching, answer):
-            return G2StepResult(G2Tag.PROVER_WINS)
-        new = dict(pos.labels)
-        new[target] = PositionLabel(carried.matching.union(answer), carried.aux + (mv.b,))
-        return G2StepResult(G2Tag.ONGOING, G2Position(new))
-
-    # Option 3: backtrack below the frontier and regrow to the right.
-    back = x + (k - 1,)
-    if k - 1 < 1 or back not in pos.labels:
+    _validate_move(mv, pos.frontier, cfg)
+    landing = _landing(pos, mv, tree)
+    if landing is None:
         return G2StepResult(G2Tag.PROVER_LOSES)
-    ext = [v for v in pos.dom if is_prefix(back, v)]
-    landing_base = ext[-1]
-    if tree.is_leaf(landing_base):
-        return G2StepResult(G2Tag.PROVER_LOSES)
-    carried = pos.labels[landing_base]
-    erased_prefix = x + (k,)
-    erased = tuple(
-        (v, pos.labels[v]) for v in pos.dom if is_prefix(erased_prefix, v)
+    target, source, cut = landing
+    erased = () if cut is None else tuple(
+        (v, pos.labels[v]) for v in pos.dom if is_prefix(cut, v)
     )
+    carried = pos.labels[source]
     if not matchings_consistent(carried.matching, answer):
         return G2StepResult(G2Tag.PROVER_WINS, erased=erased)
-    new = {v: l for v, l in pos.labels.items() if not is_prefix(erased_prefix, v)}
-    new[landing_base + (1,)] = PositionLabel(
-        carried.matching.union(answer), carried.aux + (mv.b,)
-    )
+    new = {v: l for v, l in pos.labels.items() if cut is None or not is_prefix(cut, v)}
+    new[target] = PositionLabel(carried.matching.union(answer), carried.aux + (mv.b,))
     return G2StepResult(G2Tag.ONGOING, G2Position(new), erased=erased)
 
 
@@ -221,6 +212,19 @@ class ObliviousStrategy:
     query: Callable[[Vertex, Matching, tuple[int, ...]], Query]
     move: Callable[[Vertex, Matching, tuple[int, ...], Matching], ProverMove]
 
+    def on_positions(self) -> PositionStrategy:
+        """The same strategy as position callbacks, which hand it only the
+        frontier vertex, its matching and its aux."""
+
+        def view(pos: G2Position) -> tuple[Vertex, Matching, tuple[int, ...]]:
+            lab = pos.labels[pos.frontier]
+            return pos.frontier, lab.matching, lab.aux
+
+        return PositionStrategy(
+            lambda pos: self.query(*view(pos)),
+            lambda pos, answer: self.move(*view(pos), answer),
+        )
+
 
 @dataclass(frozen=True)
 class PositionStrategy:
@@ -229,6 +233,9 @@ class PositionStrategy:
 
     query: Callable[[G2Position], Query]
     move: Callable[[G2Position, Matching], ProverMove]
+
+    def on_positions(self) -> PositionStrategy:
+        return self
 
 
 ProverStrategy = Union[ObliviousStrategy, PositionStrategy]
@@ -289,15 +296,11 @@ def g2_play(
     consistency, which only the landing check judges.
     """
     size = GameSize(cfg.n)
+    prover = prover.on_positions()
     pos = initial_position()
     transcript = G2Transcript(cfg)
     for step in range(1, step_cap + 1):
-        v = pos.frontier
-        lab = pos.labels[v]
-        if isinstance(prover, ObliviousStrategy):
-            q = prover.query(v, lab.matching, lab.aux)
-        else:
-            q = prover.query(pos)
+        q = prover.query(pos)
         if len(q) > cfg.width:
             raise MalformedMove(f"query size {len(q)} exceeds width {cfg.width}")
         options = minimal_covers(q, None, size)
@@ -307,10 +310,7 @@ def g2_play(
         answer = delayer(pos, q)
         if answer not in options:
             raise MalformedMove(f"{answer} is not a minimal cover of {q}")
-        if isinstance(prover, ObliviousStrategy):
-            mv = prover.move(v, lab.matching, lab.aux, answer)
-        else:
-            mv = prover.move(pos, answer)
+        mv = prover.move(pos, answer)
         result = g2_apply(pos, answer, mv, cfg, tree)
         transcript.record(q, answer, mv, result)
         if result.tag is G2Tag.PROVER_WINS:
@@ -343,25 +343,20 @@ def root_ramify_tree(n: int) -> FiniteTree:
 
 
 def _candidate_moves(
-    pos: G2Position, tree: TreeOracle, cfg: LogPower
+    pos: G2Position, tree: TreeOracle
 ) -> list[tuple[ProverMove, Matching]]:
     """Shape-legal non-losing moves paired with the matching the answer
-    will be checked against at the landing."""
+    will be checked against at the landing: option 1, then options 2 and 3
+    at each cut of the frontier."""
     c = pos.frontier
-    out: list[tuple[ProverMove, Matching]] = []
-    if c + (1,) in tree:
-        out.append((ProverMove(1, 1, 1), pos.labels[c].matching))
+    moves = [ProverMove(1, 1, 1)]
     for cut in range(len(c)):
-        x = c[:cut]
-        k = c[cut]
-        if x + (k + 1,) in tree:
-            out.append((ProverMove(2, x, 1), pos.labels[x].matching))
-        back = x + (k - 1,)
-        if k - 1 >= 1 and back in pos.labels:
-            ext = [v for v in pos.dom if is_prefix(back, v)]
-            landing = ext[-1]
-            if not tree.is_leaf(landing):
-                out.append((ProverMove(3, x, 1), pos.labels[landing].matching))
+        moves += [ProverMove(2, c[:cut], 1), ProverMove(3, c[:cut], 1)]
+    out: list[tuple[ProverMove, Matching]] = []
+    for mv in moves:
+        landing = _landing(pos, mv, tree)
+        if landing is not None:
+            out.append((mv, pos.labels[landing[1]].matching))
     return out
 
 
@@ -369,7 +364,7 @@ def _kill_query(
     pos: G2Position, tree: TreeOracle, cfg: LogPower, size: GameSize
 ) -> Optional[Query]:
     """A query every minimal cover of which is refuted by some move."""
-    candidates = _candidate_moves(pos, tree, cfg)
+    candidates = _candidate_moves(pos, tree)
     if not candidates:
         return None
     pigeons = list(size.pigeons)
@@ -416,7 +411,7 @@ def prover_root_ramify(n: int, cfg: LogPower) -> tuple[FiniteTree, PositionStrat
         return Query.of([0])
 
     def move(pos: G2Position, answer: Matching) -> ProverMove:
-        candidates = _candidate_moves(pos, tree, cfg)
+        candidates = _candidate_moves(pos, tree)
         for mv, store in candidates:
             if not matchings_consistent(store, answer):
                 return mv
@@ -435,15 +430,17 @@ def prover_root_ramify(n: int, cfg: LogPower) -> tuple[FiniteTree, PositionStrat
     return tree_explicit, PositionStrategy(query, move)
 
 
+# Deeper branches of the Delayer answer tree count as Prover losses.
+EXHAUST_MAX_DEPTH = 60
+
+
 def exhaust_delayer(
-    cfg: LogPower,
-    tree: TreeOracle,
-    prover: ProverStrategy,
-    max_depth: int = 60,
+    cfg: LogPower, tree: TreeOracle, prover: ProverStrategy
 ) -> tuple[bool, int, int]:
     """Walk the full Delayer answer tree; returns (prover_always_wins,
     number of terminal branches, maximal depth seen)."""
     size = GameSize(cfg.n)
+    prover = prover.on_positions()
     branches = 0
     deepest = 0
     all_win = True
@@ -451,25 +448,17 @@ def exhaust_delayer(
     def step(pos: G2Position, depth: int) -> None:
         nonlocal branches, deepest, all_win
         deepest = max(deepest, depth)
-        if depth > max_depth:
+        if depth > EXHAUST_MAX_DEPTH:
             all_win = False
             branches += 1
             return
-        v = pos.frontier
-        lab = pos.labels[v]
-        if isinstance(prover, ObliviousStrategy):
-            q = prover.query(v, lab.matching, lab.aux)
-        else:
-            q = prover.query(pos)
+        q = prover.query(pos)
         options = minimal_covers(q, None, size)
         if not options:
             branches += 1  # unanswerable query: Prover wins
             return
         for answer in sorted(options, key=lambda m: m.entries):
-            if isinstance(prover, ObliviousStrategy):
-                mv = prover.move(v, lab.matching, lab.aux, answer)
-            else:
-                mv = prover.move(pos, answer)
+            mv = prover.move(pos, answer)
             result = g2_apply(pos, answer, mv, cfg, tree)
             if result.tag is G2Tag.PROVER_WINS:
                 branches += 1
@@ -512,9 +501,12 @@ def random_nc_tree(n: int, C: int, branching: int, seed: int) -> FiniteTree:
     return FiniteTree(tuple(vs))
 
 
-def random_playout(
-    cfg: LogPower, tree: TreeOracle, seed: int, step_cap: int = 100_000
-) -> G2PlayResult:
+# A random playout still running after this many steps is a counterexample
+# to halting.
+PLAYOUT_STEP_CAP = 50_000
+
+
+def random_playout(cfg: LogPower, tree: TreeOracle, seed: int) -> G2PlayResult:
     """One play with hash-driven legal-ish Prover moves and Delayer answers."""
     size = GameSize(cfg.n)
 
@@ -531,7 +523,7 @@ def random_playout(
         h = _hash_int("m", seed, pos.dom, answer.entries)
         # Mostly survivable moves so plays go deep; one raw move in the mix
         # keeps the losing branches of the rules exercised.
-        choices = [mv for mv, _ in _candidate_moves(pos, tree, cfg)]
+        choices = [mv for mv, _ in _candidate_moves(pos, tree)]
         raw: list[ProverMove] = [ProverMove(1, 1 + h % min(cfg.cap, 4), 1 + h % cfg.cap)]
         for cut in range(len(c)):
             raw.append(ProverMove(2, c[:cut], 1 + (h >> 3) % cfg.cap))
@@ -543,4 +535,4 @@ def random_playout(
         options = sorted(minimal_covers(q, None, size), key=lambda m: m.entries)
         return options[_hash_int("d", seed, pos.dom, q) % len(options)]
 
-    return g2_play(cfg, tree, PositionStrategy(query, move), delayer, step_cap)
+    return g2_play(cfg, tree, PositionStrategy(query, move), delayer, PLAYOUT_STEP_CAP)

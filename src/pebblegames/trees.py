@@ -217,15 +217,13 @@ class TreeOracle:
         self,
         member: Callable[[Vertex], bool],
         max_height: int,
-        describe: str = "<tree>",
     ) -> None:
         self._member = member
         self.max_height = max_height
-        self.describe = describe
 
     @staticmethod
     def explicit(t: FiniteTree) -> "TreeOracle":
-        return TreeOracle(lambda v: v in t, t.height, "explicit")
+        return TreeOracle(lambda v: v in t, t.height)
 
     def __contains__(self, v: Vertex) -> bool:
         return self._member(tuple(v))

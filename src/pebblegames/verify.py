@@ -779,6 +779,9 @@ def verify_subset_prop(n: int) -> CampaignReport:
 
 # A failing claim lists at most this many counterexamples.
 _MAX_COUNTEREXAMPLES = 32
+# A sampled campaign draws no further sample once it holds more
+# counterexamples than this.
+_ENOUGH_COUNTEREXAMPLES = 8
 # Triples are checked this many at a time, which bounds the temporaries.
 _TRIPLE_CHUNK = 1 << 16
 
@@ -879,7 +882,7 @@ def verify_g2_properties(playouts: int = 10_000, seed: int = 11) -> CampaignRepo
             oracle = treemod.TreeOracle.explicit(tree)
             total += 1
             try:
-                result = g2mod.random_playout(cfg, oracle, seed + i, step_cap=50_000)
+                result = g2mod.random_playout(cfg, oracle, seed + i)
             except g2mod.ContractViolation as exc:
                 bad.append(f"n={n} playout {i}: {exc}")
                 continue
@@ -936,7 +939,9 @@ def _seeded_oblivious(cfg: LogPower, seed: int) -> g2mod.ObliviousStrategy:
 
 
 def verify_g2prime(plays: int = 1000, seed: int = 12345) -> CampaignReport:
-    """Winner preservation through the aux-free encoding at n = 3, C = 2."""
+    """Winner preservation through the aux-free encoding at n = 3, C = 2:
+    each play is replayed by the translated strategy on the packed board,
+    both on the G2 engine."""
     t0 = time.time()
     cfg = LogPower(3, 2)
     size = GameSize(cfg.n)
@@ -960,18 +965,18 @@ def verify_g2prime(plays: int = 1000, seed: int = 12345) -> CampaignReport:
 
         cfg_p, tree_p, strat_p, codec = g2p.to_g2prime(strategy, cfg, oracle)
 
-        def delayer_p(pos: g2p.G2PrimePosition, q) -> object:
+        def delayer_p(pos: g2mod.G2Position, q) -> object:
             key = tuple(
                 sorted(
-                    (codec.vertex_down(v), m.entries, codec.aux_of(v))
-                    for v, m in pos.labels.items()
+                    (codec.vertex_down(v), lab.matching.entries, codec.aux_of(v))
+                    for v, lab in pos.labels.items()
                 )
             )
             return answer_for(key, q, i)
 
-        winner_p, steps_p, _ = g2p.g2prime_play(cfg_p, tree_p, strat_p, delayer_p, step_cap=400)
-        if result.winner != winner_p or result.steps != steps_p:
-            bad.append(f"play {i}: {result.winner}@{result.steps} vs {winner_p}@{steps_p}")
+        prime = g2mod.g2_play(cfg_p, tree_p, strat_p, delayer_p, step_cap=400)
+        if (result.winner, result.steps) != (prime.winner, prime.steps):
+            bad.append(f"play {i}: {result.winner}@{result.steps} vs {prime.winner}@{prime.steps}")
     return CampaignReport(
         claim="g2prime-equivalence",
         space=plays,
@@ -1005,6 +1010,8 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
     rng = np.random.default_rng(seed)
     bad = []
     for i in range(build_samples):
+        if len(bad) > _ENOUGH_COUNTEREXAMPLES:
+            break
         for size_n in (3, 4):
             strat = random_strategy(rng, size_n)
             tree = phpmod.build_php_tree(strat)
@@ -1012,8 +1019,6 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
                 bad.append(f"invalid build at sample {i} n={size_n}")
             if not phpmod.is_symmetric(tree):
                 bad.append(f"asymmetric build at sample {i} n={size_n}")
-        if len(bad) > 8:
-            break
     n = 3
     window = range(n + 1, 3 * n + 4)
     s_top = max(window)
@@ -1029,6 +1034,8 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
         for pp in ([1, 0] + list(range(2, n + 1)), list(range(1, n + 1)) + [0])
     ]
     for i in range(-len(planted), 1_000):
+        if len(bad) > _ENOUGH_COUNTEREXAMPLES:
+            break
         strat = planted[i] if i < 0 else random_strategy(rng, n)
         tree = phpmod.build_php_tree(strat)
         complete = phpmod.is_complete(tree)
@@ -1068,14 +1075,14 @@ def verify_oracle_equivalence(n3_samples: int = 10_000, seed: int = 4242) -> Cam
     rng = np.random.default_rng(seed)
     bad = []
     n4_samples = max(1, n3_samples // 10)
-    for n, samples in ((3, n3_samples), (4, n4_samples)):
-        for i in range(samples):
-            strat = random_strategy(rng, n)
-            s = _dfs_mismatch(strat, delayer_wins_lengths(strat, s_max=16), 8)
-            if s is not None:
-                bad.append(f"n={n} sample {i} s={s}")
-            if len(bad) > 8:
-                break
+    draws = ((n, i) for n, samples in ((3, n3_samples), (4, n4_samples)) for i in range(samples))
+    for n, i in draws:
+        if len(bad) > _ENOUGH_COUNTEREXAMPLES:
+            break
+        strat = random_strategy(rng, n)
+        s = _dfs_mismatch(strat, delayer_wins_lengths(strat, s_max=16), 8)
+        if s is not None:
+            bad.append(f"n={n} sample {i} s={s}")
     return CampaignReport(
         claim="oracle-equivalence",
         space=(n3_samples + n4_samples) * 8,

@@ -219,6 +219,12 @@ def test_verify_reports_byte_identical(capsys):
     assert first == second
 
 
+def test_g2sim_has_no_strategy_flag(capsys):
+    # The root-ramify Prover is the only one g2sim plays.
+    assert run(["g2sim", "--n", "3", "--strategy", "root-ramify"]) == 2
+    assert "--strategy" in capsys.readouterr().err
+
+
 def test_g2sim_transcript(capsys, tmp_path):
     answers = tmp_path / "ans.txt"
     answers.write_text("2 1 0 2 1\n")

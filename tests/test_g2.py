@@ -1,5 +1,9 @@
+import inspect
+
 import pytest
 
+from pebblegames import g2 as g2mod
+from pebblegames import g2prime as g2p
 from pebblegames.g2 import (
     ContractViolation,
     G2Position,
@@ -186,6 +190,46 @@ def test_play_monotonicity_fuzz():
             assert res.steps <= 2 ** (3 ** 3)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_candidate_moves_are_the_non_losing_moves_of_g2_apply(seed):
+    # Along a playout, the candidates are exactly the shape-legal B = 1
+    # moves on which g2_apply does not lose, in option order, each paired
+    # with the label the move extends.
+    tree = TreeOracle.explicit(random_nc_tree(3, 2, 3, seed))
+    play = random_playout(CFG, tree, seed)
+    positions = [initial_position()] + [
+        st["result"].position
+        for st in play.transcript.steps
+        if st["result"].tag is G2Tag.ONGOING
+    ]
+    for pos in positions:
+        c = pos.frontier
+        shaped = [ProverMove(1, 1, 1)]
+        for cut in range(len(c)):
+            shaped += [ProverMove(2, c[:cut], 1), ProverMove(3, c[:cut], 1)]
+        expected = []
+        for mv in shaped:
+            res = g2_apply(pos, M(), mv, CFG, tree)
+            if res.tag is not G2Tag.PROVER_LOSES:
+                expected.append((mv, res.position.labels[res.position.frontier].matching))
+        assert g2mod._candidate_moves(pos, tree) == expected
+
+
+def test_game_layer_parameters_are_pinned():
+    # Each parameter is an input some caller varies; a value that every caller
+    # passes is a constant.  A new parameter changes this pin.
+    pinned = {
+        g2mod._candidate_moves: ["pos", "tree"],
+        g2mod.exhaust_delayer: ["cfg", "tree", "prover"],
+        g2mod.random_playout: ["cfg", "tree", "seed"],
+        g2p.to_g2prime: ["strategy", "cfg", "tree"],
+        g2p.required_prime_degree: ["cfg", "max_degree"],
+        TreeOracle: ["member", "max_height"],
+    }
+    got = {fn: list(inspect.signature(fn).parameters) for fn in pinned}
+    assert got == pinned
+
+
 def test_play_rejects_bad_answers():
     def bad_delayer(pos, q):
         return M((0, 0), (1, 1))  # never a minimal cover of a singleton
@@ -242,6 +286,22 @@ def test_required_prime_degree():
 def test_g2prime_winner_preservation_sample():
     report = verify_g2prime(plays=60, seed=21)
     assert report.ok, report.counterexamples
+
+
+@pytest.mark.parametrize(
+    "method, fault",
+    [
+        ("aux_of", lambda real: lambda self, v: (1,) * len(v)),
+        ("encode", lambda real: lambda self, k, a: real(self, k, 1)),
+        ("vertex_down", lambda real: lambda self, v: real(self, v)[:-1]),
+    ],
+    ids=["aux-of-neutral", "encode-drops-aux", "vertex-down-drops-level"],
+)
+def test_g2prime_equivalence_sees_a_faulty_codec(monkeypatch, method, fault):
+    # The G2' side replays the same strategy through the codec, so a codec
+    # that loses information must make some play differ from its G2 twin.
+    monkeypatch.setattr(PrimeCodec, method, fault(getattr(PrimeCodec, method)))
+    assert verify_g2prime(plays=40, seed=2).counterexamples
 
 
 @pytest.mark.parametrize(

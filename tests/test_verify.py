@@ -670,7 +670,18 @@ def test_oracle_gate_refuses_a_certificate_that_disagrees_with_the_dfs(monkeypat
     with pytest.raises(AssertionError, match=r"certificate mismatch at index \d+, s=3$"):
         ver._oracle_gate(3)
     rep = ver.verify_oracle_equivalence(n3_samples=20)
-    assert rep.counterexamples == [f"n=3 sample {i} s=3" for i in range(9)] + ["n=4 sample 0 s=3"]
+    # Nine counterexamples end the campaign: the n = 4 draws are not made.
+    assert rep.counterexamples == [f"n=3 sample {i} s=3" for i in range(9)]
+
+
+def test_php_trees_stops_at_nine_counterexamples(monkeypatch):
+    complete = ver.phpmod.is_complete
+    monkeypatch.setattr(ver.phpmod, "is_complete", lambda tree: not complete(tree))
+    # Every table now contradicts the biconditional; the campaign stops
+    # drawing at the same bound as its build loop.
+    rep = ver.verify_php_trees(build_samples=2)
+    assert len(rep.counterexamples) == 9
+    assert all(" tree but " in ce for ce in rep.counterexamples)
 
 
 def test_oracle_gate_refuses_an_engine_that_reports_every_table_won(monkeypatch):
