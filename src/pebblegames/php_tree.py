@@ -10,6 +10,7 @@ relabelings needed to lift wins back.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -60,22 +61,23 @@ class PhpTree:
 def validate_php_tree(tree: PhpTree) -> bool:
     """The five defining conditions."""
     n = tree.n
-    for path, label in tree.nodes.items():
-        if not 0 <= label <= n:
+    nodes = tree.nodes
+    # With every parent present, every prefix of a root path is a node, so
+    # a condition on a whole root path holds once each node meets it
+    # against its own ancestors.
+    if any(path and path[:-1] not in nodes for path in nodes):
+        return False
+    child_counts = Counter(path[:-1] for path in nodes if path)
+    for path, label in nodes.items():
+        if not 0 <= label <= n or child_counts[path] > n - len(path):
             return False
-        if any(not 0 <= h < n for h in path):
-            return False
-        # Edge labels along a root path are the path entries themselves.
-        if len(set(path)) != len(path):
-            return False
-        if len(path) > 0 and path[:-1] not in tree.nodes:
-            return False
-        # Node labels along the root path must be distinct.
-        labels = [tree.nodes[path[:k]] for k in range(len(path) + 1)]
-        if len(set(labels)) != len(labels):
-            return False
-        if len(tree.children(path)) > n - len(path):
-            return False
+        if path:
+            # Edge labels along a root path are the path entries themselves.
+            hole = path[-1]
+            if not 0 <= hole < n or hole in path[:-1]:
+                return False
+            if label in [nodes[path[:k]] for k in range(len(path))]:
+                return False
     return True
 
 
@@ -83,9 +85,8 @@ def is_complete(tree: PhpTree) -> bool:
     """Depth ``n`` with branching exactly ``n - k`` at every level-k node."""
     if tree.depth != tree.n:
         return False
-    return all(
-        len(tree.children(path)) == tree.n - len(path) for path in tree.nodes
-    )
+    child_counts = Counter(path[:-1] for path in tree.nodes if path)
+    return all(child_counts[path] == tree.n - len(path) for path in tree.nodes)
 
 
 def is_symmetric(tree: PhpTree) -> bool:
@@ -131,10 +132,8 @@ def build_php_tree(strat: SimpleStrategy) -> PhpTree:
 
 def find_loose_pairs(tree: PhpTree, size: GameSize) -> frozenset[LoosePair]:
     """Pairs ``(p, h)`` never realized as node-label plus outgoing edge."""
-    realized = set()
-    for path in tree.nodes:
-        for h in tree.children(path):
-            realized.add((tree.nodes[path], h))
+    nodes = tree.nodes
+    realized = {(nodes[path[:-1]], path[-1]) for path in nodes if path and path[:-1] in nodes}
     return frozenset(
         LoosePair(p, h)
         for p in size.pigeons

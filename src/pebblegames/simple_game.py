@@ -298,33 +298,53 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 def brute_force_delayer_wins(
-    strat: SimpleStrategy, s: int, budget: int = 5_000_000
-) -> bool:
-    """Exhaustive DFS over answer sequences: does some locally consistent
-    length-``s`` walk end in a globally consistent edge?
+    strat: SimpleStrategy, s_max: int, budget: int = 5_000_000
+) -> frozenset[int]:
+    """The lengths ``1..s_max`` Delayer wins, by one exhaustive DFS over
+    answer sequences.
 
-    Kept deliberately independent of the certificate machinery; this is the
-    oracle the certificate is validated against.
+    Length ``s`` is won iff some locally consistent length-``s`` walk ends
+    in an edge compatible with every earlier edge.  Every prefix of a
+    locally consistent walk is one too, so each node at depth ``d`` of the
+    search decides length ``d``, and the search descends only while some
+    longer length is undecided.  Raises ``SearchBudgetExceeded`` when
+    ``n**s_max`` exceeds ``budget``.
+
+    Kept deliberately independent of the certificate machinery (it tests
+    compatibility on plain pairs, never through the certificate's masks);
+    this is the oracle the certificate is validated against.
     """
-    if strat.size.n**s > budget:
-        raise SearchBudgetExceeded(f"{strat.size.n}**{s} exceeds budget {budget}")
+    if s_max < 1:
+        raise ValueError("lengths start at 1")
+    if strat.size.n**s_max > budget:
+        raise SearchBudgetExceeded(f"{strat.size.n}**{s_max} exceeds budget {budget}")
     holes = strat.size.holes
     table = strat.table
+    won = [False] * (s_max + 1)  # won[0] stays False: the stop for `top`
+    top = s_max  # the longest length not yet won; 0 once all are
+    walk: list[tuple[int, int]] = []
 
-    def dfs(question: int, prev: Optional[EdgeRef], edges: tuple[EdgeRef, ...]) -> bool:
-        depth = len(edges)
-        if depth == s:
-            last = edges[-1]
-            return all(edges_compatible(e, last) for e in edges[:-1])
+    def dfs(p: int) -> None:
+        nonlocal top
+        depth = len(walk) + 1
         for h in holes:
-            e = EdgeRef(question, h)
-            if prev is not None and not edges_compatible(prev, e):
-                continue
-            if dfs(table[question][h], e, edges + (e,)):
-                return True
-        return False
+            if top < depth:
+                return
+            if walk:
+                q, k = walk[-1]
+                if (p == q) != (h == k):
+                    continue
+            if not won[depth] and all((p == q) == (h == k) for q, k in walk):
+                won[depth] = True
+                while won[top]:
+                    top -= 1
+            if depth < top:
+                walk.append((p, h))
+                dfs(table[p][h])
+                walk.pop()
 
-    return dfs(strat.init, None, ())
+    dfs(strat.init)
+    return frozenset(s for s in range(1, s_max + 1) if won[s])
 
 
 @dataclass(frozen=True)

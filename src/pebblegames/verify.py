@@ -439,8 +439,9 @@ def certify_batch(
 def _dfs_mismatch(strat: SimpleStrategy, cert: WinCertificate, s_hi: int) -> Optional[int]:
     """The first length up to ``s_hi`` at which the certificate ``cert`` of
     ``strat`` and the DFS oracle disagree, or None."""
+    dfs = brute_force_delayer_wins(strat, s_hi)
     for s in range(1, s_hi + 1):
-        if cert.wins(s) != brute_force_delayer_wins(strat, s):
+        if cert.wins(s) != (s in dfs):
             return s
     return None
 

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebblegames.figures import example_strategy
 from pebblegames.matching import GameSize
@@ -73,6 +76,105 @@ def test_validation_rejects_label_reuse():
     assert validate_php_tree(wide)
     too_wide = PhpTree(2, {(): 0, (0,): 1, (0, 1): 2, (0, 0): 2})
     assert not validate_php_tree(too_wide)
+
+
+def test_validation_rejects_a_missing_ancestor():
+    # (0, 1, 2) comes first, its parent is present and its grandparent (0,)
+    # is not: reading the labels along its root path before every parent
+    # is known present raises KeyError.
+    orphan = PhpTree(3, {(): 0, (0, 1, 2): 2, (0, 1): 1})
+    assert not validate_php_tree(orphan)
+    # Only (0, 1, 2) hangs below a node: label 1 with hole 2 is realized.
+    assert find_loose_pairs(orphan, GameSize(3)) == frozenset(
+        LoosePair(p, h) for p in range(4) for h in range(3)
+    ) - {LoosePair(1, 2)}
+
+
+def _per_node_validate(tree):
+    """``validate_php_tree`` with each node's children found by a scan of
+    the whole tree."""
+    n = tree.n
+    for path, label in tree.nodes.items():
+        if not 0 <= label <= n or any(not 0 <= h < n for h in path):
+            return False
+        if len(set(path)) != len(path):
+            return False
+        if path and path[:-1] not in tree.nodes:
+            return False
+        labels = [tree.nodes[path[:k]] for k in range(len(path) + 1)]
+        if len(set(labels)) != len(labels):
+            return False
+        if len(tree.children(path)) > n - len(path):
+            return False
+    return True
+
+
+def _assert_checks_agree_with_per_node_children(tree):
+    size = GameSize(tree.n)
+    assert validate_php_tree(tree) == _per_node_validate(tree)
+    assert is_complete(tree) == (
+        tree.depth == tree.n
+        and all(len(tree.children(path)) == tree.n - len(path) for path in tree.nodes)
+    )
+    realized = {(tree.nodes[path], h) for path in tree.nodes for h in tree.children(path)}
+    assert find_loose_pairs(tree, size) == frozenset(
+        LoosePair(p, h) for p in size.pigeons for h in size.holes if (p, h) not in realized
+    )
+
+
+def _full_tree(n):
+    """The complete php-tree: every root path of distinct holes, the node at
+    depth k labeled k."""
+    return PhpTree(n, {
+        path: len(path)
+        for k in range(n + 1)
+        for path in itertools.permutations(range(n), k)
+    })
+
+
+@st.composite
+def _php_trees(draw):
+    """A tree built from a drawn table at n = 3, 4, or the complete tree,
+    left as it is, given a node with n - k + 1 children, or given a node
+    whose label repeats one on its root path."""
+    n = draw(st.sampled_from((3, 4)))
+    if draw(st.booleans()):
+        tree = build_php_tree(index_to_strategy(draw(st.integers(0, strategy_space(n) - 1)), n))
+    else:
+        tree = _full_tree(n)
+    nodes = dict(tree.nodes)
+    change = draw(st.sampled_from(("none", "extra child", "repeated label")))
+    inner = [path for path in sorted(nodes) if path]
+    if change == "none" or not inner:
+        return tree
+    path = draw(st.sampled_from(inner))
+    if change == "extra child":
+        # Every fresh hole plus one hole already on the path.
+        label = st.integers(0, n)
+        for h in [h for h in range(n) if h not in path] + [draw(st.sampled_from(path))]:
+            nodes.setdefault(path + (h,), draw(label))
+    else:
+        nodes[path] = nodes[path[: draw(st.integers(0, len(path) - 1))]]
+    return PhpTree(n, nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_php_trees())
+def test_php_tree_checks_agree_with_per_node_children(tree):
+    _assert_checks_agree_with_per_node_children(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    php1_tree(),
+    _full_tree(2),
+    _full_tree(3),
+    PhpTree(3, {(): 0, (0,): 4}),  # a label outside the board
+    PhpTree(3, {(): 0, (1,): -1}),
+    PhpTree(3, {(): 0, (1,): 2, (1, 3): 1}),  # a hole outside the board
+    PhpTree(3, {(): 0, (-1,): 2}),
+])
+def test_php_tree_checks_agree_with_per_node_children_by_hand(tree):
+    _assert_checks_agree_with_per_node_children(tree)
 
 
 def test_build_all_loops_is_single_root():
@@ -263,8 +365,7 @@ def test_loop_witness_agrees_with_bruteforce_tail():
                 w = shortest_loop_witness(strat, p, h)
                 if w is None or w > 4:
                     continue
-                for s in range(w + 1, w + 5):
-                    assert brute_force_delayer_wins(strat, s)
+                assert set(range(w + 1, w + 5)) <= brute_force_delayer_wins(strat, w + 4)
 
 
 def test_format_php_tree():

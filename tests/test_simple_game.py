@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from pebblegames.simple_game import (
     PathSpec,
     Play,
     PlayOutcome,
+    SearchBudgetExceeded,
     WinCertificate,
     adjacency_lines,
     all_canonical_plays,
@@ -119,7 +121,8 @@ def test_compatibility_masks_match_the_engine_and_are_built_once(n):
 
 def test_dfs_oracle_does_not_read_the_certificate_masks(monkeypatch):
     strats = [index_to_strategy(i, 3) for i in (0, 12345, 4**13 - 1)]
-    expected = [[brute_force_delayer_wins(t, s) for s in range(1, 7)] for t in strats]
+    expected = [brute_force_delayer_wins(t, 6) for t in strats]
+    assert expected[0] == frozenset(range(1, 7))
 
     def refuse(size):
         raise AssertionError("the DFS oracle read the certificate's masks")
@@ -127,7 +130,7 @@ def test_dfs_oracle_does_not_read_the_certificate_masks(monkeypatch):
     monkeypatch.setattr(simple_game, "compatibility_masks", refuse)
     with pytest.raises(AssertionError):
         delayer_wins_lengths(strats[0])
-    assert [[brute_force_delayer_wins(t, s) for s in range(1, 7)] for t in strats] == expected
+    assert [brute_force_delayer_wins(t, 6) for t in strats] == expected
 
 
 def test_find_loops_fig1():
@@ -194,11 +197,53 @@ def test_canonical_all_policies_enumeration():
 
 
 def test_brute_force_examples():
+    # Pinned from the per-length oracle this one-search form replaced.
+    assert brute_force_delayer_wins(paper_n2(), 6) == frozenset({1, 2})
+    assert brute_force_delayer_wins(example_strategy(), 8) == frozenset(range(1, 9))
+
+
+def _enumerated_wins(strat, s_max):
+    """The lengths Delayer wins, read off every answer sequence: a sequence
+    wins when its walk is locally consistent and its last edge is
+    compatible with every earlier edge."""
+    won = set()
+    for s in range(1, s_max + 1):
+        for answers in itertools.product(strat.size.holes, repeat=s):
+            walk, question = [], strat.init
+            for h in answers:
+                walk.append(EdgeRef(question, h))
+                question = strat.table[question][h]
+            local = all(edges_compatible(a, b) for a, b in zip(walk, walk[1:]))
+            if local and all(edges_compatible(e, walk[-1]) for e in walk[:-1]):
+                won.add(s)
+                break
+    return frozenset(won)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), s_max=st.integers(1, 6))
+def test_one_search_oracle_is_the_literal_enumeration(data, n, s_max):
+    strat = index_to_strategy(data.draw(st.integers(0, strategy_space(n) - 1)), n)
+    assert brute_force_delayer_wins(strat, s_max) == _enumerated_wins(strat, s_max)
+
+
+def test_one_search_oracle_matches_the_certificate_on_all_of_n2():
+    for idx in range(strategy_space(2)):
+        strat = index_to_strategy(idx, 2)
+        cert = delayer_wins_lengths(strat, s_max=16)
+        assert brute_force_delayer_wins(strat, 8) == frozenset(
+            s for s in range(1, 9) if cert.wins(s)
+        )
+
+
+def test_oracle_budget_and_length_bounds():
     n2 = paper_n2()
-    assert not brute_force_delayer_wins(n2, 3)
-    fig1 = example_strategy()
-    for s in range(1, 9):
-        assert brute_force_delayer_wins(fig1, s)
+    with pytest.raises(SearchBudgetExceeded):
+        brute_force_delayer_wins(n2, 6, budget=63)
+    assert brute_force_delayer_wins(n2, 6, budget=64) == frozenset({1, 2})
+    for s_max in (0, -1):
+        with pytest.raises(ValueError, match="lengths start at 1"):
+            brute_force_delayer_wins(n2, s_max)
 
 
 def test_certificate_examples():
@@ -218,8 +263,9 @@ def test_certificate_vs_oracle_random():
     for _ in range(120):
         strat = index_to_strategy(int(rng.integers(0, strategy_space(3))), 3)
         cert = delayer_wins_lengths(strat, s_max=12)
+        dfs = brute_force_delayer_wins(strat, 6)
         for s in range(1, 7):
-            assert cert.wins(s) == brute_force_delayer_wins(strat, s)
+            assert cert.wins(s) == (s in dfs)
 
 
 def _candidate_orbits(strat):
