@@ -127,10 +127,6 @@ def load_figure(name: str) -> CoverFigure:
     return parse_cover(text)
 
 
-def all_figures() -> list[CoverFigure]:
-    return [load_figure(name) for name in FIGURE_NAMES]
-
-
 def example_strategy() -> SimpleStrategy:
     """The shipped four-node example table (three loop edges)."""
     text = resources.files("pebblegames").joinpath("data/fig1.strat").read_text()

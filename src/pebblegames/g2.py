@@ -81,18 +81,6 @@ class G2Position:
     def domain_tree(self) -> FiniteTree:
         return FiniteTree(self.dom)
 
-    def label(self, v: Vertex) -> PositionLabel:
-        return self.labels[v]
-
-    def snapshot(self) -> str:
-        lines = []
-        for v in self.dom:
-            lab = self.labels[v]
-            recs = " ".join(f"{r.pigeon},{r.hole}" for r in lab.matching.entries)
-            aux = " ".join(str(a) for a in lab.aux)
-            lines.append(f"{format_vertex(v)} | {recs} | {aux}")
-        return "\n".join(lines) + "\n"
-
 
 def initial_position() -> G2Position:
     return G2Position({(): PositionLabel(Matching(), ())})
@@ -242,6 +230,14 @@ ProverStrategy = Union[ObliviousStrategy, PositionStrategy]
 DelayerCallback = Callable[[G2Position, Query], Matching]
 
 
+def _answer_options(q: Query, cfg: LogPower, size: GameSize) -> frozenset[Matching]:
+    """The minimal covers Delayer may answer ``q`` with.  Both drivers refuse
+    a query wider than ``cfg.width`` here, before its covers are built."""
+    if len(q) > cfg.width:
+        raise MalformedMove(f"query size {len(q)} exceeds width {cfg.width}")
+    return minimal_covers(q, None, size)
+
+
 @dataclass
 class G2Transcript:
     cfg: LogPower
@@ -301,9 +297,7 @@ def g2_play(
     transcript = G2Transcript(cfg)
     for step in range(1, step_cap + 1):
         q = prover.query(pos)
-        if len(q) > cfg.width:
-            raise MalformedMove(f"query size {len(q)} exceeds width {cfg.width}")
-        options = minimal_covers(q, None, size)
+        options = _answer_options(q, cfg, size)
         if not options:
             transcript.winner = "prover"
             return G2PlayResult(G2Tag.PROVER_WINS, "prover", step, transcript, pos)
@@ -453,7 +447,7 @@ def exhaust_delayer(
             branches += 1
             return
         q = prover.query(pos)
-        options = minimal_covers(q, None, size)
+        options = _answer_options(q, cfg, size)
         if not options:
             branches += 1  # unanswerable query: Prover wins
             return

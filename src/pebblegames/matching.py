@@ -47,10 +47,6 @@ class GameSize:
     def holes(self) -> range:
         return range(self.n)
 
-    def check_record(self, rec: Record) -> None:
-        if rec.pigeon not in self.pigeons or rec.hole not in self.holes:
-            raise ValueError(f"record {rec} outside board {self}")
-
 
 @dataclass(frozen=True)
 class LogPower:
@@ -164,7 +160,7 @@ def minimal_covers(
 
     When ``base`` is given, only covers consistent with it are returned.
     The empty result is meaningful: it signals that the query cannot be
-    answered (a Prover win in the plain game).
+    answered, which is a Prover win.
     """
     if base is None:
         return _covers(q, size)
@@ -208,24 +204,6 @@ def _covers(q: Query, size: GameSize) -> frozenset[Matching]:
 
     extend(())
     return frozenset(out)
-
-
-def format_matching_text(m: Matching) -> str:
-    """Matching text form: one ``p h`` record per line, blank line terminates."""
-    return "".join(f"{r.pigeon} {r.hole}\n" for r in m.entries) + "\n"
-
-
-def parse_matching_text(lines: Iterator[str]) -> Matching:
-    recs = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            break
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad record line {line!r}")
-        recs.append(Record(int(parts[0]), int(parts[1])))
-    return Matching(tuple(recs))
 
 
 def all_matchings(size: GameSize, max_size: Optional[int] = None) -> Iterator[Matching]:

@@ -38,17 +38,11 @@ class PhpTree:
         if () not in self.nodes:
             raise ValueError("php-tree needs a labeled root")
 
-    def label(self, path: HolePath) -> int:
-        return self.nodes[path]
-
     def children(self, path: HolePath) -> list[int]:
         """Outgoing edge labels at a node, sorted."""
         return sorted(
             p[-1] for p in self.nodes if len(p) == len(path) + 1 and p[: len(path)] == path
         )
-
-    def paths(self) -> list[HolePath]:
-        return sorted(self.nodes)
 
     @property
     def depth(self) -> int:
@@ -59,7 +53,9 @@ class PhpTree:
 
 
 def validate_php_tree(tree: PhpTree) -> bool:
-    """The five defining conditions."""
+    """The five defining conditions.  Branching needs no check of its own:
+    the children of a level-``k`` node carry distinct holes, each in range
+    and off its root path, so there are at most ``n - k`` of them."""
     n = tree.n
     nodes = tree.nodes
     # With every parent present, every prefix of a root path is a node, so
@@ -67,9 +63,8 @@ def validate_php_tree(tree: PhpTree) -> bool:
     # against its own ancestors.
     if any(path and path[:-1] not in nodes for path in nodes):
         return False
-    child_counts = Counter(path[:-1] for path in nodes if path)
     for path, label in nodes.items():
-        if not 0 <= label <= n or child_counts[path] > n - len(path):
+        if not 0 <= label <= n:
             return False
         if path:
             # Edge labels along a root path are the path entries themselves.
@@ -289,25 +284,3 @@ def shortest_loop_witness(strat: SimpleStrategy, loop_tail: int, loop_hole: int)
         frontier = nxt
         dist += 1
     return None
-
-
-# ---------------------------------------------------------------------------
-# Text form.
-
-
-def format_php_tree(tree: PhpTree) -> str:
-    """Node lines with dot-paths of child indices plus edge lines with holes."""
-    index_of: dict[HolePath, str] = {(): "-"}
-    lines = []
-    for path in tree.paths():
-        if path:
-            parent = path[:-1]
-            siblings = tree.children(parent)
-            idx = siblings.index(path[-1]) + 1
-            parent_ix = index_of[parent]
-            index_of[path] = f"{idx}" if parent_ix == "-" else f"{parent_ix}.{idx}"
-        lines.append(f"{index_of[path]} label={tree.nodes[path]}")
-    for path in tree.paths():
-        if path:
-            lines.append(f"edge {index_of[path]} {path[-1]}")
-    return "\n".join(lines) + "\n"

@@ -54,10 +54,6 @@ class SimpleStrategy:
                 if v not in pigeons:
                     raise ValueError(f"table value {v} not a pigeon")
 
-    @property
-    def n(self) -> int:
-        return self.size.n
-
     def next_question(self, rec: Record) -> int:
         return self.table[rec.pigeon][rec.hole]
 
@@ -220,19 +216,11 @@ class CanonicalPlay:
     gave_up_step: Optional[int] = None
 
 
-def canonical_antistrategy(strat: SimpleStrategy) -> CanonicalPlay:
-    """The play where fresh questions get the smallest fresh hole and repeats
-    repeat: the first of ``all_canonical_plays``, which tries fresh holes in
-    ascending order.
-
-    When the fresh holes run out Delayer gives up and answers 0, as the
-    construction prescribes.
-    """
-    return next(all_canonical_plays(strat))
-
-
 def all_canonical_plays(strat: SimpleStrategy) -> Iterator[CanonicalPlay]:
-    """Exhaust every canonical anti-strategy (all fresh-hole choices)."""
+    """Exhaust every canonical anti-strategy, trying fresh holes in
+    ascending order: the first play gives each fresh question the smallest
+    fresh hole.  Once the fresh holes run out Delayer gives up and answers
+    0, as the construction prescribes."""
 
     def rec(
         question: int,
@@ -647,8 +635,10 @@ class StrategyParseError(ValueError):
 
 
 def parse_strategy(text: str) -> SimpleStrategy:
+    """Read a strategy file.  Each board cell takes exactly one ``map`` line:
+    a repeated cell, or one off the board, is refused naming its line."""
     n = s = init = pigeon_count = None
-    cells: dict[tuple[int, int], int] = {}
+    cells: dict[tuple[int, int], tuple[int, int]] = {}  # cell -> (value, line)
     saw_game = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -672,7 +662,10 @@ def parse_strategy(text: str) -> SimpleStrategy:
             elif key == "map":
                 if len(parts) != 5 or parts[3] != "->":
                     raise StrategyParseError(line_no, f"bad map line {line!r}")
-                cells[(int(parts[1]), int(parts[2]))] = int(parts[4])
+                cell = (int(parts[1]), int(parts[2]))
+                if cell in cells:
+                    raise StrategyParseError(line_no, f"cell {cell} already mapped")
+                cells[cell] = (int(parts[4]), line_no)
             else:
                 raise StrategyParseError(line_no, f"unknown key {key!r}")
         except (IndexError, ValueError) as exc:
@@ -684,10 +677,13 @@ def parse_strategy(text: str) -> SimpleStrategy:
     if n is None or s is None or init is None:
         raise StrategyParseError(1, "missing n, s or init")
     size = GameSize(n, pigeon_count)
+    for (p, h), (_, line_no) in cells.items():
+        if p not in size.pigeons or h not in size.holes:
+            raise StrategyParseError(line_no, f"cell {(p, h)} is off the board")
     expected = len(size.pigeons) * n
     if len(cells) != expected:
         raise StrategyParseError(1, f"expected {expected} map lines, got {len(cells)}")
-    return make_strategy(n, s, init, cells, pigeon_count)
+    return make_strategy(n, s, init, {c: v for c, (v, _) in cells.items()}, pigeon_count)
 
 
 def parse_play(text: str) -> Play:

@@ -27,10 +27,6 @@ class Ordering(Enum):
     GREATER = 1
 
 
-def height(v: Vertex) -> int:
-    return len(v)
-
-
 def is_prefix(v: Vertex, w: Vertex) -> bool:
     return len(v) <= len(w) and w[: len(v)] == v
 
@@ -86,17 +82,6 @@ class FiniteTree:
     def height(self) -> int:
         return max(len(v) for v in self.vertices)
 
-    def children(self, v: Vertex) -> list[Vertex]:
-        return [w for w in self.vertices if len(w) == len(v) + 1 and w[: len(v)] == v]
-
-    def is_leaf(self, v: Vertex) -> bool:
-        if v not in self:
-            raise KeyError(f"{v} not in tree")
-        return not self.children(v)
-
-    def leaves(self) -> list[Vertex]:
-        return [v for v in self.vertices if not self.children(v)]
-
 
 def tree_compare(t: FiniteTree, u: FiniteTree) -> Ordering:
     """The tree order: ``t`` is below ``u`` iff some witness ``w`` in ``u``
@@ -149,11 +134,6 @@ def all_trees(b: int, h: int) -> Iterator[FiniteTree]:
 
     for shape in sub(0):
         yield FiniteTree(shape)
-
-
-def o1(t: FiniteTree, b: int, h: int) -> int:
-    """First ordinal rank: sum over leaves of ``b**(h - height(leaf))``."""
-    return sum(b ** (h - len(v)) for v in t.leaves())
 
 
 def ordinal_embed(t: FiniteTree, b: int, h: int) -> int:

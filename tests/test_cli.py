@@ -56,6 +56,23 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "maps, line, message",
+    [
+        # The off-board cell stands in for the missing (1, 0).
+        ("map 0 0 -> 1\nmap 5 0 -> 0\n", 6, "off the board"),
+        ("map 0 0 -> 1\nmap 1 0 -> 0\nmap 0 0 -> 0\n", 7, "already mapped"),
+    ],
+    ids=["off-board", "repeated"],
+)
+def test_bad_map_cell_exit_2(tmp_path, capsys, maps, line, message):
+    bad = tmp_path / "bad.strat"
+    bad.write_text("game simple\nn 1\ns 2\ninit 0\n" + maps)
+    assert run(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and message in err
+
+
 def test_missing_file_exit_2(tmp_path):
     assert run(["analyze", str(tmp_path / "nope.strat")]) == 2
 

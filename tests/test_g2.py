@@ -5,12 +5,11 @@ import pytest
 from pebblegames import g2 as g2mod
 from pebblegames import g2prime as g2p
 from pebblegames.g2 import (
-    ContractViolation,
     G2Position,
     G2Tag,
     MalformedMove,
-    ObliviousStrategy,
     PositionLabel,
+    PositionStrategy,
     ProverMove,
     exhaust_delayer,
     g2_apply,
@@ -239,6 +238,19 @@ def test_play_rejects_bad_answers():
         g2_play(CFG, TreeOracle.explicit(tree), strategy, bad_delayer)
 
 
+def test_both_drivers_refuse_a_query_wider_than_the_width():
+    # Four pigeons and a hole are five items at width 4: the query has no
+    # cover, but it is malformed before it is unanswerable.
+    wide = PositionStrategy(
+        lambda pos: Query.of([0, 1, 2, 3], [0]), lambda pos, answer: ProverMove(1, 1, 1)
+    )
+    assert CFG.width == 4
+    with pytest.raises(MalformedMove, match="exceeds width 4"):
+        exhaust_delayer(CFG, RAMIFY, wide)
+    with pytest.raises(MalformedMove, match="exceeds width 4"):
+        g2_play(CFG, RAMIFY, wide, lambda pos, q: M())
+
+
 def test_transcript_format():
     tree, strategy = prover_root_ramify(3, CFG)
 
@@ -331,10 +343,3 @@ def test_g2prime_tree_membership():
     assert (codec.encode(5, 1),) not in tree_p  # no fifth child below the root
     # Backtrack landings use raw index 1, which is on the translated board.
     assert (codec.encode(1, 1), 1) in tree_p
-
-
-def test_position_snapshot_format():
-    pos = g2_apply(initial_position(), M((1, 0)), ProverMove(1, 1, 1), CFG, RAMIFY).position
-    snap = pos.snapshot()
-    assert snap.splitlines()[0] == "- |  | "
-    assert snap.splitlines()[1] == "1 | 1,0 | 1"

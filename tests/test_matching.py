@@ -1,7 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pebblegames.matching import (
     GameSize,
@@ -11,10 +10,8 @@ from pebblegames.matching import (
     _covers,
     all_matchings,
     covers,
-    format_matching_text,
     matchings_consistent,
     minimal_covers,
-    parse_matching_text,
     records_conflict,
 )
 
@@ -171,34 +168,9 @@ def test_empty_cover_set_is_meaningful():
     assert minimal_covers(q, None, size) == frozenset()
 
 
-def test_matching_text_round_trip():
-    m = M((0, 2), (3, 1))
-    text = format_matching_text(m)
-    assert parse_matching_text(iter(text.splitlines())) == m
-
-
-@st.composite
-def _matchings(draw):
-    """A matching on the board with n <= 5 holes and n + 1 pigeons."""
-    n = draw(st.integers(1, 5))
-    k = draw(st.integers(0, n))
-    pigeons = draw(st.lists(st.integers(0, n), min_size=k, max_size=k, unique=True))
-    holes = draw(st.permutations(range(n)))[:k]
-    return M(*zip(pigeons, holes))
-
-
-@settings(max_examples=200, deadline=None)
-@given(m=_matchings())
-def test_matching_text_round_trip_property(m):
-    # The blank line ends the matching; what follows is left to the caller.
-    lines = iter((format_matching_text(m) + "9 9\n").splitlines())
-    assert parse_matching_text(lines) == m
-    assert list(lines) == ["9 9"]
-
-
 def test_subset_board_override():
     size = GameSize(3, pigeon_count=8)
     assert len(size.pigeons) == 8
-    size.check_record(Record(7, 2))
+    assert 7 in size.pigeons and 2 in size.holes
     with pytest.raises(ValueError):
         GameSize(3, pigeon_count=3)

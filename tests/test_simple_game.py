@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pebblegames.figures import all_figures, example_strategy, load_figure, parse_cover
+from pebblegames.figures import FIGURE_NAMES, example_strategy, load_figure, parse_cover
 from pebblegames import simple_game
 from pebblegames.matching import GameSize, Record, records_conflict
 from pebblegames.simple_game import (
@@ -14,12 +14,12 @@ from pebblegames.simple_game import (
     Play,
     PlayOutcome,
     SearchBudgetExceeded,
+    StrategyParseError,
     WinCertificate,
     adjacency_lines,
     all_canonical_plays,
     all_plays,
     brute_force_delayer_wins,
-    canonical_antistrategy,
     check_cover_by_two,
     compatibility_masks,
     delayer_wins_lengths,
@@ -171,17 +171,19 @@ def test_path_consistency_fig1_paths():
 
 
 def test_canonical_antistrategy_examples():
+    # The canonical anti-strategy is the first canonical play: fresh holes
+    # are tried in ascending order.
     fig1 = example_strategy()
     for s in range(1, 4):
-        cp = canonical_antistrategy(fig1.with_s(s))
+        cp = next(all_canonical_plays(fig1.with_s(s)))
         assert cp.result.outcome is PlayOutcome.DELAYER_WINS
-    cp3 = canonical_antistrategy(fig1.with_s(3))
+    cp3 = next(all_canonical_plays(fig1.with_s(3)))
     assert cp3.play.answers == (0, 1, 2)
 
     # A table revisiting a pigeon early keeps winning for every length.
     looper = make_strategy(3, 1, 0, {(p, h): 0 for p in range(4) for h in range(3)})
     for s in (1, 5, 9, 23):
-        cp = canonical_antistrategy(looper.with_s(s))
+        cp = next(all_canonical_plays(looper.with_s(s)))
         assert cp.result.outcome is PlayOutcome.DELAYER_WINS
         assert not cp.gave_up
 
@@ -444,8 +446,8 @@ def test_fig5_parity():
 
 
 def test_all_figures_validate():
-    for fig in all_figures():
-        assert fig.check(60), fig.name
+    for name in FIGURE_NAMES:
+        assert load_figure(name).check(60), name
 
 
 def test_cover_negative_control():
@@ -505,6 +507,23 @@ def test_strategy_file_rejects_unknown_keys():
         parse_strategy(text)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), duplicate=st.booleans())
+def test_strategy_file_refuses_a_repeated_or_off_board_cell(data, n, duplicate):
+    strat = index_to_strategy(data.draw(st.integers(0, strategy_space(n) - 1)), n)
+    lines = format_strategy(strat).splitlines()
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("map ")]))
+    if duplicate:
+        lines.insert(data.draw(st.integers(i + 1, len(lines))), lines[i])
+    else:
+        _, p, h, _, v = lines[i].split()
+        far = data.draw(st.integers(0, 9))
+        p, h = data.draw(st.sampled_from([(n + 1 + far, h), (-1 - far, h), (p, n + far)]))
+        lines[i] = f"map {p} {h} -> {v}"
+    with pytest.raises(StrategyParseError, match="already mapped" if duplicate else "off the board"):
+        parse_strategy("\n".join(lines) + "\n")
+
+
 def test_play_file():
     assert parse_play("answers 0 1 2\n").answers == (0, 1, 2)
     with pytest.raises(ValueError):
@@ -518,7 +537,7 @@ def test_canonical_wins_for_small_s_random():
     for _ in range(200):
         strat = index_to_strategy(int(rng.integers(0, strategy_space(3))), 3)
         for s in range(1, 4):
-            cp = canonical_antistrategy(strat.with_s(s))
+            cp = next(all_canonical_plays(strat.with_s(s)))
             assert cp.result.outcome is PlayOutcome.DELAYER_WINS
             assert not cp.gave_up
 
@@ -530,7 +549,7 @@ def test_canonical_revisit_pins_all_lengths():
     fired = 0
     for _ in range(400):
         strat = index_to_strategy(int(rng.integers(0, strategy_space(3))), 3)
-        cp = canonical_antistrategy(strat.with_s(3))
+        cp = next(all_canonical_plays(strat.with_s(3)))
         if cp.revisit_step is None or cp.revisit_step > 3:
             continue
         fired += 1

@@ -12,7 +12,6 @@ from pebblegames.trees import (
     component,
     is_nc_tree,
     lex_compare,
-    o1,
     ordinal_embed,
     parse_tree,
     format_tree,
@@ -96,10 +95,6 @@ def test_prefix_closure_enforced():
         FiniteTree(((), (1, 1)))
     with pytest.raises(ValueError):
         FiniteTree(())
-
-
-def test_o1_example():
-    assert o1(FiniteTree(((),)), 2, 2) == 4
 
 
 def test_ordinal_embed_order_reversing_exhaustive():
