@@ -5,11 +5,13 @@ and one auxiliary integer per level.  Prover either climbs above the
 frontier (option 1), jumps to the next sibling of a vertex below it
 (option 2), or backtracks, erasing the frontier subtree and growing the
 rightmost surviving branch (option 3).  Each transition strictly increases
-the position's domain in the tree order, which is what forces termination.
+the position's domain in the tree order, which is what forces termination;
+``g2_apply`` checks it on every transition.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -99,7 +101,6 @@ class ProverMove:
 class G2Tag(Enum):
     ONGOING = "ongoing"
     PROVER_WINS = "prover-wins"
-    PROVER_LOSES = "prover-loses"
     DELAYER_WINS = "delayer-wins"
 
 
@@ -107,7 +108,6 @@ class G2Tag(Enum):
 class G2StepResult:
     tag: G2Tag
     position: Optional[G2Position] = None
-    erased: tuple[tuple[Vertex, PositionLabel], ...] = ()
 
 
 class MalformedMove(ValueError):
@@ -115,7 +115,7 @@ class MalformedMove(ValueError):
 
 
 class ContractViolation(AssertionError):
-    """Raised when a play contradicts the monotonicity guarantee."""
+    """Raised when a play breaks the growth guarantee or its step cap."""
 
 
 def _validate_move(mv: ProverMove, frontier: Vertex, cfg: LogPower) -> None:
@@ -137,7 +137,7 @@ def _landing(
 ) -> Optional[tuple[Vertex, Vertex, Optional[Vertex]]]:
     """Where a shape-legal move lands: the new vertex, the vertex whose label
     it carries, and the root of the erased subtree (option 3 only); None
-    when the landing is off the board, which loses for Prover."""
+    when the landing is off the board, which is a Delayer win."""
     c = pos.frontier
     if mv.option == 1:
         target = c + (mv.x,)
@@ -166,23 +166,26 @@ def g2_apply(
 ) -> G2StepResult:
     """Apply one Prover move after Delayer's answer.
 
-    Losing off-tree cases are decided before the contradiction check, which
-    compares the answer against the matching carried to the landing vertex.
+    A landing off the board is a Delayer win, decided before the
+    contradiction check, which compares the answer against the matching
+    carried to the landing vertex.  An ongoing position that does not grow
+    in the tree order breaks the termination argument and raises
+    ``ContractViolation``.
     """
     _validate_move(mv, pos.frontier, cfg)
     landing = _landing(pos, mv, tree)
     if landing is None:
-        return G2StepResult(G2Tag.PROVER_LOSES)
+        return G2StepResult(G2Tag.DELAYER_WINS)
     target, source, cut = landing
-    erased = () if cut is None else tuple(
-        (v, pos.labels[v]) for v in pos.dom if is_prefix(cut, v)
-    )
     carried = pos.labels[source]
     if not matchings_consistent(carried.matching, answer):
-        return G2StepResult(G2Tag.PROVER_WINS, erased=erased)
+        return G2StepResult(G2Tag.PROVER_WINS)
     new = {v: l for v, l in pos.labels.items() if cut is None or not is_prefix(cut, v)}
     new[target] = PositionLabel(carried.matching.union(answer), carried.aux + (mv.b,))
-    return G2StepResult(G2Tag.ONGOING, G2Position(new), erased=erased)
+    nxt = G2Position(new)
+    if tree_compare(pos.domain_tree(), nxt.domain_tree()) is not Ordering.LESS:
+        raise ContractViolation(f"domain failed to grow: {pos.dom} -> {nxt.dom}")
+    return G2StepResult(G2Tag.ONGOING, nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +233,16 @@ ProverStrategy = Union[ObliviousStrategy, PositionStrategy]
 DelayerCallback = Callable[[G2Position, Query], Matching]
 
 
-def _answer_options(q: Query, cfg: LogPower, size: GameSize) -> frozenset[Matching]:
-    """The minimal covers Delayer may answer ``q`` with.  Both drivers refuse
-    a query wider than ``cfg.width`` here, before its covers are built."""
+@functools.cache
+def answer_options(q: Query, cfg: LogPower) -> tuple[Matching, ...]:
+    """The minimal covers Delayer may answer ``q`` with, sorted by their
+    records and built once per (query, cfg).  A query wider than
+    ``cfg.width`` is refused here, before its covers are built; an empty
+    list means Delayer cannot answer, which is a Prover win."""
     if len(q) > cfg.width:
         raise MalformedMove(f"query size {len(q)} exceeds width {cfg.width}")
-    return minimal_covers(q, None, size)
+    options = minimal_covers(q, GameSize(cfg.n))
+    return tuple(sorted(options, key=lambda m: m.entries))
 
 
 @dataclass
@@ -271,11 +278,9 @@ class G2Transcript:
 
 @dataclass(frozen=True)
 class G2PlayResult:
-    outcome: G2Tag
     winner: str
     steps: int
     transcript: G2Transcript
-    final: Optional[G2Position]
 
 
 def g2_play(
@@ -283,43 +288,34 @@ def g2_play(
     tree: TreeOracle,
     prover: ProverStrategy,
     delayer: DelayerCallback,
-    step_cap: int = 100_000,
+    step_cap: int,
 ) -> G2PlayResult:
-    """Drive a full play, asserting strict tree-order growth at every step.
+    """Drive a full play; one still running after ``step_cap`` steps raises.
 
     A query with no minimal cover at all is a Prover win (Delayer cannot
     answer); answers are validated for shape but deliberately not for
     consistency, which only the landing check judges.
     """
-    size = GameSize(cfg.n)
     prover = prover.on_positions()
     pos = initial_position()
     transcript = G2Transcript(cfg)
     for step in range(1, step_cap + 1):
         q = prover.query(pos)
-        options = _answer_options(q, cfg, size)
+        options = answer_options(q, cfg)
         if not options:
-            transcript.winner = "prover"
-            return G2PlayResult(G2Tag.PROVER_WINS, "prover", step, transcript, pos)
-        answer = delayer(pos, q)
-        if answer not in options:
-            raise MalformedMove(f"{answer} is not a minimal cover of {q}")
-        mv = prover.move(pos, answer)
-        result = g2_apply(pos, answer, mv, cfg, tree)
-        transcript.record(q, answer, mv, result)
-        if result.tag is G2Tag.PROVER_WINS:
-            transcript.winner = "prover"
-            return G2PlayResult(result.tag, "prover", step, transcript, pos)
-        if result.tag is G2Tag.PROVER_LOSES:
-            transcript.winner = "delayer"
-            return G2PlayResult(G2Tag.DELAYER_WINS, "delayer", step, transcript, pos)
-        nxt = result.position
-        assert nxt is not None
-        if tree_compare(pos.domain_tree(), nxt.domain_tree()) is not Ordering.LESS:
-            raise ContractViolation(
-                f"domain failed to grow: {pos.dom} -> {nxt.dom}"
-            )
-        pos = nxt
+            tag = G2Tag.PROVER_WINS  # Delayer cannot answer
+        else:
+            answer = delayer(pos, q)
+            if answer not in options:
+                raise MalformedMove(f"{answer} is not a minimal cover of {q}")
+            mv = prover.move(pos, answer)
+            result = g2_apply(pos, answer, mv, cfg, tree)
+            transcript.record(q, answer, mv, result)
+            tag = result.tag
+        if tag is not G2Tag.ONGOING:
+            transcript.winner = "prover" if tag is G2Tag.PROVER_WINS else "delayer"
+            return G2PlayResult(transcript.winner, step, transcript)
+        pos = result.position
     raise ContractViolation(f"play exceeded step cap {step_cap}")
 
 
@@ -366,7 +362,7 @@ def _kill_query(
     if cfg.width >= 2:
         queries += [Query.of(pair) for pair in itertools.combinations(pigeons, 2)]
     for q in queries:
-        covers_q = minimal_covers(q, None, size)
+        covers_q = answer_options(q, cfg)
         if covers_q and all(
             any(not matchings_consistent(store, m) for _, store in candidates)
             for m in covers_q
@@ -433,7 +429,6 @@ def exhaust_delayer(
 ) -> tuple[bool, int, int]:
     """Walk the full Delayer answer tree; returns (prover_always_wins,
     number of terminal branches, maximal depth seen)."""
-    size = GameSize(cfg.n)
     prover = prover.on_positions()
     branches = 0
     deepest = 0
@@ -446,24 +441,17 @@ def exhaust_delayer(
             all_win = False
             branches += 1
             return
-        q = prover.query(pos)
-        options = _answer_options(q, cfg, size)
+        options = answer_options(prover.query(pos), cfg)
         if not options:
             branches += 1  # unanswerable query: Prover wins
             return
-        for answer in sorted(options, key=lambda m: m.entries):
-            mv = prover.move(pos, answer)
-            result = g2_apply(pos, answer, mv, cfg, tree)
-            if result.tag is G2Tag.PROVER_WINS:
-                branches += 1
-            elif result.tag is G2Tag.PROVER_LOSES:
-                branches += 1
-                all_win = False
-            else:
-                assert result.position is not None
-                if tree_compare(pos.domain_tree(), result.position.domain_tree()) is not Ordering.LESS:
-                    raise ContractViolation("domain failed to grow")
+        for answer in options:
+            result = g2_apply(pos, answer, prover.move(pos, answer), cfg, tree)
+            if result.tag is G2Tag.ONGOING:
                 step(result.position, depth + 1)
+            else:
+                branches += 1
+                all_win &= result.tag is G2Tag.PROVER_WINS
 
     step(initial_position(), 1)
     return all_win, branches, deepest
@@ -526,7 +514,7 @@ def random_playout(cfg: LogPower, tree: TreeOracle, seed: int) -> G2PlayResult:
         return pool[h % len(pool)]
 
     def delayer(pos: G2Position, q: Query) -> Matching:
-        options = sorted(minimal_covers(q, None, size), key=lambda m: m.entries)
+        options = answer_options(q, cfg)
         return options[_hash_int("d", seed, pos.dom, q) % len(options)]
 
     return g2_play(cfg, tree, PositionStrategy(query, move), delayer, PLAYOUT_STEP_CAP)

@@ -34,9 +34,8 @@ class PrimeCodec:
     def decode(self, j: int) -> tuple[int, int]:
         """Inverse on proper encodings; raw indices below the block size
         decode with the neutral auxiliary value 1."""
-        a, k = divmod(j - 1, self.cap + 1)
-        k += 1
-        return k, (a if a >= 1 else 1)
+        k, a = self.decode_raw(j)
+        return k, max(a, 1)
 
     def decode_raw(self, j: int) -> tuple[int, int]:
         a, k = divmod(j - 1, self.cap + 1)

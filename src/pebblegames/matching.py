@@ -6,7 +6,7 @@ injective in both coordinates; two matchings contradict each other exactly
 when their union is not a matching.
 
 The minimal covers of a query are board-level data: they are built once per
-(query, board), cached, and a ``base`` only filters the cached set.
+(query, board) and cached.
 """
 
 from __future__ import annotations
@@ -153,25 +153,14 @@ def covers(m: Matching, q: Query) -> bool:
     return q.pigeons <= m.pigeons and q.holes <= m.holes
 
 
-def minimal_covers(
-    q: Query, base: Optional[Matching], size: GameSize
-) -> frozenset[Matching]:
-    """All inclusion-minimal matchings covering ``q``.
-
-    When ``base`` is given, only covers consistent with it are returned.
-    The empty result is meaningful: it signals that the query cannot be
-    answered, which is a Prover win.
-    """
-    if base is None:
-        return _covers(q, size)
-    return frozenset(m for m in _covers(q, size) if matchings_consistent(m, base))
-
-
 @functools.cache
-def _covers(q: Query, size: GameSize) -> frozenset[Matching]:
-    """The minimal covers of ``q`` on the board, built once per (query, board).
+def minimal_covers(q: Query, size: GameSize) -> frozenset[Matching]:
+    """All inclusion-minimal matchings covering ``q`` on the board, built
+    once per (query, board).
 
-    A query outside the board raises on every call and is never cached.
+    The empty result is meaningful: it signals that the query cannot be
+    answered, which is a Prover win.  A query outside the board raises on
+    every call and is never cached.
     """
     for p in q.pigeons:
         if p not in size.pigeons:

@@ -209,11 +209,12 @@ def find_loops(strat: SimpleStrategy) -> frozenset[EdgeRef]:
 
 @dataclass(frozen=True)
 class CanonicalPlay:
+    """One canonical play, with the round of its first revisited question
+    and the round at which Delayer gave up (None when it never did)."""
+
     play: Play
-    result: PlayResult
-    gave_up: bool
     revisit_step: Optional[int]
-    gave_up_step: Optional[int] = None
+    gave_up_step: Optional[int]
 
 
 def all_canonical_plays(strat: SimpleStrategy) -> Iterator[CanonicalPlay]:
@@ -232,14 +233,7 @@ def all_canonical_plays(strat: SimpleStrategy) -> Iterator[CanonicalPlay]:
     ) -> Iterator[CanonicalPlay]:
         i = len(answers) + 1
         if i > strat.s:
-            play = Play(answers)
-            yield CanonicalPlay(
-                play,
-                play_simplified(strat, play),
-                gave_up_step is not None,
-                revisit,
-                gave_up_step,
-            )
+            yield CanonicalPlay(Play(answers), revisit, gave_up_step)
             return
         if question in first_answer:
             h = first_answer[question]

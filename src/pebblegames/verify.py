@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from pebblegames.matching import GameSize, LogPower, minimal_covers
+from pebblegames.matching import GameSize, LogPower
 from pebblegames.simple_game import (
     Play,
     PlayOutcome,
@@ -82,18 +81,16 @@ class CampaignReport:
     claim: str
     space: int
     counterexamples: list[str] = field(default_factory=list)
-    seconds: float = 0.0
     details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def line(self, timing: bool = True) -> str:
-        secs = f"{self.seconds:.3f}" if timing else "0.000"
+    def line(self, seconds: float) -> str:
         return (
             f"claim={self.claim} space={self.space} "
-            f"counterexamples={len(self.counterexamples)} seconds={secs}"
+            f"counterexamples={len(self.counterexamples)} seconds={seconds:.3f}"
         )
 
 
@@ -336,6 +333,11 @@ class BatchResult:
 # Steps after which a table whose state has not repeated is reported
 # uncertified rather than iterated further.
 T_LIMIT = 4200
+# The sweep holds table ``i`` back from the fast path, to cross-check it by
+# the repeat alone, when ``i * HOLD_BACK_MULTIPLIER % HOLD_BACK_MODULUS`` is 0:
+# about one table in HOLD_BACK_MODULUS.
+HOLD_BACK_MULTIPLIER = 2654435761
+HOLD_BACK_MODULUS = 100
 # Tables per block, at most, of the loop bound and of certify_batch's first
 # step.  The temporaries of a 2^14-table block peak near 1.5 MB at n = 3, so
 # they stay in a 2 MB L2; 2^18-table blocks spent more on cache misses and
@@ -507,9 +509,9 @@ def _certify_job(job: tuple) -> tuple[int, int, list[int], int, int]:
     lo, hi, idxs, n = job
     if idxs is None:
         idxs = np.arange(lo, hi, dtype=np.uint64)
-    # A hash-selected 1% of the tables skip the fast path, so they cross-check
-    # it through the repeat certificate (a disagreement is a counterexample).
-    crosscheck = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0
+    # The held-back tables skip the fast path, so they cross-check it through
+    # the repeat certificate (a disagreement is a counterexample).
+    crosscheck = (idxs * np.uint64(HOLD_BACK_MULTIPLIER) % np.uint64(HOLD_BACK_MODULUS)) == 0
     res = certify_batch(idxs, board_tables(n), sample_mask=crosscheck)
     ces = [int(i) for i in idxs[~res.wins_all]]
     return lo, hi, ces, int(res.fast_path.sum()), int(crosscheck.sum())
@@ -534,10 +536,13 @@ def verify_theorem_main(
     tables exist and are reported.  Boards beyond three holes are too large
     to sweep and require ``sample``.
     """
-    t0 = time.time()
     if n > 3 and sample is None:
         raise ValueError("full sweeps stop at n=3; pass sample= for larger boards")
-    header = f"theorem-main checkpoint n={n} batch_size={batch_size}"
+    # The header names every input a batch's verdict depends on.
+    header = (
+        f"theorem-main checkpoint n={n} batch_size={batch_size} t_limit={T_LIMIT} "
+        f"hold_back={HOLD_BACK_MULTIPLIER}%{HOLD_BACK_MODULUS}"
+    )
     if sample is None:
         picks = None
         total = strategy_space(n)
@@ -600,7 +605,6 @@ def verify_theorem_main(
         claim=f"theorem-main-n{n}" if picks is None else f"theorem-main-n{n}-sampled",
         space=total,
         counterexamples=serialized,
-        seconds=time.time() - t0,
         details={"fast_path": fast_count, "sampled_crosschecks": crosschecks},
     )
 
@@ -699,7 +703,6 @@ def verify_loop_bound(
     ``limit`` truncates the sweep to the first ``limit`` indices for unit
     tests; the campaign runs full.
     """
-    t0 = time.time()
     if limit is not None and limit < 0:
         raise ValueError(f"limit={limit} is negative")
     bt = board_tables(n)
@@ -716,7 +719,6 @@ def verify_loop_bound(
         claim=f"loop-bound-n{n}",
         space=total,
         counterexamples=bad,
-        seconds=time.time() - t0,
     )
 
 
@@ -738,7 +740,6 @@ def _lost_plays(strat: SimpleStrategy) -> tuple[int, list[tuple[int, ...]]]:
 def verify_small_n(n: int) -> CampaignReport:
     """Prover's small-board strategy wins every play, exhaustively: at
     s = 2 on one hole, at s = 3 and 6 on two."""
-    t0 = time.time()
     bad = []
     space = 0
     for s in (2,) if n == 1 else (3, 6):
@@ -749,14 +750,12 @@ def verify_small_n(n: int) -> CampaignReport:
         claim=f"small-n-{n}",
         space=space,
         counterexamples=bad,
-        seconds=time.time() - t0,
     )
 
 
 def verify_subset_prop(n: int) -> CampaignReport:
     """The subset-labeled Prover wins all plays; lowering the round count to
     the hole count must re-open Delayer wins (negative control)."""
-    t0 = time.time()
     if n > 4:
         raise ValueError("answer space grows as n**(n+1); keep n <= 4")
     strat = subset_prover(n)
@@ -773,7 +772,6 @@ def verify_subset_prop(n: int) -> CampaignReport:
         claim=f"subset-n{n}",
         space=space,
         counterexamples=bad,
-        seconds=time.time() - t0,
         details={"plays": space},
     )
 
@@ -827,7 +825,6 @@ def verify_order_axioms(
 
     Every ordered pair of trees is compared once with ``tree_compare``; the
     axioms are then checked as array operations on the matrix of results."""
-    t0 = time.time()
     ts = list(treemod.all_trees(b, h))
     m = len(ts)
     bad: list[str] = []
@@ -860,15 +857,15 @@ def verify_order_axioms(
         claim=f"order-axioms-b{b}h{h}",
         space=m * m,
         counterexamples=bad[:_MAX_COUNTEREXAMPLES],
-        seconds=time.time() - t0,
         details={"trees": m, "triples": min(m**3, triple_budget)},
     )
 
 
 def verify_g2_properties(playouts: int = 10_000, seed: int = 11) -> CampaignReport:
     """Monotone growth and halting of random playouts on boards 3, 4 and 5
-    with C = 2, plus the exhaustive root-ramify win at n = 3."""
-    t0 = time.time()
+    with C = 2, plus the exhaustive root-ramify win at n = 3.  Halting is
+    checked by the step cap: a playout longer than ``g2.PLAYOUT_STEP_CAP``,
+    which lies far below the bound 2^(3^(C+1)), raises and is listed."""
     bad = []
     total = 0
     max_steps = 0
@@ -877,7 +874,6 @@ def verify_g2_properties(playouts: int = 10_000, seed: int = 11) -> CampaignRepo
     for n in boards:
         cfg = LogPower(n, C)
         branching = 3
-        bound = 2 ** (branching ** (C + 1))
         for i in range(per_n):
             tree = g2mod.random_nc_tree(n, C, branching, seed * 1000003 + i)
             oracle = treemod.TreeOracle.explicit(tree)
@@ -888,8 +884,6 @@ def verify_g2_properties(playouts: int = 10_000, seed: int = 11) -> CampaignRepo
                 bad.append(f"n={n} playout {i}: {exc}")
                 continue
             max_steps = max(max_steps, result.steps)
-            if result.steps > bound:
-                bad.append(f"n={n} playout {i} exceeded instantiated bound")
     cfg = LogPower(3, C)
     tree, strategy = g2mod.prover_root_ramify(3, cfg)
     all_win, branches, depth = g2mod.exhaust_delayer(
@@ -902,7 +896,6 @@ def verify_g2_properties(playouts: int = 10_000, seed: int = 11) -> CampaignRepo
         claim="g2-properties",
         space=total,
         counterexamples=bad,
-        seconds=time.time() - t0,
         details={"max_steps": max_steps, "ramify_branches": branches, "ramify_depth": depth},
     )
 
@@ -943,9 +936,7 @@ def verify_g2prime(plays: int = 1000, seed: int = 12345) -> CampaignReport:
     """Winner preservation through the aux-free encoding at n = 3, C = 2:
     each play is replayed by the translated strategy on the packed board,
     both on the G2 engine."""
-    t0 = time.time()
     cfg = LogPower(3, 2)
-    size = GameSize(cfg.n)
     bad = []
     for i in range(plays):
         tree = g2mod.random_nc_tree(cfg.n, cfg.C, 3, seed * 31 + i)
@@ -953,7 +944,7 @@ def verify_g2prime(plays: int = 1000, seed: int = 12345) -> CampaignReport:
         strategy = _seeded_oblivious(cfg, seed + i)
 
         def answer_for(key: tuple, q, tag: int) -> object:
-            options = sorted(minimal_covers(q, None, size), key=lambda m: m.entries)
+            options = g2mod.answer_options(q, cfg)
             return options[g2mod._hash_int("dl", seed, tag, key, q) % len(options)]
 
         def delayer(pos: g2mod.G2Position, q) -> object:
@@ -982,19 +973,16 @@ def verify_g2prime(plays: int = 1000, seed: int = 12345) -> CampaignReport:
         claim="g2prime-equivalence",
         space=plays,
         counterexamples=bad,
-        seconds=time.time() - t0,
     )
 
 
 def verify_figures() -> CampaignReport:
     """Every shipped figure certificate must validate over lengths up to 60."""
-    t0 = time.time()
     bad = [name for name in FIGURE_NAMES if not load_figure(name).check(60)]
     return CampaignReport(
         claim="figures",
         space=len(FIGURE_NAMES),
         counterexamples=bad,
-        seconds=time.time() - t0,
     )
 
 
@@ -1007,7 +995,6 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
     completeness coincides with the absence of winning canonical
     anti-strategies, on 1,000 seeded tables; the exhaustive loop bound is
     delegated to its own campaign."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     bad = []
     for i in range(build_samples):
@@ -1064,7 +1051,6 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
         claim="php-trees",
         space=build_samples * 2 + 1_000,
         counterexamples=bad,
-        seconds=time.time() - t0,
     )
 
 
@@ -1072,7 +1058,6 @@ def verify_oracle_equivalence(n3_samples: int = 10_000, seed: int = 4242) -> Cam
     """The certificate agrees with the brute-force DFS at every length up
     to 8, on ``n3_samples`` seeded tables at n = 3 and a tenth as many at
     n = 4 (the module's primary correctness gate)."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     bad = []
     n4_samples = max(1, n3_samples // 10)
@@ -1088,5 +1073,4 @@ def verify_oracle_equivalence(n3_samples: int = 10_000, seed: int = 4242) -> Cam
         claim="oracle-equivalence",
         space=(n3_samples + n4_samples) * 8,
         counterexamples=bad,
-        seconds=time.time() - t0,
     )

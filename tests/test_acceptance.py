@@ -8,11 +8,7 @@ else completes in seconds.
 import os
 import time
 
-import numpy as np
-import pytest
-
-from pebblegames.figures import FIGURE_NAMES, example_strategy, load_figure
-from pebblegames.matching import LogPower
+from pebblegames.figures import FIGURE_NAMES, example_strategy
 from pebblegames.simple_game import find_loops, EdgeRef
 from pebblegames import verify as ver
 

@@ -1,6 +1,7 @@
 import re
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -209,6 +210,19 @@ def test_verify_small_claim_exit_codes(capsys):
     out = capsys.readouterr().out
     assert out.startswith("claim=small-n ")
     assert "seconds=0.000" in out
+
+
+def test_verify_times_each_claim_once(capsys, monkeypatch):
+    # The claim table reads the clock around the whole campaign, and
+    # --no-timing prints zero seconds without changing anything else.
+    from pebblegames import cli
+
+    clock = iter([10.0, 12.5, 20.0, 21.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: next(clock)))
+    assert run(["verify", "figures"]) == 0
+    assert capsys.readouterr().out == "claim=figures space=16 counterexamples=0 seconds=2.500\n"
+    assert run(["verify", "figures", "--no-timing"]) == 0
+    assert capsys.readouterr().out == "claim=figures space=16 counterexamples=0 seconds=0.000\n"
 
 
 def test_verify_theorem_n2_finds_counterexamples(capsys, tmp_path):

@@ -5,12 +5,14 @@ import pytest
 from pebblegames import g2 as g2mod
 from pebblegames import g2prime as g2p
 from pebblegames.g2 import (
+    ContractViolation,
     G2Position,
     G2Tag,
     MalformedMove,
     PositionLabel,
     PositionStrategy,
     ProverMove,
+    answer_options,
     exhaust_delayer,
     g2_apply,
     g2_play,
@@ -25,8 +27,8 @@ from pebblegames.g2prime import (
     required_prime_degree,
     to_g2prime,
 )
-from pebblegames.matching import LogPower, Matching, Query, Record, _covers
-from pebblegames.trees import FiniteTree, NCTreeShape, TreeOracle, is_nc_tree
+from pebblegames.matching import LogPower, Matching, Query, Record, minimal_covers
+from pebblegames.trees import FiniteTree, NCTreeShape, Ordering, TreeOracle, is_nc_tree
 from pebblegames.verify import _seeded_oblivious, verify_g2_properties, verify_g2prime
 
 CFG = LogPower(3, 2)
@@ -52,7 +54,7 @@ def test_option1_off_tree_loses():
     pos = g2_apply(initial_position(), M((1, 0)), ProverMove(1, 1, 1), CFG, RAMIFY).position
     deep = g2_apply(pos, M(), ProverMove(1, 1, 1), CFG, RAMIFY).position
     res = g2_apply(deep, M(), ProverMove(1, 1, 1), CFG, RAMIFY)
-    assert res.tag is G2Tag.PROVER_LOSES
+    assert res.tag is G2Tag.DELAYER_WINS
 
 
 def test_option1_contradiction_wins():
@@ -65,7 +67,7 @@ def test_option2_missing_sibling_loses():
     chain = TreeOracle.explicit(FiniteTree(((), (1,), (1, 1))))
     pos = g2_apply(initial_position(), M((1, 0)), ProverMove(1, 1, 1), CFG, chain).position
     res = g2_apply(pos, M(), ProverMove(2, (), 1), CFG, chain)
-    assert res.tag is G2Tag.PROVER_LOSES
+    assert res.tag is G2Tag.DELAYER_WINS
 
 
 def test_option2_carries_lower_label():
@@ -87,7 +89,7 @@ def test_option3_spec_trace():
     )
     res = g2_apply(pos, M((0, 1)), ProverMove(3, (), 1), CFG, RAMIFY)
     assert res.tag is G2Tag.PROVER_WINS
-    assert [v for v, _ in res.erased] == [(2,)]
+    assert res.position is None  # the play ends; nothing is erased
 
 
 def test_option3_regrows_right_branch():
@@ -102,13 +104,13 @@ def test_option3_regrows_right_branch():
     assert res.tag is G2Tag.ONGOING
     assert res.position.dom == ((), (1,), (1, 1))
     assert res.position.labels[(1, 1)] == label(M((0, 0), (2, 2)), (1, 9))
-    assert [v for v, _ in res.erased] == [(2,)]
+    assert set(pos.dom) - set(res.position.dom) == {(2,)}  # the erased subtree
 
 
 def test_option3_missing_left_sibling_loses():
     pos = g2_apply(initial_position(), M((1, 0)), ProverMove(1, 1, 1), CFG, RAMIFY).position
     res = g2_apply(pos, M(), ProverMove(3, (), 1), CFG, RAMIFY)
-    assert res.tag is G2Tag.PROVER_LOSES
+    assert res.tag is G2Tag.DELAYER_WINS
 
 
 def test_option3_leaf_landing_loses():
@@ -121,7 +123,18 @@ def test_option3_leaf_landing_loses():
         }
     )
     res = g2_apply(pos, M(), ProverMove(3, (), 1), CFG, RAMIFY)
-    assert res.tag is G2Tag.PROVER_LOSES
+    assert res.tag is G2Tag.DELAYER_WINS
+
+
+def test_apply_refuses_a_transition_that_does_not_grow(monkeypatch):
+    # Termination rests on every ongoing position growing in the tree order;
+    # g2_apply itself refuses a transition that does not.
+    monkeypatch.setattr(g2mod, "tree_compare", lambda a, b: Ordering.GREATER)
+    with pytest.raises(ContractViolation, match="failed to grow"):
+        g2_apply(initial_position(), M((1, 0)), ProverMove(1, 1, 1), CFG, RAMIFY)
+    # Moves that end the play produce no position to compare.
+    pos = G2Position({(): label(M(), ()), (1,): label(M((1, 0)), (1,))})
+    assert g2_apply(pos, M((2, 0)), ProverMove(1, 1, 1), CFG, RAMIFY).tag is G2Tag.PROVER_WINS
 
 
 def test_move_validation():
@@ -189,6 +202,19 @@ def test_play_monotonicity_fuzz():
             assert res.steps <= 2 ** (3 ** 3)
 
 
+def test_playout_step_cap_lies_below_the_instantiated_bound():
+    # verify_g2_properties checks halting by the cap alone, so the cap must
+    # lie below the bound 2 ** (3 ** (C + 1)) on a play at branching 3, C = 2.
+    assert g2mod.PLAYOUT_STEP_CAP < 2 ** (3 ** 3)
+
+
+def test_g2_properties_lists_playouts_past_the_step_cap(monkeypatch):
+    monkeypatch.setattr(g2mod, "PLAYOUT_STEP_CAP", 1)
+    report = verify_g2_properties(playouts=60)
+    assert report.counterexamples
+    assert all(ce.endswith("play exceeded step cap 1") for ce in report.counterexamples)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_candidate_moves_are_the_non_losing_moves_of_g2_apply(seed):
     # Along a playout, the candidates are exactly the shape-legal B = 1
@@ -209,7 +235,7 @@ def test_candidate_moves_are_the_non_losing_moves_of_g2_apply(seed):
         expected = []
         for mv in shaped:
             res = g2_apply(pos, M(), mv, CFG, tree)
-            if res.tag is not G2Tag.PROVER_LOSES:
+            if res.tag is not G2Tag.DELAYER_WINS:
                 expected.append((mv, res.position.labels[res.position.frontier].matching))
         assert g2mod._candidate_moves(pos, tree) == expected
 
@@ -219,6 +245,8 @@ def test_game_layer_parameters_are_pinned():
     # passes is a constant.  A new parameter changes this pin.
     pinned = {
         g2mod._candidate_moves: ["pos", "tree"],
+        g2mod.answer_options: ["q", "cfg"],
+        minimal_covers: ["q", "size"],
         g2mod.exhaust_delayer: ["cfg", "tree", "prover"],
         g2mod.random_playout: ["cfg", "tree", "seed"],
         g2p.to_g2prime: ["strategy", "cfg", "tree"],
@@ -235,7 +263,7 @@ def test_play_rejects_bad_answers():
 
     tree, strategy = prover_root_ramify(3, CFG)
     with pytest.raises(MalformedMove):
-        g2_play(CFG, TreeOracle.explicit(tree), strategy, bad_delayer)
+        g2_play(CFG, TreeOracle.explicit(tree), strategy, bad_delayer, 100)
 
 
 def test_both_drivers_refuse_a_query_wider_than_the_width():
@@ -248,18 +276,16 @@ def test_both_drivers_refuse_a_query_wider_than_the_width():
     with pytest.raises(MalformedMove, match="exceeds width 4"):
         exhaust_delayer(CFG, RAMIFY, wide)
     with pytest.raises(MalformedMove, match="exceeds width 4"):
-        g2_play(CFG, RAMIFY, wide, lambda pos, q: M())
+        g2_play(CFG, RAMIFY, wide, lambda pos, q: M(), 100)
 
 
 def test_transcript_format():
     tree, strategy = prover_root_ramify(3, CFG)
 
     def delayer(pos, q):
-        from pebblegames.matching import GameSize, minimal_covers
+        return answer_options(q, CFG)[0]
 
-        return sorted(minimal_covers(q, None, GameSize(3)), key=lambda m: m.entries)[0]
-
-    result = g2_play(CFG, TreeOracle.explicit(tree), strategy, delayer)
+    result = g2_play(CFG, TreeOracle.explicit(tree), strategy, delayer, 100)
     text = result.transcript.format()
     assert text.startswith("game g2\nn 3\nC 2\n")
     assert "move: o=" in text
@@ -326,11 +352,13 @@ def test_plays_do_not_depend_on_the_cover_cache(campaign):
         report = campaign()
         return report.space, report.counterexamples, report.details
 
-    _covers.cache_clear()
+    answer_options.cache_clear()
+    minimal_covers.cache_clear()
     cold = outcome()
-    assert _covers.cache_info().misses > 0
+    assert answer_options.cache_info().misses > 0
+    assert minimal_covers.cache_info().misses > 0
     assert outcome() == cold
-    assert _covers.cache_info().hits > 0
+    assert answer_options.cache_info().hits > 0
 
 
 def test_g2prime_tree_membership():

@@ -7,7 +7,6 @@ from pebblegames.matching import (
     Matching,
     Query,
     Record,
-    _covers,
     all_matchings,
     covers,
     matchings_consistent,
@@ -76,13 +75,12 @@ def test_matchings_consistent_brute_force_small():
 
 def test_minimal_covers_examples():
     size = GameSize(3)
-    assert minimal_covers(Query.of([0]), None, size) == frozenset(
+    assert minimal_covers(Query.of([0]), size) == frozenset(
         {M((0, 0)), M((0, 1)), M((0, 2))}
     )
-    assert minimal_covers(Query.of(holes=[0]), None, size) == frozenset(
+    assert minimal_covers(Query.of(holes=[0]), size) == frozenset(
         {M((0, 0)), M((1, 0)), M((2, 0)), M((3, 0))}
     )
-    assert minimal_covers(Query.of([0]), M((0, 2)), size) == frozenset({M((0, 2))})
 
 
 def test_minimal_covers_minimality_exhaustive():
@@ -98,7 +96,7 @@ def test_minimal_covers_minimality_exhaustive():
             hs = [x[1] for x in (a, b) if x[0] == "h"]
             queries.append(Query.of(ps, hs))
         for q in queries:
-            for m in minimal_covers(q, None, size):
+            for m in minimal_covers(q, size):
                 assert covers(m, q)
                 for drop in m:
                     rest = Matching(tuple(r for r in m if r != drop))
@@ -115,57 +113,43 @@ def _queries(size, max_items):
             )
 
 
-def _union_is_matching(a, b):
-    try:
-        a.union(b)
-    except ValueError:
-        return False
-    return True
-
-
 @pytest.mark.parametrize(
     "size", [GameSize(1), GameSize(2), GameSize(3), GameSize(2, pigeon_count=4)]
 )
 def test_minimal_covers_match_their_definition(size):
     # Brute force over every matching on the board: the covers of q from
-    # which no record can be dropped, then those whose union with the base
-    # is a matching.
+    # which no record can be dropped.
     pool = list(all_matchings(size))
-    bases = [None] + list(all_matchings(size, max_size=2))
     for q in _queries(size, 3):
-        minimal = [
+        minimal = {
             m
             for m in pool
             if covers(m, q)
             and not any(covers(Matching(tuple(r for r in m if r != d)), q) for d in m)
-        ]
-        for base in bases:
-            expected = {m for m in minimal if base is None or _union_is_matching(base, m)}
-            assert minimal_covers(q, base, size) == expected, (q, base)
+        }
+        assert minimal_covers(q, size) == minimal, q
 
 
 def test_minimal_covers_are_built_once_per_query_and_board():
     size = GameSize(3)
     q = Query.of([0], [1])
-    _covers.cache_clear()
-    first = minimal_covers(q, None, size)
-    for base in (M(), M((0, 2)), M((1, 1)), M((3, 0), (2, 1))):
-        minimal_covers(q, base, size)
-    assert minimal_covers(q, None, size) is first
-    assert _covers.cache_info().misses == 1
-    stored = _covers.cache_info().currsize
+    minimal_covers.cache_clear()
+    first = minimal_covers(q, size)
+    assert minimal_covers(q, size) is first
+    assert minimal_covers.cache_info().misses == 1
+    stored = minimal_covers.cache_info().currsize
     for bad in (Query.of([size.n + 1]), Query.of(holes=[size.n])):
-        for base in (None, None, M((0, 0))):
+        for _ in range(2):
             with pytest.raises(ValueError, match="outside board"):
-                minimal_covers(bad, base, size)
-        assert _covers.cache_info().currsize == stored
+                minimal_covers(bad, size)
+        assert minimal_covers.cache_info().currsize == stored
 
 
 def test_empty_cover_set_is_meaningful():
     # Covering every pigeon needs more holes than exist.
     size = GameSize(2)
     q = Query.of(list(size.pigeons))
-    assert minimal_covers(q, None, size) == frozenset()
+    assert minimal_covers(q, size) == frozenset()
 
 
 def test_subset_board_override():

@@ -1,11 +1,13 @@
-"""Every module-level function and class of ``src/pebblegames`` is reached.
+"""Every module-level function and class of ``src/pebblegames`` is reached,
+and every imported name is used.
 
 A unit counts as reached when its name appears somewhere in ``src/`` outside
 its own definition: as a name, as an attribute or in an import.  The match
 is by name only, so it can be fooled by an unrelated attribute of the same
 name, but it catches a helper that nothing calls any more.  The units that
 stay although ``src/`` never reaches them are listed in ``TEST_REFERENCES``
-with the reason they stay.
+with the reason they stay.  A name that a module of ``src/`` or ``tests/``
+imports must be used in that module, or be listed in its ``__all__``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pebblegames"
+TESTS = Path(__file__).resolve().parent
 
 INDEPENDENT = "an independent reference the tests compare the engine against"
 LOOP_GATE = "the loop-witness bound the exhaustive loop-bound gate still needs"
@@ -98,3 +101,43 @@ def test_the_scan_tells_a_call_from_a_self_reference():
     # f only calls itself and g is called by nothing; K is imported and h is
     # reached as an attribute.
     assert {name for name in units.values() if name not in used} == {"f", "g"}
+
+
+def _unused_imports(text: str) -> list[str]:
+    """The names the module ``text`` imports and never uses; a name in its
+    ``__all__`` counts as used."""
+    imported: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant))
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = {
+        f"{path.parent.name}/{path.name}": names
+        for path in paths
+        if (names := _unused_imports(path.read_text()))
+    }
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_the_import_scan_sees_every_form_of_import():
+    text = (
+        "from __future__ import annotations\n"
+        "import os\nimport os.path\nimport numpy as np\n"
+        "from a import b, c as d, e\n"
+        "__all__ = ['e']\n"
+        "def f():\n    from g import h\n    return np.zeros(1), d\n"
+    )
+    assert _unused_imports(text) == ["b", "h", "os"]

@@ -176,7 +176,7 @@ def test_canonical_antistrategy_examples():
     fig1 = example_strategy()
     for s in range(1, 4):
         cp = next(all_canonical_plays(fig1.with_s(s)))
-        assert cp.result.outcome is PlayOutcome.DELAYER_WINS
+        assert play_simplified(fig1.with_s(s), cp.play).outcome is PlayOutcome.DELAYER_WINS
     cp3 = next(all_canonical_plays(fig1.with_s(3)))
     assert cp3.play.answers == (0, 1, 2)
 
@@ -184,8 +184,8 @@ def test_canonical_antistrategy_examples():
     looper = make_strategy(3, 1, 0, {(p, h): 0 for p in range(4) for h in range(3)})
     for s in (1, 5, 9, 23):
         cp = next(all_canonical_plays(looper.with_s(s)))
-        assert cp.result.outcome is PlayOutcome.DELAYER_WINS
-        assert not cp.gave_up
+        assert play_simplified(looper.with_s(s), cp.play).outcome is PlayOutcome.DELAYER_WINS
+        assert cp.gave_up_step is None
 
 
 def test_canonical_all_policies_enumeration():
@@ -195,7 +195,7 @@ def test_canonical_all_policies_enumeration():
     assert len(plays) >= 3
     assert any(cp.play.answers == (0, 1, 2) for cp in plays)
     for cp in plays:
-        assert cp.result.outcome is PlayOutcome.DELAYER_WINS
+        assert play_simplified(fig1, cp.play).outcome is PlayOutcome.DELAYER_WINS
 
 
 def test_brute_force_examples():
@@ -538,8 +538,8 @@ def test_canonical_wins_for_small_s_random():
         strat = index_to_strategy(int(rng.integers(0, strategy_space(3))), 3)
         for s in range(1, 4):
             cp = next(all_canonical_plays(strat.with_s(s)))
-            assert cp.result.outcome is PlayOutcome.DELAYER_WINS
-            assert not cp.gave_up
+            assert play_simplified(strat.with_s(s), cp.play).outcome is PlayOutcome.DELAYER_WINS
+            assert cp.gave_up_step is None
 
 
 def test_canonical_revisit_pins_all_lengths():

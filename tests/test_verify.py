@@ -648,9 +648,10 @@ def test_oracle_gate_checks_distinct_tables_once(n, monkeypatch):
 
 def test_report_line_format():
     rep = verify_small_n(1)
-    line = rep.line(timing=False)
+    line = rep.line(0.0)
     assert line.startswith("claim=small-n-1 space=")
     assert line.endswith("seconds=0.000")
+    assert rep.line(2.5).endswith("seconds=2.500")
 
 
 def test_oracle_gate_runs():
@@ -728,7 +729,7 @@ def test_theorem_main_checkpoint_resume(tmp_path):
     ck = tmp_path / "progress.txt"
     first = verify_theorem_main(n=1, checkpoint=ck, batch_size=4)
     lines = ck.read_text().splitlines()
-    assert lines[0] == "theorem-main checkpoint n=1 batch_size=4"
+    assert lines[0] == "theorem-main checkpoint n=1 batch_size=4 t_limit=4200 hold_back=2654435761%100"
     assert len(lines) == 3 and all(l.startswith("batch ") for l in lines[1:])
     # Resuming replays only the recorded batches and reproduces the report.
     second = verify_theorem_main(n=1, checkpoint=ck, batch_size=4)
@@ -786,7 +787,10 @@ def _sampled(tmp_path, n=4, **change):
 def test_theorem_main_sampled_checkpoint_resume(tmp_path, n):
     first = _sampled(tmp_path, n)
     lines = (tmp_path / "ck.txt").read_text().splitlines()
-    assert lines[0] == f"theorem-main checkpoint n={n} batch_size=128 sample=600 seed=8"
+    assert lines[0] == (
+        f"theorem-main checkpoint n={n} batch_size=128 t_limit=4200 hold_back=2654435761%100 "
+        "sample=600 seed=8"
+    )
     bounds = [line.split()[1:3] for line in lines[1:]]
     assert bounds == [[str(lo), str(min(lo + 128, 600))] for lo in range(0, 600, 128)]
     assert first.claim == f"theorem-main-n{n}-sampled" and first.space == 600
@@ -816,6 +820,21 @@ def test_checkpoint_refuses_another_run(tmp_path, change):
     before = (tmp_path / "ck.txt").read_text()
     with pytest.raises(CheckpointMismatch):
         _sampled(tmp_path, **change)
+    assert (tmp_path / "ck.txt").read_text() == before
+
+
+@pytest.mark.parametrize(
+    "constant, value",
+    [("T_LIMIT", 4000), ("HOLD_BACK_MODULUS", 50), ("HOLD_BACK_MULTIPLIER", 40503)],
+)
+def test_checkpoint_refuses_another_verdict_rule(tmp_path, monkeypatch, constant, value):
+    # A batch's verdict depends on the step limit and on which tables are
+    # held back from the fast path, so a resume under another rule is refused.
+    _sampled(tmp_path)
+    before = (tmp_path / "ck.txt").read_text()
+    monkeypatch.setattr(ver, constant, value)
+    with pytest.raises(CheckpointMismatch):
+        _sampled(tmp_path)
     assert (tmp_path / "ck.txt").read_text() == before
 
 
