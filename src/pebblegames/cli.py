@@ -87,7 +87,7 @@ def _input(read: Callable[[], object]):
     (a failed decode or parse) means the input is bad, not the program."""
     try:
         return read()
-    except ValueError as exc:  # StrategyParseError included
+    except ValueError as exc:  # ParseError included
         raise InputError(exc) from exc
 
 
@@ -98,7 +98,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for line in sg.adjacency_lines(strat):
         print("  " + line)
     loops = sorted(sg.find_loops(strat))
-    print("loops: " + (" ".join(f"({e.tail},{e.label})" for e in loops) if loops else "none"))
+    print("loops: " + (" ".join(f"({e.pigeon},{e.hole})" for e in loops) if loops else "none"))
     if strat.size.pigeon_count is None:
         tree = phpmod.build_php_tree(strat)
         loose = sorted(phpmod.find_loose_pairs(tree, strat.size))

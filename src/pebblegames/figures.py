@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+from pebblegames.matching import Record
 from pebblegames.simple_game import (
-    EdgeRef,
+    ParseError,
     PathSpec,
     SimpleStrategy,
     check_cover_by_two,
+    file_lines,
     parse_strategy,
 )
 
@@ -30,67 +32,70 @@ class CoverFigure:
     paths: tuple[PathSpec, ...]
 
     def check(self, horizon: int) -> bool:
-        a = self.paths[0]
-        b = self.paths[1] if len(self.paths) > 1 else None
-        return check_cover_by_two(a, b, self.threshold, horizon)
-
-
-class FigureParseError(ValueError):
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+        return check_cover_by_two(self.paths, self.threshold, horizon)
 
 
 def parse_cover(text: str) -> CoverFigure:
+    """Read a cover file.  A line that cannot be read, or an edge off the
+    header's ``n``-hole board, is refused naming its line."""
     name: Optional[str] = None
     n = threshold = None
     paths: list[PathSpec] = []
-    prefix: list[EdgeRef] = []
-    cycle: list[EdgeRef] = []
-    red: set[EdgeRef] = set()
+    prefix: list[Record] = []
+    cycle: list[Record] = []
+    red: set[Record] = set()
+    placed: list[tuple[Record, int]] = []  # every edge with its line
     in_cycle = False
     started = False
 
     def flush(line_no: int) -> None:
         nonlocal prefix, cycle, red, in_cycle
         if not prefix and not cycle:
-            raise FigureParseError(line_no, "empty path")
-        paths.append(PathSpec(tuple(prefix), tuple(cycle), frozenset(red)))
+            raise ParseError(line_no, "empty path")
+        try:
+            paths.append(PathSpec(tuple(prefix), tuple(cycle), frozenset(red)))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from exc
         prefix, cycle, red, in_cycle = [], [], set(), False
 
     line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for line_no, line, parts in file_lines(text):
         key = parts[0]
-        if key == "cover":
-            name = parts[1]
-        elif key == "n":
-            n = int(parts[1])
-        elif key == "threshold":
-            threshold = int(parts[1])
-        elif key == "path":
-            if started:
-                flush(line_no)
-            started = True
-        elif key == "cycle":
-            in_cycle = True
-        elif key in ("edge", "red-edge"):
-            if len(parts) != 3:
-                raise FigureParseError(line_no, f"bad edge line {line!r}")
-            e = EdgeRef(int(parts[1]), int(parts[2]))
-            (cycle if in_cycle else prefix).append(e)
-            if key == "red-edge":
-                red.add(e)
-        else:
-            raise FigureParseError(line_no, f"unknown key {key!r}")
+        try:
+            if key == "cover":
+                name = parts[1]
+            elif key == "n":
+                n = int(parts[1])
+            elif key == "threshold":
+                threshold = int(parts[1])
+            elif key == "path":
+                if started:
+                    flush(line_no)
+                started = True
+            elif key == "cycle":
+                in_cycle = True
+            elif key in ("edge", "red-edge"):
+                if len(parts) != 3:
+                    raise ParseError(line_no, f"bad edge line {line!r}")
+                e = Record(int(parts[1]), int(parts[2]))
+                (cycle if in_cycle else prefix).append(e)
+                placed.append((e, line_no))
+                if key == "red-edge":
+                    red.add(e)
+            else:
+                raise ParseError(line_no, f"unknown key {key!r}")
+        except (IndexError, ValueError) as exc:
+            if isinstance(exc, ParseError):
+                raise
+            raise ParseError(line_no, f"cannot parse {line!r}") from exc
     if not started:
-        raise FigureParseError(line_no or 1, "no path in cover file")
+        raise ParseError(line_no or 1, "no path in cover file")
     flush(line_no)
     if name is None or n is None or threshold is None:
-        raise FigureParseError(1, "missing cover/n/threshold header")
+        raise ParseError(1, "missing cover/n/threshold header")
+    for e, at in placed:
+        if not (0 <= e.pigeon <= n and 0 <= e.hole < n):
+            raise ParseError(at, f"edge {tuple(e)} is off the {n}-hole board")
     return CoverFigure(name, n, threshold, tuple(paths))
 
 
@@ -124,7 +129,10 @@ def load_figure(name: str) -> CoverFigure:
         .joinpath(f"data/figures/{name}.cover")
         .read_text()
     )
-    return parse_cover(text)
+    figure = parse_cover(text)
+    if figure.name != name:
+        raise ValueError(f"{name}.cover holds cover {figure.name!r}")
+    return figure
 
 
 def example_strategy() -> SimpleStrategy:

@@ -47,41 +47,36 @@ class PositionLabel:
 
 @dataclass(frozen=True)
 class G2Position:
-    """A downward-closed labeled subtree; the frontier is its largest vertex."""
+    """A labeled tree: ``domain`` is the tree of the labeled vertices, and
+    the frontier is its largest vertex."""
 
     labels: dict[Vertex, PositionLabel]
+    domain: FiniteTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        dom = tuple(sorted(self.labels))
-        if not dom:
-            raise ValueError("positions are nonempty")
-        have = set(dom)
-        for v in dom:
-            if v and v[:-1] not in have:
-                raise ValueError(f"domain not downward closed at {v}")
-            if len(self.labels[v].aux) != len(v):
+        # FiniteTree refuses an empty or not downward closed domain.  Labels
+        # grow along each root path; the prefix order is transitive, so each
+        # vertex is checked against its parent only.
+        object.__setattr__(self, "domain", FiniteTree(tuple(self.labels)))
+        for v in self.domain:
+            lab = self.labels[v]
+            if len(lab.aux) != len(v):
                 raise ValueError(f"aux length mismatch at {v}")
-        for v in dom:
-            for w in dom:
-                if is_prefix(v, w) and v != w:
-                    mv, mw = self.labels[v].matching, self.labels[w].matching
-                    if not set(mv.entries) <= set(mw.entries):
-                        raise ValueError(f"labels not monotone between {v} and {w}")
-                    av, aw = self.labels[v].aux, self.labels[w].aux
-                    if aw[: len(av)] != av:
-                        raise ValueError(f"aux not monotone between {v} and {w}")
-        object.__setattr__(self, "_dom", dom)
+            if not v:
+                continue
+            up = self.labels[v[:-1]]
+            if not set(up.matching.entries) <= set(lab.matching.entries):
+                raise ValueError(f"labels not monotone between {v[:-1]} and {v}")
+            if lab.aux[:-1] != up.aux:
+                raise ValueError(f"aux not monotone between {v[:-1]} and {v}")
 
     @property
     def dom(self) -> tuple[Vertex, ...]:
-        return self._dom  # type: ignore[attr-defined]
+        return self.domain.vertices
 
     @property
     def frontier(self) -> Vertex:
         return self.dom[-1]
-
-    def domain_tree(self) -> FiniteTree:
-        return FiniteTree(self.dom)
 
 
 def initial_position() -> G2Position:
@@ -183,7 +178,7 @@ def g2_apply(
     new = {v: l for v, l in pos.labels.items() if cut is None or not is_prefix(cut, v)}
     new[target] = PositionLabel(carried.matching.union(answer), carried.aux + (mv.b,))
     nxt = G2Position(new)
-    if tree_compare(pos.domain_tree(), nxt.domain_tree()) is not Ordering.LESS:
+    if tree_compare(pos.domain, nxt.domain) is not Ordering.LESS:
         raise ContractViolation(f"domain failed to grow: {pos.dom} -> {nxt.dom}")
     return G2StepResult(G2Tag.ONGOING, nxt)
 

@@ -12,19 +12,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from pebblegames.matching import GameSize
+from pebblegames.matching import GameSize, Record
 from pebblegames.simple_game import SimpleStrategy
 
 # A node is addressed by its root path of edge labels (holes are unique
 # along any root path, so the path of holes identifies the node).
 HolePath = tuple[int, ...]
-
-
-class LoosePair(NamedTuple):
-    pigeon: int
-    hole: int
 
 
 @dataclass(frozen=True)
@@ -125,12 +120,12 @@ def build_php_tree(strat: SimpleStrategy) -> PhpTree:
     return PhpTree(n, nodes)
 
 
-def find_loose_pairs(tree: PhpTree, size: GameSize) -> frozenset[LoosePair]:
+def find_loose_pairs(tree: PhpTree, size: GameSize) -> frozenset[Record]:
     """Pairs ``(p, h)`` never realized as node-label plus outgoing edge."""
     nodes = tree.nodes
     realized = {(nodes[path[:-1]], path[-1]) for path in nodes if path and path[:-1] in nodes}
     return frozenset(
-        LoosePair(p, h)
+        Record(p, h)
         for p in size.pigeons
         for h in size.holes
         if (p, h) not in realized

@@ -14,16 +14,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from pebblegames.matching import GameSize, Record, records_conflict
-
-
-class EdgeRef(NamedTuple):
-    """An edge of the strategy graph: tail pigeon plus hole label."""
-
-    tail: int
-    label: int
 
 
 @dataclass(frozen=True)
@@ -60,8 +53,10 @@ class SimpleStrategy:
     def with_s(self, s: int) -> "SimpleStrategy":
         return SimpleStrategy(self.size, s, self.init, self.table)
 
-    def edges(self) -> list[EdgeRef]:
-        return [EdgeRef(p, h) for p in self.size.pigeons for h in self.size.holes]
+    def edges(self) -> list[Record]:
+        """The edges of the strategy graph: edge ``(p, h)`` is the record
+        ``p -> h``, leaving node ``p`` for node ``F(p, h)``."""
+        return [Record(p, h) for p in self.size.pigeons for h in self.size.holes]
 
 
 def make_strategy(
@@ -163,12 +158,6 @@ def adjacency_lines(strat: SimpleStrategy) -> list[str]:
     return lines
 
 
-def edges_compatible(a: EdgeRef, b: EdgeRef) -> bool:
-    """True iff the two records form a partial one-to-one mapping."""
-    (p, h), (q, k) = a, b
-    return (p == q) == (h == k)
-
-
 @dataclass(frozen=True)
 class PathFlags:
     is_path: bool
@@ -177,31 +166,26 @@ class PathFlags:
     last_edge_globally_consistent: bool
 
 
-def path_consistency(strat: SimpleStrategy, path: Sequence[EdgeRef]) -> PathFlags:
+def path_consistency(strat: SimpleStrategy, path: Sequence[Record]) -> PathFlags:
     """The walk/consistency predicates for a candidate edge sequence."""
-    ok_walk = bool(path) and path[0].tail == strat.init
+    ok_walk = bool(path) and path[0].pigeon == strat.init
     for prev, nxt in zip(path, path[1:]):
-        if strat.table[prev.tail][prev.label] != nxt.tail:
+        if strat.next_question(prev) != nxt.pigeon:
             ok_walk = False
             break
-    local = all(edges_compatible(a, b) for a, b in zip(path, path[1:]))
+    local = _locally_consistent(path)
     glob = all(
-        edges_compatible(path[i], path[j])
+        not records_conflict(path[i], path[j])
         for i in range(len(path))
         for j in range(i + 1, len(path))
     )
-    last = bool(path) and all(edges_compatible(e, path[-1]) for e in path[:-1])
+    last = bool(path) and _last_globally_consistent(path)
     return PathFlags(ok_walk, local, glob, last)
 
 
-def find_loops(strat: SimpleStrategy) -> frozenset[EdgeRef]:
+def find_loops(strat: SimpleStrategy) -> frozenset[Record]:
     """Fixed points of the table: edges pointing back at their own tail."""
-    return frozenset(
-        EdgeRef(p, h)
-        for p in strat.size.pigeons
-        for h in strat.size.holes
-        if strat.table[p][h] == p
-    )
+    return frozenset(e for e in strat.edges() if strat.next_question(e) == e.pigeon)
 
 
 # ---------------------------------------------------------------------------
@@ -231,38 +215,25 @@ def all_canonical_plays(strat: SimpleStrategy) -> Iterator[CanonicalPlay]:
         gave_up_step: Optional[int],
         revisit: Optional[int],
     ) -> Iterator[CanonicalPlay]:
+        # A question asked before takes its first answer again.
+        while question in first_answer and len(answers) < strat.s:
+            if revisit is None:
+                revisit = len(answers) + 1
+            h = first_answer[question]
+            answers += (h,)
+            question = strat.next_question(Record(question, h))
         i = len(answers) + 1
         if i > strat.s:
             yield CanonicalPlay(Play(answers), revisit, gave_up_step)
             return
-        if question in first_answer:
-            h = first_answer[question]
-            yield from rec(
-                strat.next_question(Record(question, h)),
-                first_answer,
-                used,
-                answers + (h,),
-                gave_up_step,
-                revisit if revisit is not None else i,
-            )
-            return
-        unused = [h for h in strat.size.holes if h not in used]
-        if not unused:
-            h = 0
+        fresh = [(h, used + (h,)) for h in strat.size.holes if h not in used]
+        if not fresh and gave_up_step is None:
+            gave_up_step = i
+        for h, now_used in fresh or [(0, used)]:
             yield from rec(
                 strat.next_question(Record(question, h)),
                 {**first_answer, question: h},
-                used,
-                answers + (h,),
-                gave_up_step if gave_up_step is not None else i,
-                revisit,
-            )
-            return
-        for h in unused:
-            yield from rec(
-                strat.next_question(Record(question, h)),
-                {**first_answer, question: h},
-                used + (h,),
+                now_used,
                 answers + (h,),
                 gave_up_step,
                 revisit,
@@ -372,10 +343,6 @@ class WinCertificate:
         )
 
 
-def _edge_index(n: int, e: EdgeRef) -> int:
-    return e.tail * n + e.label
-
-
 @functools.cache
 def compatibility_masks(size: GameSize) -> tuple[int, ...]:
     """Bitmask per edge of all edges compatible with it.
@@ -383,10 +350,9 @@ def compatibility_masks(size: GameSize) -> tuple[int, ...]:
     This is board-level data: it is built once per ``GameSize``, cached, and
     the same tuple is shared by every certificate on that board.
     """
-    n = size.n
-    edges = [EdgeRef(p, h) for p in size.pigeons for h in size.holes]
+    edges = [Record(p, h) for p in size.pigeons for h in size.holes]
     return tuple(
-        sum(1 << _edge_index(n, f) for f in edges if edges_compatible(e, f))
+        sum(1 << i for i, f in enumerate(edges) if not records_conflict(e, f))
         for e in edges
     )
 
@@ -531,9 +497,9 @@ class PathSpec:
     """A finite edge prefix plus an optional repeating cycle, with the
     spec's own red (not globally consistent) edge set."""
 
-    prefix: tuple[EdgeRef, ...]
-    cycle: tuple[EdgeRef, ...]
-    red: frozenset[EdgeRef] = frozenset()
+    prefix: tuple[Record, ...]
+    cycle: tuple[Record, ...]
+    red: frozenset[Record] = frozenset()
 
     def __post_init__(self) -> None:
         if not self.prefix and not self.cycle:
@@ -544,16 +510,16 @@ class PathSpec:
         seq = list(self.prefix) + list(self.cycle)
         if self.cycle:
             seq.append(self.cycle[0])
-        succ: dict[EdgeRef, int] = {}
+        succ: dict[Record, int] = {}
         for a, b in zip(seq, seq[1:]):
-            if a in succ and succ[a] != b.tail:
+            if a in succ and succ[a] != b.pigeon:
                 raise ValueError(f"edge {a} has two successors; cycle breaks the walk")
-            succ[a] = b.tail
+            succ[a] = b.pigeon
         bad = self.red - set(self.prefix) - set(self.cycle)
         if bad:
             raise ValueError(f"red edges not on the path: {sorted(bad)}")
 
-    def unroll(self, s: int) -> tuple[EdgeRef, ...]:
+    def unroll(self, s: int) -> tuple[Record, ...]:
         if s <= len(self.prefix):
             return self.prefix[:s]
         if not self.cycle:
@@ -566,28 +532,22 @@ class PathSpec:
         return tuple(out)
 
 
-def _locally_consistent(walk: Sequence[EdgeRef]) -> bool:
-    return all(edges_compatible(a, b) for a, b in zip(walk, walk[1:]))
+def _locally_consistent(walk: Sequence[Record]) -> bool:
+    return all(not records_conflict(a, b) for a, b in zip(walk, walk[1:]))
 
 
-def _last_globally_consistent(walk: Sequence[EdgeRef]) -> bool:
+def _last_globally_consistent(walk: Sequence[Record]) -> bool:
     last = walk[-1]
-    return all(edges_compatible(e, last) for e in walk[:-1])
+    return all(not records_conflict(e, last) for e in walk[:-1])
 
 
-def check_cover_by_two(
-    spec_a: PathSpec,
-    spec_b: Optional[PathSpec],
-    threshold: int,
-    horizon: int,
-) -> bool:
+def check_cover_by_two(specs: Sequence[PathSpec], threshold: int, horizon: int) -> bool:
     """Machine-check a cover-by-two figure (or a single covering path).
 
     For every length in ``[threshold, threshold + horizon]`` the unrollings
     must be locally consistent, at least one must end in a non-red edge, and
     the red marking must equal recomputed last-edge global consistency.
     """
-    specs = [spec_a] if spec_b is None else [spec_a, spec_b]
     for s in range(threshold, threshold + horizon + 1):
         covered = False
         for spec in specs:
@@ -622,71 +582,84 @@ def format_strategy(strat: SimpleStrategy) -> str:
     return "\n".join(lines) + "\n"
 
 
-class StrategyParseError(ValueError):
+class ParseError(ValueError):
+    """A line of a strategy, play or cover file that cannot be read."""
+
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-def parse_strategy(text: str) -> SimpleStrategy:
-    """Read a strategy file.  Each board cell takes exactly one ``map`` line:
-    a repeated cell, or one off the board, is refused naming its line."""
-    n = s = init = pigeon_count = None
-    cells: dict[tuple[int, int], tuple[int, int]] = {}  # cell -> (value, line)
-    saw_game = False
+def file_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """The number, stripped text and words of each line of a file that is
+    neither blank nor a comment."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+        if line and not line.startswith("#"):
+            yield line_no, line, line.split()
+
+
+def parse_strategy(text: str) -> SimpleStrategy:
+    """Read a strategy file.  Each board cell takes exactly one ``map`` line:
+    a repeated cell, one off the board or a value that is not a pigeon is
+    refused naming its line, as is a header value the board cannot take."""
+    header: dict[str, tuple[int, int]] = {}  # key -> (value, line)
+    cells: dict[tuple[int, int], tuple[int, int]] = {}  # cell -> (value, line)
+    saw_game = False
+    for line_no, line, parts in file_lines(text):
         key = parts[0]
         try:
             if key == "game":
                 if parts[1:] != ["simple"]:
-                    raise StrategyParseError(line_no, f"unsupported game {line!r}")
+                    raise ParseError(line_no, f"unsupported game {line!r}")
                 saw_game = True
-            elif key == "n":
-                n = int(parts[1])
-            elif key == "s":
-                s = int(parts[1])
-            elif key == "init":
-                init = int(parts[1])
-            elif key == "pigeons":
-                pigeon_count = int(parts[1])
+            elif key in ("n", "s", "init", "pigeons"):
+                header[key] = (int(parts[1]), line_no)
             elif key == "map":
                 if len(parts) != 5 or parts[3] != "->":
-                    raise StrategyParseError(line_no, f"bad map line {line!r}")
+                    raise ParseError(line_no, f"bad map line {line!r}")
                 cell = (int(parts[1]), int(parts[2]))
                 if cell in cells:
-                    raise StrategyParseError(line_no, f"cell {cell} already mapped")
+                    raise ParseError(line_no, f"cell {cell} already mapped")
                 cells[cell] = (int(parts[4]), line_no)
             else:
-                raise StrategyParseError(line_no, f"unknown key {key!r}")
+                raise ParseError(line_no, f"unknown key {key!r}")
         except (IndexError, ValueError) as exc:
-            if isinstance(exc, StrategyParseError):
+            if isinstance(exc, ParseError):
                 raise
-            raise StrategyParseError(line_no, f"cannot parse {line!r}") from exc
+            raise ParseError(line_no, f"cannot parse {line!r}") from exc
     if not saw_game:
-        raise StrategyParseError(1, "missing 'game simple' header")
-    if n is None or s is None or init is None:
-        raise StrategyParseError(1, "missing n, s or init")
+        raise ParseError(1, "missing 'game simple' header")
+    if not {"n", "s", "init"} <= header.keys():
+        raise ParseError(1, "missing n, s or init")
+    (n, n_line), (s, s_line), (init, init_line) = (header[k] for k in ("n", "s", "init"))
+    pigeon_count, pigeons_line = header.get("pigeons", (None, None))
+    if n < 1:
+        raise ParseError(n_line, f"need at least one hole, got n={n}")
+    if s < 1:
+        raise ParseError(s_line, f"round count must be >= 1, got s={s}")
+    if pigeon_count is not None and pigeon_count < n + 1:
+        raise ParseError(pigeons_line, f"pigeon override {pigeon_count} must be >= n+1")
     size = GameSize(n, pigeon_count)
-    for (p, h), (_, line_no) in cells.items():
+    if init not in size.pigeons:
+        raise ParseError(init_line, f"initial question {init} not a pigeon")
+    for (p, h), (v, line_no) in cells.items():
         if p not in size.pigeons or h not in size.holes:
-            raise StrategyParseError(line_no, f"cell {(p, h)} is off the board")
+            raise ParseError(line_no, f"cell {(p, h)} is off the board")
+        if v not in size.pigeons:
+            raise ParseError(line_no, f"table value {v} not a pigeon")
     expected = len(size.pigeons) * n
     if len(cells) != expected:
-        raise StrategyParseError(1, f"expected {expected} map lines, got {len(cells)}")
+        raise ParseError(1, f"expected {expected} map lines, got {len(cells)}")
     return make_strategy(n, s, init, {c: v for c, (v, _) in cells.items()}, pigeon_count)
 
 
 def parse_play(text: str) -> Play:
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for line_no, line, parts in file_lines(text):
         if parts[0] != "answers":
-            raise StrategyParseError(line_no, f"expected 'answers ...', got {line!r}")
-        return Play(tuple(int(p) for p in parts[1:]))
-    raise StrategyParseError(1, "empty play file")
+            raise ParseError(line_no, f"expected 'answers ...', got {line!r}")
+        try:
+            return Play(tuple(int(p) for p in parts[1:]))
+        except ValueError as exc:
+            raise ParseError(line_no, f"cannot parse {line!r}") from exc
+    raise ParseError(1, "empty play file")

@@ -155,30 +155,16 @@ def ordinal_embed(t: FiniteTree, b: int, h: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class NCTreeShape:
-    """Shape constraints of the backtracking game's board tree."""
-
-    cfg: LogPower
-
-    @property
-    def max_height(self) -> int:
-        return self.cfg.C
-
-    @property
-    def max_branching(self) -> int:
-        return self.cfg.cap
-
-
-def is_nc_tree(t: FiniteTree, shape: NCTreeShape) -> bool:
-    """Height and branching within bounds, plus left-sibling closure."""
-    if t.height > shape.max_height:
+def is_nc_tree(t: FiniteTree, cfg: LogPower) -> bool:
+    """Height at most ``cfg.C`` and branching at most ``cfg.cap``, plus
+    left-sibling closure: the shape of the backtracking game's board tree."""
+    if t.height > cfg.C:
         return False
     have = set(t.vertices)
     for v in t:
         if not v:
             continue
-        if v[-1] > shape.max_branching:
+        if v[-1] > cfg.cap:
             return False
         if v[-1] > 1 and v[:-1] + (v[-1] - 1,) not in have:
             return False

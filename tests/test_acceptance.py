@@ -9,7 +9,8 @@ import os
 import time
 
 from pebblegames.figures import FIGURE_NAMES, example_strategy
-from pebblegames.simple_game import find_loops, EdgeRef
+from pebblegames.matching import Record
+from pebblegames.simple_game import find_loops
 from pebblegames import verify as ver
 
 
@@ -136,7 +137,7 @@ def test_criterion_08_g2prime_preservation():
 def test_criterion_09_figures():
     """Loops of the example table and all shipped figure certificates."""
     loops = find_loops(example_strategy())
-    loops_ok = loops == frozenset({EdgeRef(2, 0), EdgeRef(2, 1), EdgeRef(3, 2)})
+    loops_ok = loops == frozenset({Record(2, 0), Record(2, 1), Record(3, 2)})
     report = ver.verify_figures()
     expected = {
         "fig4", "fig5", "fig6", "fig7", "fig9", "fig12", "fig14", "fig15",

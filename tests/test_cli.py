@@ -63,8 +63,9 @@ def test_malformed_file_exit_2(tmp_path, capsys):
         # The off-board cell stands in for the missing (1, 0).
         ("map 0 0 -> 1\nmap 5 0 -> 0\n", 6, "off the board"),
         ("map 0 0 -> 1\nmap 1 0 -> 0\nmap 0 0 -> 0\n", 7, "already mapped"),
+        ("map 0 0 -> 9\nmap 1 0 -> 0\n", 5, "table value 9 not a pigeon"),
     ],
-    ids=["off-board", "repeated"],
+    ids=["off-board", "repeated", "value"],
 )
 def test_bad_map_cell_exit_2(tmp_path, capsys, maps, line, message):
     bad = tmp_path / "bad.strat"
@@ -72,6 +73,13 @@ def test_bad_map_cell_exit_2(tmp_path, capsys, maps, line, message):
     assert run(["analyze", str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}" in err and message in err
+
+
+def test_play_names_the_answers_line_it_refuses(fig1_path, tmp_path, capsys):
+    answers = tmp_path / "p.play"
+    answers.write_text("# Delayer's holes\nanswers 0 x\n")
+    assert run(["play", str(fig1_path), str(answers)]) == 2
+    assert "error: line 2: cannot parse 'answers 0 x'" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 import inspect
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebblegames import g2 as g2mod
 from pebblegames import g2prime as g2p
@@ -27,8 +28,16 @@ from pebblegames.g2prime import (
     required_prime_degree,
     to_g2prime,
 )
-from pebblegames.matching import LogPower, Matching, Query, Record, minimal_covers
-from pebblegames.trees import FiniteTree, NCTreeShape, Ordering, TreeOracle, is_nc_tree
+from pebblegames.matching import (
+    GameSize,
+    LogPower,
+    Matching,
+    Query,
+    Record,
+    all_matchings,
+    minimal_covers,
+)
+from pebblegames.trees import FiniteTree, Ordering, TreeOracle, is_nc_tree
 from pebblegames.verify import _seeded_oblivious, verify_g2_properties, verify_g2prime
 
 CFG = LogPower(3, 2)
@@ -163,10 +172,72 @@ def test_position_invariants():
         )
 
 
+def _all_pairs_valid(labels):
+    """The label conditions checked between every vertex and each of its
+    proper descendants, not between parents and children only."""
+    if any(len(lab.aux) != len(v) for v, lab in labels.items()):
+        return False
+    for v, up in labels.items():
+        for w, down in labels.items():
+            if v != w and w[: len(v)] == v:
+                if not set(up.matching.entries) <= set(down.matching.entries):
+                    return False
+                if down.aux[: len(up.aux)] != up.aux:
+                    return False
+    return True
+
+
+_BOARD_MATCHINGS = list(all_matchings(GameSize(3)))
+
+
+@st.composite
+def _labelings(draw):
+    """A tree of depth up to 4 whose labels grow down each root path, then
+    up to two labels at depth 2 or more replaced: by a grown label of
+    another parent, or by an arbitrary matching and aux."""
+    records = st.builds(Record, st.integers(0, 3), st.integers(0, 2))
+
+    def grown(up):
+        entries = up.matching.entries + tuple(draw(st.lists(records, max_size=2)))
+        try:
+            matching = Matching(entries)
+        except ValueError:
+            matching = up.matching
+        return PositionLabel(matching, up.aux + (draw(st.integers(1, 3)),))
+
+    labels = {(): PositionLabel(Matching(), ())}
+    stack = [()]
+    while stack:
+        v = stack.pop()
+        for i in range(1, (draw(st.integers(0, 2)) if len(v) < 4 else 0) + 1):
+            labels[v + (i,)] = grown(labels[v])
+            stack.append(v + (i,))
+    deep = sorted(v for v in labels if len(v) >= 2)
+    for v in draw(st.lists(st.sampled_from(deep), max_size=2)) if deep else ():
+        if draw(st.booleans()):
+            labels[v] = grown(labels[draw(st.sampled_from(sorted(labels)))])
+        else:
+            matching = draw(st.sampled_from(_BOARD_MATCHINGS))
+            aux = tuple(draw(st.lists(st.integers(1, 3), min_size=len(v), max_size=len(v))))
+            labels[v] = PositionLabel(matching, aux)
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=_labelings())
+def test_parent_checks_accept_what_the_all_pairs_check_accepts(labels):
+    try:
+        G2Position(labels)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _all_pairs_valid(labels)
+
+
 def test_root_ramify_tree_shape():
     tree = root_ramify_tree(3)
     assert tree.vertices == ((), (1,), (1, 1), (2,), (2, 1), (3,), (3, 1), (4,), (4, 1))
-    assert is_nc_tree(tree, NCTreeShape(CFG))
+    assert is_nc_tree(tree, CFG)
 
 
 def test_root_ramify_rejects_bad_parameters():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebblegames.matching import (
     GameSize,
@@ -23,6 +24,24 @@ def test_records_conflict_examples():
     assert records_conflict(Record(0, 0), Record(1, 0))
     assert records_conflict(Record(0, 0), Record(0, 1))
     assert not records_conflict(Record(0, 0), Record(1, 1))
+
+
+@st.composite
+def _two_cells(draw):
+    """Two (pigeon, hole) cells of one board, the 2**n-pigeon board included."""
+    n = draw(st.integers(1, 4))
+    size = GameSize(n, draw(st.sampled_from((None, 2**n))))
+    pigeon, hole = st.sampled_from(size.pigeons), st.sampled_from(size.holes)
+    return draw(pigeon), draw(hole), draw(pigeon), draw(hole)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_two_cells())
+def test_records_conflict_is_the_matching_definition(cells):
+    # Two edges of the strategy graph are compatible when their records do
+    # not conflict: they form a partial one-to-one mapping.
+    p, h, q, k = cells
+    assert (not records_conflict(Record(p, h), Record(q, k))) == ((p == q) == (h == k))
 
 
 def test_records_conflict_symmetric_irreflexive():

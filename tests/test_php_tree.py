@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebblegames.figures import example_strategy
-from pebblegames.matching import GameSize
+from pebblegames.matching import GameSize, Record
 from pebblegames.php_tree import (
-    LoosePair,
     PhpTree,
     build_php_tree,
     commit_to_root,
@@ -85,8 +84,8 @@ def test_validation_rejects_a_missing_ancestor():
     assert not validate_php_tree(orphan)
     # Only (0, 1, 2) hangs below a node: label 1 with hole 2 is realized.
     assert find_loose_pairs(orphan, GameSize(3)) == frozenset(
-        LoosePair(p, h) for p in range(4) for h in range(3)
-    ) - {LoosePair(1, 2)}
+        Record(p, h) for p in range(4) for h in range(3)
+    ) - {Record(1, 2)}
 
 
 def _per_node_validate(tree):
@@ -117,7 +116,7 @@ def _assert_checks_agree_with_per_node_children(tree):
     )
     realized = {(tree.nodes[path], h) for path in tree.nodes for h in tree.children(path)}
     assert find_loose_pairs(tree, size) == frozenset(
-        LoosePair(p, h) for p in size.pigeons for h in size.holes if (p, h) not in realized
+        Record(p, h) for p in size.pigeons for h in size.holes if (p, h) not in realized
     )
 
 
@@ -202,12 +201,15 @@ def test_build_fig1():
     assert is_symmetric(t)
     assert not is_complete(t)
     assert find_loose_pairs(t, GameSize(3)) == frozenset(
-        {LoosePair(2, 0), LoosePair(2, 1), LoosePair(3, 2)}
+        {Record(2, 0), Record(2, 1), Record(3, 2)}
     )
+    # NamedTuples compare as tuples, so the set comparison alone would pass
+    # a pair type of its own.
+    assert all(type(e) is Record for e in find_loose_pairs(t, GameSize(3)))
 
 
 def test_php1_loose_pair():
-    assert LoosePair(0, 1) in find_loose_pairs(php1_tree(), GameSize(3))
+    assert Record(0, 1) in find_loose_pairs(php1_tree(), GameSize(3))
 
 
 def test_build_always_valid_and_symmetric_random():

@@ -7,7 +7,8 @@ is by name only, so it can be fooled by an unrelated attribute of the same
 name, but it catches a helper that nothing calls any more.  The units that
 stay although ``src/`` never reaches them are listed in ``TEST_REFERENCES``
 with the reason they stay.  A name that a module of ``src/`` or ``tests/``
-imports must be used in that module, or be listed in its ``__all__``.
+imports must be used in that module, or be listed in its ``__all__``.  No
+two module-level functions or classes of ``src/`` share a body.
 """
 
 from __future__ import annotations
@@ -101,6 +102,46 @@ def test_the_scan_tells_a_call_from_a_self_reference():
     # f only calls itself and g is called by nothing; K is imported and h is
     # reached as an attribute.
     assert {name for name in units.values() if name not in used} == {"f", "g"}
+
+
+def _body_key(unit: ast.AST) -> str:
+    """The ``ast.dump`` of a unit's body without its docstring and ``pass``
+    statements; empty when nothing else is left."""
+    body = [
+        stmt
+        for stmt in unit.body
+        if not isinstance(stmt, ast.Pass)
+        and not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+    ]
+    return "".join(ast.dump(stmt) for stmt in body)
+
+
+def _duplicate_units(sources: dict[str, str]) -> list[list[str]]:
+    """The groups of module-level units of ``{module: source text}`` that
+    share a nonempty body."""
+    by_body: dict[str, list[str]] = {}
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, UNIT) and (key := _body_key(stmt)):
+                by_body.setdefault(key, []).append(f"{module}.{stmt.name}")
+    return [names for names in by_body.values() if len(names) > 1]
+
+
+def test_no_two_units_share_a_body():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    duplicates = _duplicate_units(sources)
+    assert not duplicates, f"units defined twice: {duplicates}"
+
+
+def test_the_duplicate_scan_skips_empty_bodies_and_docstrings():
+    pair = "    x: int\n    y: int\n"
+    assert _duplicate_units(
+        {
+            "a": f'class P:\n    """A point."""\n{pair}\nclass E(Exception):\n    """Bad."""\n',
+            "b": f"class Q:\n{pair}\nclass F(Exception):\n    pass\n\ndef g():\n    return 1\n",
+            "c": "def h():\n    return 2\n",
+        }
+    ) == [["a.P", "b.Q"]]
 
 
 def _unused_imports(text: str) -> list[str]:

@@ -1,20 +1,20 @@
 import itertools
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebblegames.figures import FIGURE_NAMES, example_strategy, load_figure, parse_cover
-from pebblegames import simple_game
+from pebblegames import figures, simple_game
 from pebblegames.matching import GameSize, Record, records_conflict
 from pebblegames.simple_game import (
-    EdgeRef,
+    ParseError,
     PathSpec,
     Play,
     PlayOutcome,
     SearchBudgetExceeded,
-    StrategyParseError,
     WinCertificate,
     adjacency_lines,
     all_canonical_plays,
@@ -23,7 +23,6 @@ from pebblegames.simple_game import (
     check_cover_by_two,
     compatibility_masks,
     delayer_wins_lengths,
-    edges_compatible,
     find_loops,
     format_strategy,
     make_strategy,
@@ -67,6 +66,8 @@ def test_play_incomplete_and_too_long():
 def test_build_graph_counts():
     fig1 = example_strategy()
     assert len(fig1.edges()) == 12
+    # An edge of the strategy graph is a record, not a tuple like one.
+    assert all(type(e) is Record for e in fig1.edges())
     assert fig1.init == 0
     assert adjacency_lines(fig1) == [
         "*0: 0->1 1->1 2->3",
@@ -79,27 +80,18 @@ def test_build_graph_counts():
 
 
 def test_edges_compatible():
-    assert not edges_compatible(EdgeRef(2, 0), EdgeRef(2, 1))
-    assert not edges_compatible(EdgeRef(0, 0), EdgeRef(1, 0))
-    assert edges_compatible(EdgeRef(0, 0), EdgeRef(1, 1))
-
-
-@st.composite
-def _two_cells(draw):
-    """Two (pigeon, hole) cells of one board, the 2**n-pigeon board included."""
-    n = draw(st.integers(1, 4))
-    size = GameSize(n, draw(st.sampled_from((None, 2**n))))
-    pigeon, hole = st.sampled_from(size.pigeons), st.sampled_from(size.holes)
-    return draw(pigeon), draw(hole), draw(pigeon), draw(hole)
-
-
-@settings(max_examples=300, deadline=None)
-@given(cells=_two_cells())
-def test_edges_compatible_is_the_matching_definition(cells):
-    p, h, q, k = cells
-    defined = (p == q) == (h == k)
-    assert edges_compatible(EdgeRef(p, h), EdgeRef(q, k)) == defined
-    assert (not records_conflict(Record(p, h), Record(q, k))) == defined
+    # Two edges are compatible when their records do not conflict; the
+    # board's compatibility masks hold the same fact.
+    size = GameSize(2)
+    masks = compatibility_masks(size)
+    index = {(p, h): len(size.holes) * p + h for p in size.pigeons for h in size.holes}
+    for (a, b), compatible in [
+        (((2, 0), (2, 1)), False),
+        (((0, 0), (1, 0)), False),
+        (((0, 0), (1, 1)), True),
+    ]:
+        assert (not records_conflict(Record(*a), Record(*b))) == compatible
+        assert bool(masks[index[a]] >> index[b] & 1) == compatible
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -136,8 +128,9 @@ def test_dfs_oracle_does_not_read_the_certificate_masks(monkeypatch):
 def test_find_loops_fig1():
     fig1 = example_strategy()
     assert find_loops(fig1) == frozenset(
-        {EdgeRef(2, 0), EdgeRef(2, 1), EdgeRef(3, 2)}
+        {Record(2, 0), Record(2, 1), Record(3, 2)}
     )
+    assert all(type(e) is Record for e in find_loops(fig1))
     no_loops = make_strategy(
         3, 1, 0, {(p, h): (p + 1) % 4 for p in range(4) for h in range(3)}
     )
@@ -152,7 +145,7 @@ def test_path_consistency_fig2_chain():
         for h in range(n):
             table[(p, h)] = p - 1 if (p >= 1 and h == p - 1) else p
     strat = make_strategy(n, n, n, table)
-    chain = [EdgeRef(k, k - 1) for k in range(n, 0, -1)]
+    chain = [Record(k, k - 1) for k in range(n, 0, -1)]
     flags = path_consistency(strat, chain)
     assert flags.is_path and flags.locally_consistent
     assert flags.globally_consistent and flags.last_edge_globally_consistent
@@ -160,11 +153,11 @@ def test_path_consistency_fig2_chain():
 
 def test_path_consistency_fig1_paths():
     fig1 = example_strategy()
-    good = [EdgeRef(0, 2), EdgeRef(3, 1), EdgeRef(2, 0)]
+    good = [Record(0, 2), Record(3, 1), Record(2, 0)]
     flags = path_consistency(fig1, good)
     assert flags.is_path and flags.locally_consistent and flags.globally_consistent
 
-    bad = [EdgeRef(0, 0), EdgeRef(1, 1), EdgeRef(2, 0)]
+    bad = [Record(0, 0), Record(1, 1), Record(2, 0)]
     flags2 = path_consistency(fig1, bad)
     assert flags2.is_path and flags2.locally_consistent
     assert not flags2.last_edge_globally_consistent
@@ -213,10 +206,10 @@ def _enumerated_wins(strat, s_max):
         for answers in itertools.product(strat.size.holes, repeat=s):
             walk, question = [], strat.init
             for h in answers:
-                walk.append(EdgeRef(question, h))
+                walk.append(Record(question, h))
                 question = strat.table[question][h]
-            local = all(edges_compatible(a, b) for a, b in zip(walk, walk[1:]))
-            if local and all(edges_compatible(e, walk[-1]) for e in walk[:-1]):
+            local = all(not records_conflict(a, b) for a, b in zip(walk, walk[1:]))
+            if local and all(not records_conflict(e, walk[-1]) for e in walk[:-1]):
                 won.add(s)
                 break
     return frozenset(won)
@@ -384,7 +377,7 @@ def test_play_outcome_matches_path_classification():
             edges = []
             q = strat.init
             for h in play.answers:
-                edges.append(EdgeRef(q, h))
+                edges.append(Record(q, h))
                 q = strat.table[q][h]
             flags = path_consistency(strat, edges)
             delayer_won = flags.locally_consistent and flags.last_edge_globally_consistent
@@ -425,10 +418,11 @@ def test_subset_prover_n1():
 
 def test_check_cover_by_two_fig4():
     fig4 = load_figure("fig4")
-    assert fig4.paths[0].prefix == (EdgeRef(3, 2), EdgeRef(2, 1), EdgeRef(1, 2))
-    assert fig4.paths[0].cycle == (EdgeRef(0, 0),)
-    assert fig4.paths[0].red == frozenset({EdgeRef(1, 2)})
-    assert check_cover_by_two(fig4.paths[0], None, 4, 60)
+    assert fig4.paths[0].prefix == (Record(3, 2), Record(2, 1), Record(1, 2))
+    assert fig4.paths[0].cycle == (Record(0, 0),)
+    assert fig4.paths[0].red == frozenset({Record(1, 2)})
+    assert all(type(e) is Record for e in fig4.paths[0].prefix + fig4.paths[0].cycle)
+    assert check_cover_by_two(fig4.paths, 4, 60)
 
 
 def test_fig5_parity():
@@ -454,8 +448,8 @@ def test_cover_negative_control():
     fig4 = load_figure("fig4")
     a = fig4.paths[0]
     # Marking the covering loop edge red must fail the certificate.
-    poisoned = PathSpec(a.prefix, a.cycle, a.red | {EdgeRef(0, 0)})
-    assert not check_cover_by_two(poisoned, None, 4, 20)
+    poisoned = PathSpec(a.prefix, a.cycle, a.red | {Record(0, 0)})
+    assert not check_cover_by_two([poisoned], 4, 20)
 
 
 def test_cover_red_must_match_recomputation():
@@ -465,7 +459,7 @@ def test_cover_red_must_match_recomputation():
     fig5 = load_figure("fig5")
     a, b = fig5.paths
     whitewashed = PathSpec(a.prefix, a.cycle, frozenset())
-    assert not check_cover_by_two(whitewashed, b, 4, 20)
+    assert not check_cover_by_two([whitewashed, b], 4, 20)
 
 
 def test_path_spec_validation():
@@ -473,10 +467,10 @@ def test_path_spec_validation():
         PathSpec((), ())
     with pytest.raises(ValueError):
         # Edge (0,0) cannot have two different successors.
-        PathSpec((EdgeRef(0, 0), EdgeRef(1, 1), EdgeRef(0, 0)), (EdgeRef(2, 2),))
+        PathSpec((Record(0, 0), Record(1, 1), Record(0, 0)), (Record(2, 2),))
     with pytest.raises(ValueError):
-        PathSpec((EdgeRef(0, 0),), (), frozenset({EdgeRef(1, 1)}))
-    finite = PathSpec((EdgeRef(0, 0),), ())
+        PathSpec((Record(0, 0),), (), frozenset({Record(1, 1)}))
+    finite = PathSpec((Record(0, 0),), ())
     with pytest.raises(ValueError):
         finite.unroll(2)
 
@@ -484,6 +478,51 @@ def test_path_spec_validation():
 def test_parse_cover_rejects_garbage():
     with pytest.raises(ValueError):
         parse_cover("cover x\nn 3\nthreshold 4\npath\nwhat 1 2\n")
+
+
+_STRATEGY_HEAD = "game simple\nn 1\ns 2\ninit 0\n"
+_MAPS = "map 0 0 -> 1\nmap 1 0 -> 0\n"
+_COVER_HEAD = "cover x\nn 3\nthreshold 4\npath\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line_no, message",
+    [
+        (parse_strategy, _STRATEGY_HEAD + "map 0 0 -> 9\nmap 1 0 -> 0\n", 5, "not a pigeon"),
+        (parse_strategy, _STRATEGY_HEAD.replace("init 0", "init 7") + _MAPS, 4, "not a pigeon"),
+        (parse_strategy, _STRATEGY_HEAD.replace("n 1", "n 0"), 2, "at least one hole"),
+        (parse_strategy, _STRATEGY_HEAD.replace("s 2", "s 0"), 3, "round count"),
+        (parse_strategy, _STRATEGY_HEAD + "pigeons 1\n", 5, "pigeon override"),
+        (parse_play, "# answers\nanswers 0 x\n", 2, "cannot parse"),
+        (parse_cover, "cover\nn 3\nthreshold 4\npath\nedge 0 0\n", 1, "cannot parse"),
+        (parse_cover, "cover x\nn three\nthreshold 4\npath\nedge 0 0\n", 2, "cannot parse"),
+        (parse_cover, _COVER_HEAD + "edge 0 q\n", 5, "cannot parse"),
+        (parse_cover, _COVER_HEAD + "edge 0 0\nedge 1 1\nedge 0 0\ncycle\nedge 2 2\n", 9, "two succ"),
+    ],
+    ids=["map-value", "init", "n", "s", "pigeons", "answer", "cover", "cover-n", "edge", "path"],
+)
+def test_parsers_name_the_line_they_refuse(parse, text, line_no, message):
+    with pytest.raises(ParseError, match=message) as refused:
+        parse(text)
+    assert refused.value.line_no == line_no
+    assert str(refused.value).startswith(f"line {line_no}: ")
+
+
+@pytest.mark.parametrize("edge", ["4 0", "0 3", "-1 0"])
+def test_cover_edges_stay_on_the_header_board(edge):
+    with pytest.raises(ParseError, match="off the 3-hole board") as refused:
+        parse_cover(_COVER_HEAD + f"edge 3 2\nedge {edge}\n")
+    assert refused.value.line_no == 6
+
+
+def test_load_figure_refuses_a_file_of_another_cover(tmp_path, monkeypatch):
+    planted = tmp_path / "data" / "figures" / "fig4.cover"
+    planted.parent.mkdir(parents=True)
+    fig5 = resources.files("pebblegames").joinpath("data/figures/fig5.cover")
+    planted.write_text(fig5.read_text())
+    monkeypatch.setattr(figures.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ValueError, match="fig4.cover holds cover 'fig5'"):
+        load_figure("fig4")
 
 
 def test_strategy_file_round_trip():
@@ -520,7 +559,7 @@ def test_strategy_file_refuses_a_repeated_or_off_board_cell(data, n, duplicate):
         far = data.draw(st.integers(0, 9))
         p, h = data.draw(st.sampled_from([(n + 1 + far, h), (-1 - far, h), (p, n + far)]))
         lines[i] = f"map {p} {h} -> {v}"
-    with pytest.raises(StrategyParseError, match="already mapped" if duplicate else "off the board"):
+    with pytest.raises(ParseError, match="already mapped" if duplicate else "off the board"):
         parse_strategy("\n".join(lines) + "\n")
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from pebblegames.matching import LogPower
 from pebblegames.trees import (
     FiniteTree,
-    NCTreeShape,
     Ordering,
     all_trees,
     component,
@@ -131,11 +130,9 @@ def test_ordinal_embed_within_remark_bound():
 
 def test_is_nc_tree():
     cfg = LogPower(3, 2)
-    shape = NCTreeShape(cfg)
-    assert is_nc_tree(FiniteTree(((),)), shape)
-    assert not is_nc_tree(FiniteTree(((), (2,))), shape)  # left-sibling gap
-    shallow = NCTreeShape(LogPower(3, 1))
-    assert not is_nc_tree(FiniteTree(((), (1,), (1, 1))), shallow)
+    assert is_nc_tree(FiniteTree(((),)), cfg)
+    assert not is_nc_tree(FiniteTree(((), (2,))), cfg)  # left-sibling gap
+    assert not is_nc_tree(FiniteTree(((), (1,), (1, 1))), LogPower(3, 1))
 
 
 def test_tree_text_round_trip():
