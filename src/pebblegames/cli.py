@@ -256,13 +256,25 @@ def _cmd_order(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_answers(text: str) -> list[int]:
+    """The hole answers of a ``g2sim --answers`` file, whitespace-separated
+    integers; a line that holds anything else is refused naming it."""
+    answers: list[int] = []
+    for line_no, line, parts in sg.file_lines(text):
+        try:
+            answers.extend(int(p) for p in parts)
+        except ValueError as exc:
+            raise sg.ParseError(line_no, f"cannot parse {line!r}") from exc
+    return answers
+
+
 def _cmd_g2sim(args: argparse.Namespace) -> int:
     cfg = _input(lambda: LogPower(args.n, args.C))
     tree, strategy = _input(lambda: g2mod.prover_root_ramify(args.n, cfg))
     oracle = treemod.TreeOracle.explicit(tree)
     answers: list[int] = []
     if args.answers:
-        answers = _input(lambda: [int(x) for x in args.answers.read_text().split()])
+        answers = _input(lambda: _parse_answers(args.answers.read_text()))
     pointer = {"i": 0}
 
     def delayer(pos: g2mod.G2Position, q: Query):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
 
 from pebblegames.matching import Record
 from pebblegames.simple_game import (
@@ -21,6 +20,7 @@ from pebblegames.simple_game import (
     check_cover_by_two,
     file_lines,
     parse_strategy,
+    read_header,
 )
 
 
@@ -36,10 +36,10 @@ class CoverFigure:
 
 
 def parse_cover(text: str) -> CoverFigure:
-    """Read a cover file.  A line that cannot be read, or an edge off the
-    header's ``n``-hole board, is refused naming its line."""
-    name: Optional[str] = None
-    n = threshold = None
+    """Read a cover file.  A line that cannot be read, a repeated header key,
+    or an edge off the header's ``n``-hole board, is refused naming its
+    line."""
+    header: dict[str, tuple] = {}  # key -> (value, line)
     paths: list[PathSpec] = []
     prefix: list[Record] = []
     cycle: list[Record] = []
@@ -62,12 +62,8 @@ def parse_cover(text: str) -> CoverFigure:
     for line_no, line, parts in file_lines(text):
         key = parts[0]
         try:
-            if key == "cover":
-                name = parts[1]
-            elif key == "n":
-                n = int(parts[1])
-            elif key == "threshold":
-                threshold = int(parts[1])
+            if key in ("cover", "n", "threshold"):
+                read_header(header, line_no, line, str if key == "cover" else int)
             elif key == "path":
                 if started:
                     flush(line_no)
@@ -91,8 +87,9 @@ def parse_cover(text: str) -> CoverFigure:
     if not started:
         raise ParseError(line_no or 1, "no path in cover file")
     flush(line_no)
-    if name is None or n is None or threshold is None:
+    if not {"cover", "n", "threshold"} <= header.keys():
         raise ParseError(1, "missing cover/n/threshold header")
+    (name, _), (n, _), (threshold, _) = (header[k] for k in ("cover", "n", "threshold"))
     for e, at in placed:
         if not (0 <= e.pigeon <= n and 0 <= e.hole < n):
             raise ParseError(at, f"edge {tuple(e)} is off the {n}-hole board")

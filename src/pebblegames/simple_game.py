@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from pebblegames.matching import GameSize, Record, records_conflict
 
@@ -599,22 +599,36 @@ def file_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
             yield line_no, line, line.split()
 
 
+def read_header(
+    header: dict[str, tuple], line_no: int, line: str, convert: Callable[[str], object] = int
+) -> None:
+    """Store ``header[key] = (value, line_no)`` from a header line
+    ``key value``.  A key takes exactly one value and appears once; any
+    other line is refused naming it."""
+    key, *values = line.split()
+    if len(values) != 1:
+        raise ParseError(line_no, f"cannot parse {line!r}: {key!r} takes one value")
+    if key in header:
+        raise ParseError(line_no, f"{key!r} already given on line {header[key][1]}")
+    header[key] = (convert(values[0]), line_no)
+
+
 def parse_strategy(text: str) -> SimpleStrategy:
-    """Read a strategy file.  Each board cell takes exactly one ``map`` line:
-    a repeated cell, one off the board or a value that is not a pigeon is
-    refused naming its line, as is a header value the board cannot take."""
-    header: dict[str, tuple[int, int]] = {}  # key -> (value, line)
+    """Read a strategy file.  Each header key takes one value on one line,
+    and each board cell exactly one ``map`` line: a repeated key or cell, one
+    off the board or a value that is not a pigeon is refused naming its
+    line, as is a header value the board cannot take."""
+    header: dict[str, tuple] = {}  # key -> (value, line)
     cells: dict[tuple[int, int], tuple[int, int]] = {}  # cell -> (value, line)
-    saw_game = False
     for line_no, line, parts in file_lines(text):
         key = parts[0]
         try:
             if key == "game":
-                if parts[1:] != ["simple"]:
+                read_header(header, line_no, line, str)
+                if header[key][0] != "simple":
                     raise ParseError(line_no, f"unsupported game {line!r}")
-                saw_game = True
             elif key in ("n", "s", "init", "pigeons"):
-                header[key] = (int(parts[1]), line_no)
+                read_header(header, line_no, line)
             elif key == "map":
                 if len(parts) != 5 or parts[3] != "->":
                     raise ParseError(line_no, f"bad map line {line!r}")
@@ -628,7 +642,7 @@ def parse_strategy(text: str) -> SimpleStrategy:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(line_no, f"cannot parse {line!r}") from exc
-    if not saw_game:
+    if "game" not in header:
         raise ParseError(1, "missing 'game simple' header")
     if not {"n", "s", "init"} <= header.keys():
         raise ParseError(1, "missing n, s or init")

@@ -216,15 +216,23 @@ def format_tree(t: FiniteTree) -> str:
 
 
 def parse_tree(lines: Iterable[str]) -> FiniteTree:
-    vs = []
+    """Read a tree file, one vertex per line.  A line that is not a vertex,
+    or whose vertex has no parent in the file, is refused naming it."""
+    at: dict[Vertex, int] = {}  # vertex -> its first line
     for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            vs.append(parse_vertex(line))
+            v = parse_vertex(line)
         except ValueError as exc:
             raise ValueError(f"line {i}: bad vertex {line!r}") from exc
-    if not vs:
+        if any(k < 1 for k in v):
+            raise ValueError(f"line {i}: bad vertex {line!r}: child indices start at 1")
+        at.setdefault(v, i)
+    if not at:
         raise ValueError("empty tree file")
-    return FiniteTree(tuple(vs))
+    for v, i in at.items():
+        if v and v[:-1] not in at:
+            raise ValueError(f"line {i}: {format_vertex(v)} has no parent {format_vertex(v[:-1])}")
+    return FiniteTree(tuple(at))

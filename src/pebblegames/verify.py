@@ -29,7 +29,9 @@ refused), one counterexample writer and one process pool.
 
 One engine serves both batch sweeps.  ``certify_batch`` (the headline
 sweep) walks the edges compatible with each candidate; ``loop_bound_batch``
-(criterion 10) walks the same planes without the candidate edge itself.
+(criterion 10) walks the same planes without the candidate edge itself, and
+tests hits twice per table: once on the union of the sets within the bound,
+once on the union's fixpoint (the step and the hit test distribute over OR).
 The headline sweep runs 2^18-table jobs, because each job pays the per-step
 cost of its longest repeat tail once.  The loop bound walks a few steps per
 table, so it sweeps aligned blocks of at most 2^14 tables (the block size of
@@ -224,11 +226,9 @@ class BoardTables:
     """Strategy-independent index tables for one board size."""
 
     n: int
-    num_edges: int
     certify: Walk  # candidate c walks the edges compatible with c
     loop: Walk  # the same without c itself, which carries the loop hole
     loop_plane: np.ndarray  # (E,) table plane of "candidate c is a loop"
-    cand_tail: np.ndarray  # (E,) tail pigeon of candidate c
 
 
 @functools.cache
@@ -242,14 +242,12 @@ def board_tables(n: int) -> BoardTables:
     compat = (e[:, None] // n == e // n) == (e[:, None] % n == e % n)
     bt = BoardTables(
         n,
-        num_edges,
         certify=_walk(n, compat, compat),
         loop=_walk(n, compat, compat & ~np.eye(num_edges, dtype=bool)),
         loop_plane=e * pigeons + e // n,
-        cand_tail=e // n,
     )
     walks = (*vars(bt.certify).values(), *vars(bt.loop).values())
-    for array in (bt.loop_plane, bt.cand_tail, *walks):
+    for array in (bt.loop_plane, *walks):
         array.flags.writeable = False
     return bt
 
@@ -551,7 +549,11 @@ def verify_theorem_main(
             raise ValueError(f"sample={sample} exceeds the {strategy_space(n)} tables at n={n}")
         rng = np.random.default_rng(seed)
         picks = rng.choice(strategy_space(n), size=sample, replace=False, shuffle=False)
-        picks = np.sort(picks).astype(np.uint64)
+        # Sorted in place and read as uint64 (every index is below 2^63): a
+        # sorted copy and a cast copy added two sample-sized arrays, and the
+        # sweep's peak RSS then hung on where the heap put them.
+        picks.sort()
+        picks = picks.view(np.uint64)
         total = sample
         header += f" sample={sample} seed={seed}"
     done = _read_checkpoint(Path(checkpoint), header) if checkpoint else {}
@@ -617,28 +619,27 @@ def loop_bound_batch(indices: np.ndarray, bt: BoardTables) -> np.ndarray:
 
 def _loop_bound_planes(init: np.ndarray, tables: np.ndarray, bt: BoardTables) -> np.ndarray:
     """The (W,) plane of the tables that break the loop bound, from the
-    planes of ``_table_planes``."""
+    planes of ``_table_planes``.  The step and the hit test both distribute
+    over OR, so the union of the sets reached in 0..K-1 steps is hit exactly
+    when one of them is: a block makes one hit test within the bound and one
+    at the fixpoint of the union, which decides reachability-ever."""
     walk = bt.loop
     K = 2 * (bt.n - 2) + 1
     terms = tables[walk.step_plane]
-    # Exact-length sets up to the bound give the shortest-hit check; the
-    # cumulative union (a monotone fixpoint) decides reachability-ever.
-    rr = init[walk.slot_tail]
-    hit_by_k = np.zeros((bt.num_edges, rr.shape[1]), dtype=np.uint64)
-    union = rr.copy()
-    for _t in range(1, K + 1):
-        hit_by_k |= walk.hits(rr, tables)
-        rr = walk.step(rr, terms)
-        union |= rr
+    union = init[walk.slot_tail]
+    for _ in range(K - 1):
+        union |= walk.step(union, terms)
+    hit_by_k = walk.hits(union, tables)
     while True:
         grown = walk.step(union, terms)
         grown |= union
         if (grown == union).all():
             break
         union = grown
-    ever_hit = walk.hits(union, tables)
-    at_init = init[bt.cand_tail]
-    violation = tables[bt.loop_plane] & ever_hit & ~hit_by_k & ~at_init
+    # A loop whose tail is the start is reached at once and breaks no bound.
+    # It needs no mask: no slot of candidate c holds an edge leaving c's own
+    # tail, so such a candidate keeps an empty set and is never hit.
+    violation = tables[bt.loop_plane] & walk.hits(union, tables) & ~hit_by_k
     return np.bitwise_or.reduce(violation, axis=0)
 
 

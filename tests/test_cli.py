@@ -82,6 +82,44 @@ def test_play_names_the_answers_line_it_refuses(fig1_path, tmp_path, capsys):
     assert "error: line 2: cannot parse 'answers 0 x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, planted, line, message",
+    [
+        ("n 3", "n 3 9", 2, "cannot parse 'n 3 9'"),
+        ("s 3", "s 3 junk", 3, "cannot parse 's 3 junk'"),
+        ("s 3", "s 3\ns 2", 4, "'s' already given on line 3"),
+    ],
+    ids=["n-extra", "s-extra", "s-twice"],
+)
+def test_analyze_refuses_a_bad_header_line(fig1_path, capsys, old, planted, line, message):
+    fig1_path.write_text(fig1_path.read_text().replace(f"{old}\n", f"{planted}\n", 1))
+    assert run(["analyze", str(fig1_path)]) == 2
+    assert f"error: line {line}: {message}" in capsys.readouterr().err
+
+
+def test_g2sim_names_the_answers_line_it_refuses(tmp_path, capsys):
+    answers = tmp_path / "ans.txt"
+    answers.write_text("2 1\n# then\n0 x 1\n")
+    assert run(["g2sim", "--n", "3", "--answers", str(answers)]) == 2
+    assert "error: line 3: cannot parse '0 x 1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-\n1\n2.1\n", "line 3: 2.1 has no parent 2"),
+        ("-\n1\n1.0\n", "line 3: bad vertex '1.0'"),
+        ("# comment\n1\n", "line 2: 1 has no parent -"),
+    ],
+    ids=["no-parent", "child-zero", "no-root"],
+)
+def test_order_names_the_tree_line_it_refuses(tmp_path, capsys, text, message):
+    tree = tmp_path / "t.tree"
+    tree.write_text(text)
+    assert run(["order", str(tree), str(tree)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(tmp_path):
     assert run(["analyze", str(tmp_path / "nope.strat")]) == 2
 

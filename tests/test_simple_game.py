@@ -498,8 +498,27 @@ _COVER_HEAD = "cover x\nn 3\nthreshold 4\npath\n"
         (parse_cover, "cover x\nn three\nthreshold 4\npath\nedge 0 0\n", 2, "cannot parse"),
         (parse_cover, _COVER_HEAD + "edge 0 q\n", 5, "cannot parse"),
         (parse_cover, _COVER_HEAD + "edge 0 0\nedge 1 1\nedge 0 0\ncycle\nedge 2 2\n", 9, "two succ"),
+        # A header key takes exactly one value and appears once.
+        (parse_strategy, _STRATEGY_HEAD.replace("n 1", "n 1 9") + _MAPS, 2, "cannot parse 'n 1 9'"),
+        (parse_strategy, _STRATEGY_HEAD.replace("s 2", "s 2 junk") + _MAPS, 3, "cannot parse 's 2 junk'"),
+        (parse_strategy, _STRATEGY_HEAD.replace("init 0", "init") + _MAPS, 4, "cannot parse 'init'"),
+        (parse_strategy, _STRATEGY_HEAD.replace("simple", "simple x") + _MAPS, 1, "cannot parse"),
+        (parse_strategy, _STRATEGY_HEAD + "s 5\n" + _MAPS, 5, "'s' already given on line 3"),
+        (parse_strategy, _STRATEGY_HEAD + "s 2\n" + _MAPS, 5, "'s' already given on line 3"),
+        (parse_strategy, _STRATEGY_HEAD + "game simple\n" + _MAPS, 5, "'game' already given on line 1"),
+        (parse_cover, _COVER_HEAD.replace("cover x", "cover x y") + "edge 0 0\n", 1, "cannot parse 'cover x y'"),
+        (parse_cover, _COVER_HEAD.replace("n 3", "n 3 4") + "edge 0 0\n", 2, "cannot parse 'n 3 4'"),
+        (parse_cover, _COVER_HEAD.replace("threshold 4", "threshold 4 4") + "edge 0 0\n", 3, "cannot parse"),
+        (parse_cover, _COVER_HEAD + "n 4\nedge 0 0\n", 5, "'n' already given on line 2"),
+        (parse_cover, _COVER_HEAD + "cover y\nedge 0 0\n", 5, "'cover' already given on line 1"),
+        (parse_cover, _COVER_HEAD + "threshold 9\nedge 0 0\n", 5, "'threshold' already given"),
     ],
-    ids=["map-value", "init", "n", "s", "pigeons", "answer", "cover", "cover-n", "edge", "path"],
+    ids=[
+        "map-value", "init", "n", "s", "pigeons", "answer", "cover", "cover-n", "edge", "path",
+        "n-extra", "s-extra", "init-bare", "game-extra", "s-twice", "s-same-twice", "game-twice",
+        "cover-extra", "cover-n-extra", "threshold-extra", "cover-n-twice", "cover-twice",
+        "threshold-twice",
+    ],
 )
 def test_parsers_name_the_line_they_refuse(parse, text, line_no, message):
     with pytest.raises(ParseError, match=message) as refused:

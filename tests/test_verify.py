@@ -283,7 +283,7 @@ def test_board_tables_are_cached_and_read_only(n):
     bt = board_tables(n)
     assert board_tables(n) is bt
     walks = [*vars(bt.certify).values(), *vars(bt.loop).values()]
-    for array in (bt.loop_plane, bt.cand_tail, *walks):
+    for array in (bt.loop_plane, *walks):
         assert not array.flags.writeable
         if array.size:
             first = (0,) * array.ndim
@@ -595,6 +595,45 @@ def test_loop_bound_blocks_find_the_n4_violators():
         assert part.tolist() == [i for i in got.tolist() if i < start + 7000]
         counts.append(len(got))
     assert counts == [40, 185, 125, 75, 125]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), loop=st.booleans(), width=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_walk_step_and_hits_distribute_over_or(n, loop, width, seed):
+    # The loop bound tests one union of sets where it could test each set:
+    # both kernels must map a union to the union of the images, on any planes.
+    bt = board_tables(n)
+    walk = bt.loop if loop else bt.certify
+    rng = np.random.default_rng(seed)
+    planes = lambda rows: rng.integers(0, 2**64, (rows, width), dtype=np.uint64, endpoint=False)
+    tables = planes(len(bt.loop_plane) * (n + 1) + 1)
+    tables[-1] = 0
+    a, b = planes(len(walk.slot_tail)), planes(len(walk.slot_tail))
+    terms = tables[walk.step_plane]
+    assert np.array_equal(walk.step(a | b, terms), walk.step(a, terms) | walk.step(b, terms))
+    assert np.array_equal(walk.hits(a | b, tables), walk.hits(a, tables) | walk.hits(b, tables))
+    assert not walk.step(a & 0, terms).any() and not walk.hits(a & 0, tables).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_loop_walk_keeps_no_edge_of_the_candidates_tail(n):
+    # So a candidate whose tail is the start has an empty set in the loop
+    # walk and is never hit: the loop bound needs no mask of such candidates.
+    bt = board_tables(n)
+    E = len(bt.loop_plane)
+    cand_tail = np.arange(E) // n
+    assert (bt.loop.slot_tail.reshape(E, len(bt.loop.slot_tail) // E) != cand_tail[:, None]).all()
+
+
+@pytest.mark.parametrize("n, blocks", [(3, 1), (3, 5), (4, 1), (4, 3)])
+def test_loop_bound_tests_hits_twice_per_block(n, blocks, monkeypatch):
+    # One hit test of the union within K = 2(n-2)+1 steps, one at the fixpoint.
+    calls = []
+    hits = ver.Walk.hits
+    monkeypatch.setattr(ver.Walk, "hits", lambda walk, *a: calls.append(1) or hits(walk, *a))
+    size = ver._AlignedBlocks(n).size
+    verify_loop_bound(n, limit=blocks * size)
+    assert len(calls) == 2 * blocks
 
 
 def _breaks_loop_bound(strat) -> bool:
