@@ -51,7 +51,10 @@ class FiniteTree:
 
     All real child indices are >= 1, so the lexicographic order with -1
     padding coincides with plain tuple comparison and the sorted vertex
-    list makes ``T_{<w}`` a prefix slice.
+    list makes ``T_{<w}`` a prefix slice.  ``_key``, the negated components
+    of the sorted vertices in one flat tuple, is the tree's position in the
+    tree order (see ``tree_compare``); like ``_members`` it is no field, so
+    equality, hashing and ``repr`` see only the vertices.
     """
 
     vertices: tuple[Vertex, ...] = field(default=(ROOT,))
@@ -68,6 +71,7 @@ class FiniteTree:
                 raise ValueError(f"not prefix-closed: missing parent of {v}")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "_members", have)
+        object.__setattr__(self, "_key", tuple(-i for v in vs for i in v))
 
     def __contains__(self, v: Vertex) -> bool:
         return tuple(v) in self._members  # type: ignore[attr-defined]
@@ -83,21 +87,33 @@ class FiniteTree:
         return max(len(v) for v in self.vertices)
 
 
+_LESS, _EQUAL, _GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
+
+
 def tree_compare(t: FiniteTree, u: FiniteTree) -> Ordering:
     """The tree order: ``t`` is below ``u`` iff some witness ``w`` in ``u``
     has identical strictly-smaller parts in both trees yet is absent from
-    ``t``.  Implemented as a synchronized scan for the first mismatch of the
-    sorted vertex lists."""
-    a, b = t.vertices, u.vertices
-    for x, y in zip(a, b):
-        if x != y:
-            # The smaller vertex is the witness for the tree that owns it.
-            return Ordering.GREATER if x < y else Ordering.LESS
-    if len(a) == len(b):
-        return Ordering.EQUAL
-    # One list is a prefix of the other; the next vertex of the longer tree
-    # witnesses that the shorter tree is below it.
-    return Ordering.LESS if len(a) < len(b) else Ordering.GREATER
+    ``t``.  That is, the smaller vertex at the first mismatch of the sorted
+    vertex lists is the witness for the tree that owns it, and a list that
+    is a prefix of the other belongs to the smaller tree.
+
+    Comparing the trees' ``_key`` tuples gives the same answer:
+
+    - Before the first mismatching vertices ``x`` (of ``t``) and ``y`` (of
+      ``u``) the two keys are equal.
+    - Neither of ``x``, ``y`` is a proper prefix of the other: if ``x`` were
+      a prefix of ``y``, prefix-closure would put ``x`` in ``u`` before
+      ``y``, so ``x`` would also appear earlier in ``t``'s list.
+    - So the keys first differ at the first differing component of ``x`` and
+      ``y``, and negation turns ``x < y`` into "``t`` is greater".
+    - If one vertex list is a prefix of the other, its key is a prefix of the
+      other key (every vertex past the shared root adds a component): LESS.
+
+    No mark between vertices is needed, as the mismatch never falls past
+    the end of ``x`` or ``y``.
+    """
+    a, b = t._key, u._key  # type: ignore[attr-defined]
+    return _GREATER if a > b else (_LESS if a < b else _EQUAL)
 
 
 def universe(b: int, h: int) -> list[Vertex]:

@@ -830,10 +830,14 @@ def verify_order_axioms(
     m = len(ts)
     bad: list[str] = []
     cmp = np.empty((m, m), dtype=np.int8)
+    # One call per ordered pair, never a sort: a sort would assume the
+    # antisymmetry and transitivity checked here.  The name is looked up
+    # through ``treemod`` once per campaign, so a substituted one is used.
+    compare = treemod.tree_compare
     for row, t in enumerate(ts):
         # ``_value_`` is the member's plain attribute; the ``value``
-        # property costs a quarter of this loop.
-        cmp[row] = [treemod.tree_compare(t, u)._value_ for u in ts]
+        # property would cost more than the comparison itself.
+        cmp[row] = [compare(t, u)._value_ for u in ts]
     order = treemod.Ordering
     lt, gt = cmp == order.LESS.value, cmp == order.GREATER.value
     same = np.eye(m, dtype=bool)

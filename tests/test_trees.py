@@ -75,6 +75,49 @@ def test_tree_compare_matches_definition():
             assert (got is Ordering.GREATER) == tree_less_by_definition(u, t)
 
 
+def _scan_compare(t: FiniteTree, u: FiniteTree) -> Ordering:
+    # Reference: a synchronized scan for the first mismatch of the sorted
+    # vertex lists.  The smaller vertex is the witness for the tree that
+    # owns it; if one list is a prefix of the other, the next vertex of the
+    # longer tree witnesses that the shorter tree is below it.
+    a, b = t.vertices, u.vertices
+    for x, y in zip(a, b):
+        if x != y:
+            return Ordering.GREATER if x < y else Ordering.LESS
+    if len(a) == len(b):
+        return Ordering.EQUAL
+    return Ordering.LESS if len(a) < len(b) else Ordering.GREATER
+
+
+@pytest.mark.parametrize("b, h", [(2, 2), (4, 1)])
+def test_tree_compare_matches_scan_exhaustive(b, h):
+    ts = list(all_trees(b, h))
+    for t in ts:
+        for u in ts:
+            assert tree_compare(t, u) is _scan_compare(t, u), (t, u)
+
+
+def _closure(vertices) -> FiniteTree:
+    return FiniteTree(tuple({v[:k] for v in vertices for k in range(len(v) + 1)} | {()}))
+
+
+# Child indices up to 512 (the backtracking game's caps reach 2^9), small
+# ones often so that two trees share vertices; height at most 4.
+_index = st.one_of(st.integers(1, 3), st.integers(1, 512))
+_deep_vertices = st.lists(st.lists(_index, min_size=1, max_size=4).map(tuple), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared=_deep_vertices, only_t=_deep_vertices, only_u=_deep_vertices)
+def test_tree_compare_matches_definition_and_scan_property(shared, only_t, only_u):
+    t, u = _closure(shared + only_t), _closure(shared + only_u)
+    got = tree_compare(t, u)
+    assert (got is Ordering.LESS) == tree_less_by_definition(t, u)
+    assert (got is Ordering.GREATER) == tree_less_by_definition(u, t)
+    assert got is _scan_compare(t, u)
+    assert (got is Ordering.EQUAL) == (set(t) == set(u))
+
+
 def test_tree_order_axioms_small():
     ts = list(all_trees(2, 2))
     cmp = {(i, j): tree_compare(ts[i], ts[j]) for i in range(len(ts)) for j in range(len(ts))}
@@ -149,7 +192,7 @@ _vertex_sets = st.lists(st.lists(st.integers(1, 12), max_size=4).map(tuple), max
 @settings(max_examples=100, deadline=None)
 @given(vertices=_vertex_sets)
 def test_tree_text_round_trip_property(vertices):
-    t = FiniteTree(tuple({v[:k] for v in vertices for k in range(len(v) + 1)} | {()}))
+    t = _closure(vertices)
     assert parse_tree(format_tree(t).splitlines()) == t
 
 
