@@ -131,6 +131,35 @@ def play_simplified(strat: SimpleStrategy, play: Play) -> PlayResult:
     return PlayResult(PlayOutcome.INCOMPLETE, None, tuple(records))
 
 
+def won_lengths(strat: SimpleStrategy, play: Play) -> frozenset[int]:
+    """The lengths ``s`` at which the first ``s`` answers of ``play`` are a
+    Delayer win of the game with round count ``s``, from one walk.
+
+    The rules are ``play_simplified``'s: the walk stops at the first record
+    that contradicts the one before it, and length ``i`` is won when record
+    ``i`` contradicts no earlier record.  An answer the walk reaches that
+    is not a hole raises ``ValueError``.  Copies of one record contradict
+    the same records, so each record is tested against the distinct
+    earlier ones only.
+    """
+    won = set()
+    earlier: set[Record] = set()
+    prev = None
+    question = strat.init
+    for i, answer in enumerate(play.answers, start=1):
+        if answer not in strat.size.holes:
+            raise ValueError(f"answer {answer} not a hole")
+        rec = Record(question, answer)
+        if prev is not None and records_conflict(rec, prev):
+            break
+        if not any(records_conflict(rec, old) for old in earlier):
+            won.add(i)
+        earlier.add(rec)
+        prev = rec
+        question = strat.next_question(rec)
+    return frozenset(won)
+
+
 def all_plays(strat: SimpleStrategy) -> Iterator[Play]:
     """Every answer sequence of length ``s`` (the exhaustive play space)."""
 

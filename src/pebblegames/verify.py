@@ -54,7 +54,6 @@ import numpy as np
 
 from pebblegames.matching import GameSize, LogPower
 from pebblegames.simple_game import (
-    Play,
     PlayOutcome,
     SimpleStrategy,
     WinCertificate,
@@ -67,6 +66,7 @@ from pebblegames.simple_game import (
     play_simplified,
     prover_small_n,
     subset_prover,
+    won_lengths,
 )
 from pebblegames import g2 as g2mod
 from pebblegames import g2prime as g2p
@@ -995,11 +995,38 @@ def random_strategy(rng: np.random.Generator, n: int) -> SimpleStrategy:
     return index_to_strategy(int(rng.integers(0, strategy_space(n))), n)
 
 
+def _canonical_wins(strat: SimpleStrategy) -> dict[int, bool]:
+    """For each length ``s`` of the window ``n + 1 .. 3n + 3``, whether some
+    canonical anti-strategy of ``strat`` that had not given up by ``s``
+    wins at ``s``."""
+    n = strat.size.n
+    window = range(n + 1, 3 * n + 4)
+    wins: set[int] = set()
+    for cp in all_canonical_plays(strat.with_s(max(window))):
+        wins.update(
+            s
+            for s in won_lengths(strat, cp.play)
+            if s in window and (cp.gave_up_step is None or s < cp.gave_up_step)
+        )
+        if len(wins) == len(window):
+            break
+    return {s: s in wins for s in window}
+
+
 def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignReport:
     """Built trees are valid and symmetric at n = 3 and 4; at n = 3,
     completeness coincides with the absence of winning canonical
-    anti-strategies, on 1,000 seeded tables; the exhaustive loop bound is
-    delegated to its own campaign."""
+    anti-strategies at every length of the window, on 1,000 seeded tables
+    and five planted ones; the exhaustive loop bound is delegated to its
+    own campaign.
+
+    Canonical answers are history-driven, so the plays at shorter lengths
+    are the truncations of the full-window plays, and one walk of each
+    canonical play (``won_lengths``) decides every length.  A play counts
+    at ``s`` only when it had not given up by then: once the fresh holes
+    run out the construction fails, and the answers after that are filler,
+    not the anti-strategy's.
+    """
     rng = np.random.default_rng(seed)
     bad = []
     for i in range(build_samples):
@@ -1013,16 +1040,20 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
             if not phpmod.is_symmetric(tree):
                 bad.append(f"asymmetric build at sample {i} n={size_n}")
     n = 3
-    window = range(n + 1, 3 * n + 4)
-    s_top = max(window)
     # Complete trees are vanishingly rare among random tables, so seed the
     # sample with constructed ones: the successor table never revisits a
-    # pigeon, and completeness is invariant under relabeling.
+    # pigeon, and completeness is invariant under relabeling.  The 4-cycle
+    # table is complete too, but its plays (1, 0, 2, 0, ...) give up at
+    # step 4 and then win s = 5, 7, 9 and 11: only the gave-up rule keeps
+    # those lengths from counting.
     succ = make_strategy(
         n, 1, 0, {(p, h): min(p + 1, n) for p in range(n + 1) for h in range(n)}
     )
     shift = [(h + 1) % n for h in range(n)]
-    planted = [succ, canonical_strategy(succ)] + [
+    cycle = make_strategy(
+        n, 1, 0, {(p, h): (p + 1) % (n + 1) for p in range(n + 1) for h in range(n)}
+    )
+    planted = [succ, canonical_strategy(succ), cycle] + [
         _relabel(succ, pp, shift)
         for pp in ([1, 0] + list(range(2, n + 1)), list(range(1, n + 1)) + [0])
     ]
@@ -1030,27 +1061,11 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
         if len(bad) > _ENOUGH_COUNTEREXAMPLES:
             break
         strat = planted[i] if i < 0 else random_strategy(rng, n)
-        tree = phpmod.build_php_tree(strat)
-        complete = phpmod.is_complete(tree)
-        # Canonical answers are history-driven, so the plays at shorter
-        # lengths are exactly the truncations of the full-window plays.  A
-        # canonical anti-strategy only counts as winning when it never has
-        # to give up (the construction fails at the give-up moment).
-        canonical_wins = {s: False for s in window}
-        for cp in all_canonical_plays(strat.with_s(s_top)):
-            for s in window:
-                if canonical_wins[s]:
-                    continue
-                if cp.gave_up_step is not None and cp.gave_up_step <= s:
-                    continue
-                short = play_simplified(strat.with_s(s), Play(cp.play.answers[:s]))
-                if short.outcome is PlayOutcome.DELAYER_WINS:
-                    canonical_wins[s] = True
-            if all(canonical_wins.values()):
-                break
-        if complete and any(canonical_wins.values()):
+        complete = phpmod.is_complete(phpmod.build_php_tree(strat))
+        wins = _canonical_wins(strat).values()
+        if complete and any(wins):
             bad.append(f"complete tree but canonical win at sample {i}")
-        if not complete and not all(canonical_wins.values()):
+        if not complete and not all(wins):
             bad.append(f"incomplete tree but no canonical win at sample {i}")
     return CampaignReport(
         claim="php-trees",

@@ -32,6 +32,7 @@ from pebblegames.simple_game import (
     play_simplified,
     prover_small_n,
     subset_prover,
+    won_lengths,
 )
 from pebblegames.verify import board_tables, index_to_strategy, strategy_space
 
@@ -61,6 +62,53 @@ def test_play_incomplete_and_too_long():
     assert play_simplified(strat, Play((0,))).outcome is PlayOutcome.INCOMPLETE
     with pytest.raises(ValueError):
         play_simplified(strat, Play((0, 0, 0, 0)))
+
+
+def _won_by_prefix(strat, answers):
+    """The lengths won by ``play_simplified``, one call per prefix."""
+    return frozenset(
+        s
+        for s in range(1, len(answers) + 1)
+        if play_simplified(strat.with_s(s), Play(answers[:s])).outcome
+        is PlayOutcome.DELAYER_WINS
+    )
+
+
+def test_won_lengths_is_play_simplified_at_every_prefix_n2():
+    # Every 23rd table of the n = 2 space, times every length-6 play.
+    for idx in range(0, strategy_space(2), 23):
+        strat = index_to_strategy(idx, 2)
+        for answers in itertools.product(strat.size.holes, repeat=6):
+            assert won_lengths(strat, Play(answers)) == _won_by_prefix(strat, answers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 4]), cut=st.booleans())
+def test_won_lengths_is_play_simplified_at_every_prefix(data, n, cut):
+    strat = index_to_strategy(data.draw(st.integers(0, strategy_space(n) - 1)), n)
+    holes = st.integers(0, n - 1)
+    answers = data.draw(st.lists(holes, min_size=1, max_size=3 * n + 3))
+    head = len(answers)
+    if cut:
+        # Contradict the last record: the walk stops at step head + 1 at
+        # the latest, whatever follows.
+        question = strat.init
+        for h in answers[:-1]:
+            question = strat.table[question][h]
+        last = Record(question, answers[-1])
+        same_pigeon = strat.next_question(last) == last.pigeon
+        answers += [(last.hole + 1) % n if same_pigeon else last.hole]
+        answers += data.draw(st.lists(holes, max_size=4))
+    won = won_lengths(strat, Play(tuple(answers)))
+    assert won == _won_by_prefix(strat, tuple(answers))
+    if cut:
+        assert max(won, default=0) <= head
+
+
+def test_won_lengths_refuses_an_answer_that_is_not_a_hole():
+    for answers in ((2,), (0, 2), (-1,)):
+        with pytest.raises(ValueError, match="not a hole"):
+            won_lengths(paper_n2(), Play(answers))
 
 
 def test_build_graph_counts():
@@ -598,6 +646,22 @@ def test_canonical_wins_for_small_s_random():
             cp = next(all_canonical_plays(strat.with_s(s)))
             assert play_simplified(strat.with_s(s), cp.play).outcome is PlayOutcome.DELAYER_WINS
             assert cp.gave_up_step is None
+
+
+def test_no_canonical_play_wins_at_its_gave_up_step():
+    # At the give-up step the question is new and every hole is taken by
+    # another pigeon, so the filler record always conflicts: counting the
+    # gave-up step itself or not gives the same canonical wins.
+    rng = np.random.default_rng(47)
+    tables = [index_to_strategy(idx, 2) for idx in range(strategy_space(2))]
+    tables += [index_to_strategy(int(rng.integers(0, strategy_space(3))), 3) for _ in range(300)]
+    gave_up = 0
+    for strat in tables:
+        for cp in all_canonical_plays(strat.with_s(3 * strat.size.n + 3)):
+            if cp.gave_up_step is not None:
+                gave_up += 1
+                assert cp.gave_up_step not in won_lengths(strat, cp.play)
+    assert gave_up > 500
 
 
 def test_canonical_revisit_pins_all_lengths():

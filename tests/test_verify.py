@@ -10,11 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from pebblegames import trees as treemod
 from pebblegames import verify as ver
 from pebblegames.simple_game import (
+    all_canonical_plays,
     brute_force_delayer_wins,
     delayer_wins_lengths,
     format_strategy,
     make_strategy,
     prover_small_n,
+    won_lengths,
 )
 from pebblegames.trees import Ordering
 from pebblegames.verify import (
@@ -722,6 +724,40 @@ def test_php_trees_stops_at_nine_counterexamples(monkeypatch):
     rep = ver.verify_php_trees(build_samples=2)
     assert len(rep.counterexamples) == 9
     assert all(" tree but " in ce for ce in rep.counterexamples)
+
+
+def test_php_biconditional_on_the_whole_n2_space():
+    # A complete php-tree means no canonical win at any window length; an
+    # incomplete one, a canonical win at every window length.
+    complete = 0
+    for idx in range(strategy_space(2)):
+        strat = index_to_strategy(idx, 2)
+        wins = ver._canonical_wins(strat)
+        assert list(wins) == list(range(3, 10))
+        if ver.phpmod.is_complete(ver.phpmod.build_php_tree(strat)):
+            complete += 1
+            assert not any(wins.values())
+        else:
+            assert all(wins.values())
+    assert complete == 108
+
+
+def test_php_trees_4_cycle_wins_only_after_giving_up():
+    # F(p, h) = p + 1 mod 4: the php-tree is complete, yet two canonical
+    # plays that give up at step 4 (their fourth answer is filler) go on to
+    # win s = 5, 7, 9 and 11.  Only the gave-up rule keeps them out.
+    cycle = index_to_strategy(1_043_028, 3)
+    assert cycle.init == 0
+    assert cycle.table == tuple(((p + 1) % 4,) * 3 for p in range(4))
+    assert ver.phpmod.is_complete(ver.phpmod.build_php_tree(cycle))
+    late = {}
+    for cp in all_canonical_plays(cycle.with_s(12)):
+        assert cp.gave_up_step == 4
+        won = won_lengths(cycle, cp.play) - {1, 2, 3}
+        if won:
+            late[cp.play.answers[:4]] = won
+    assert late == {(1, 0, 2, 0): {5, 7, 9, 11}, (2, 0, 1, 0): {5, 7, 9, 11}}
+    assert not any(ver._canonical_wins(cycle).values())
 
 
 def test_oracle_gate_refuses_an_engine_that_reports_every_table_won(monkeypatch):
