@@ -1,11 +1,9 @@
-"""php-trees: the canonical-play trees of strategies and the game reductions.
+"""php-trees: the canonical-play trees of strategies.
 
 A php-tree has pigeon-labeled nodes and hole-labeled edges, no label
 repeated along a root path, and level-``k`` branching at most ``n - k``.
 The tree built from a strategy table encodes every play of a canonical
 anti-strategy; it is complete exactly when no canonical anti-strategy wins.
-The two reductions shrink a table to a smaller board while recording the
-relabelings needed to lift wins back.
 """
 
 from __future__ import annotations
@@ -133,110 +131,6 @@ def find_loose_pairs(tree: PhpTree, size: GameSize) -> frozenset[Record]:
 
 
 # ---------------------------------------------------------------------------
-# Reductions: commit-to-root and forbid-holes.
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """A reduced strategy plus the bookkeeping to lift plays back.
-
-    ``pigeon_map``/``hole_map`` send old ids to new contiguous ids;
-    ``escapes`` lists the removed-domain cells whose table value left the
-    restricted range (the rule's guarantee fails when it is nonempty, and
-    those cells were completed with the smallest legal pigeon).
-    """
-
-    reduced: SimpleStrategy
-    pigeon_map: dict[int, int]
-    hole_map: dict[int, int]
-    escapes: tuple[tuple[int, int], ...]
-
-    @property
-    def closed(self) -> bool:
-        return not self.escapes
-
-    def lift_answers(self, answers: tuple[int, ...]) -> tuple[int, ...]:
-        inv = {v: k for k, v in self.hole_map.items()}
-        return tuple(inv[a] for a in answers)
-
-
-def _restrict(
-    strat: SimpleStrategy,
-    drop_pigeons: frozenset[int],
-    drop_holes: frozenset[int],
-    new_s: int,
-    new_init_old: int,
-) -> Reduction:
-    old_pigeons = [p for p in strat.size.pigeons if p not in drop_pigeons]
-    old_holes = [h for h in strat.size.holes if h not in drop_holes]
-    pigeon_map = {p: i for i, p in enumerate(old_pigeons)}
-    hole_map = {h: i for i, h in enumerate(old_holes)}
-    escapes = []
-    new_n = len(old_holes)
-    rows = []
-    for p in old_pigeons:
-        row = []
-        for h in old_holes:
-            v = strat.table[p][h]
-            if v in drop_pigeons:
-                escapes.append((p, h))
-                v = min(q for q in old_pigeons)  # smallest legal pigeon
-            row.append(pigeon_map[v])
-        rows.append(tuple(row))
-    if new_init_old in drop_pigeons:
-        escapes.append((new_init_old, -1))
-        new_init = 0
-    else:
-        new_init = pigeon_map[new_init_old]
-    reduced = SimpleStrategy(GameSize(new_n), new_s, new_init, tuple(rows))
-    return Reduction(reduced, pigeon_map, hole_map, tuple(escapes))
-
-
-def commit_to_root(strat: SimpleStrategy, h: int) -> Reduction:
-    """Answer ``h`` to the first question and never use either side again.
-
-    Shrinks the board by one pigeon (the initial question) and one hole,
-    with one round fewer; sound when no table value points back at the
-    initial pigeon from the restricted domain.
-    """
-    if strat.size.pigeon_count is not None:
-        raise ValueError("reductions apply to standard boards only")
-    if h not in strat.size.holes:
-        raise ValueError(f"hole {h} outside board")
-    first = strat.init
-    follow = strat.table[first][h]
-    return _restrict(
-        strat,
-        drop_pigeons=frozenset({first}),
-        drop_holes=frozenset({h}),
-        new_s=strat.s - 1,
-        new_init_old=follow,
-    )
-
-
-def forbid_holes(
-    strat: SimpleStrategy, holes: frozenset[int], pigeons: frozenset[int]
-) -> Reduction:
-    """Never answer the given holes; sound when the paired pigeons are never
-    asked.  Keeps the round count."""
-    if strat.size.pigeon_count is not None:
-        raise ValueError("reductions apply to standard boards only")
-    if len(holes) != len(pigeons):
-        raise ValueError("must drop as many pigeons as holes")
-    if not holes <= frozenset(strat.size.holes):
-        raise ValueError("holes outside board")
-    if not pigeons <= frozenset(strat.size.pigeons):
-        raise ValueError("pigeons outside board")
-    return _restrict(
-        strat,
-        drop_pigeons=pigeons,
-        drop_holes=holes,
-        new_s=strat.s,
-        new_init_old=strat.init,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Shortest qualifying path to a loop edge.
 
 
@@ -248,11 +142,12 @@ def shortest_loop_witness(strat: SimpleStrategy, loop_tail: int, loop_hole: int)
     if strat.init == loop_tail:
         return 0
     n = strat.size.n
-    # BFS over (current edge); edges carrying the loop hole or leaving the
-    # loop tail are excluded, so surviving walks meet the path constraint.
+    # BFS over (current edge); edges carrying the loop hole are excluded, and
+    # the search stops at the first edge into the loop tail, so no walk
+    # leaves the tail and surviving walks meet the path constraint.
     frontier: set[tuple[int, int]] = set()
     for h in range(n):
-        if h == loop_hole or strat.init == loop_tail:
+        if h == loop_hole:
             continue
         frontier.add((strat.init, h))
     seen = set(frontier)
@@ -264,8 +159,6 @@ def shortest_loop_witness(strat: SimpleStrategy, loop_tail: int, loop_hole: int)
         nxt = set()
         for p, h in frontier:
             head = strat.table[p][h]
-            if head == loop_tail:
-                continue
             for h2 in range(n):
                 if h2 == loop_hole:
                     continue

@@ -222,11 +222,10 @@ def find_loops(strat: SimpleStrategy) -> frozenset[Record]:
 
 @dataclass(frozen=True)
 class CanonicalPlay:
-    """One canonical play, with the round of its first revisited question
-    and the round at which Delayer gave up (None when it never did)."""
+    """One canonical play, with the round at which Delayer gave up (None
+    when it never did)."""
 
     play: Play
-    revisit_step: Optional[int]
     gave_up_step: Optional[int]
 
 
@@ -242,18 +241,15 @@ def all_canonical_plays(strat: SimpleStrategy) -> Iterator[CanonicalPlay]:
         used: tuple[int, ...],
         answers: tuple[int, ...],
         gave_up_step: Optional[int],
-        revisit: Optional[int],
     ) -> Iterator[CanonicalPlay]:
         # A question asked before takes its first answer again.
         while question in first_answer and len(answers) < strat.s:
-            if revisit is None:
-                revisit = len(answers) + 1
             h = first_answer[question]
             answers += (h,)
             question = strat.next_question(Record(question, h))
         i = len(answers) + 1
         if i > strat.s:
-            yield CanonicalPlay(Play(answers), revisit, gave_up_step)
+            yield CanonicalPlay(Play(answers), gave_up_step)
             return
         fresh = [(h, used + (h,)) for h in strat.size.holes if h not in used]
         if not fresh and gave_up_step is None:
@@ -265,10 +261,9 @@ def all_canonical_plays(strat: SimpleStrategy) -> Iterator[CanonicalPlay]:
                 now_used,
                 answers + (h,),
                 gave_up_step,
-                revisit,
             )
 
-    yield from rec(strat.init, {}, (), (), None, None)
+    yield from rec(strat.init, {}, (), (), None)
 
 
 # ---------------------------------------------------------------------------

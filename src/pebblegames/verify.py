@@ -28,9 +28,11 @@ file (whose first line names the run, so that a mismatched resume is
 refused), one counterexample writer and one process pool.
 
 One engine serves both batch sweeps.  ``certify_batch`` (the headline
-sweep) walks the edges compatible with each candidate; ``loop_bound_batch``
-(criterion 10) walks the same planes without the candidate edge itself, and
-tests hits twice per table: once on the union of the sets within the bound,
+sweep) walks the edges compatible with each candidate; ``_loop_bound_planes``
+(criterion 10's sweep: ``verify_loop_bound`` calls it per aligned block
+through ``_loop_bound_block``, and the tests' ``loop_bound_batch`` on decoded
+planes) walks the same planes without the candidate edge itself, and tests
+hits twice per table: once on the union of the sets within the bound,
 once on the union's fixpoint (the step and the hit test distribute over OR).
 The headline sweep runs 2^18-table jobs, because each job pays the per-step
 cost of its longest repeat tail once.  The loop bound walks a few steps per

@@ -9,21 +9,16 @@ from pebblegames.matching import GameSize, Record
 from pebblegames.php_tree import (
     PhpTree,
     build_php_tree,
-    commit_to_root,
     find_loose_pairs,
-    forbid_holes,
     is_complete,
     is_symmetric,
     shortest_loop_witness,
     validate_php_tree,
 )
 from pebblegames.simple_game import (
-    Play,
-    PlayOutcome,
     brute_force_delayer_wins,
     delayer_wins_lengths,
     make_strategy,
-    play_simplified,
 )
 from pebblegames.verify import index_to_strategy, strategy_space
 
@@ -223,108 +218,17 @@ def test_build_always_valid_and_symmetric_random():
 
 
 def test_complete_build():
-    # The chain-with-fresh-branches table: F(p, h) = (p + 1 + h) mod ...  A
-    # simple complete case: F(p, h) sends each fresh hole to a distinct
-    # fresh pigeon by cycling.
-    n = 3
-    table = {(p, h): (p + 1 + h) % (n + 1) for p in range(n + 1) for h in range(n)}
-    strat = make_strategy(n, n + 1, 0, table)
-    t = build_php_tree(strat)
-    if is_complete(t):
-        assert t.depth == n
-
-
-def test_commit_to_root_shape_and_roundtrip():
-    fig1 = example_strategy()
-    red = commit_to_root(fig1, 0)
-    assert red.reduced.size.n == 2
-    assert red.reduced.s == fig1.s - 1
-    assert len(red.reduced.table) == 3 and len(red.reduced.table[0]) == 2
-    # Relabeling round-trips on the restricted domain.
-    inv_p = {v: k for k, v in red.pigeon_map.items()}
-    inv_h = {v: k for k, v in red.hole_map.items()}
-    for p_new, row in enumerate(red.reduced.table):
-        for h_new, v_new in enumerate(row):
-            p_old, h_old = inv_p[p_new], inv_h[h_new]
-            if (p_old, h_old) not in red.escapes:
-                assert fig1.table[p_old][h_old] == inv_p[v_new]
-
-
-def test_forbid_holes_shape():
-    fig1 = example_strategy()
-    red = forbid_holes(fig1, frozenset({0}), frozenset({3}))
-    assert red.reduced.size.n == 2
-    assert red.reduced.s == fig1.s
-    assert len(red.reduced.table) == 3
-    with pytest.raises(ValueError):
-        forbid_holes(fig1, frozenset({0, 1}), frozenset({3}))
-
-
-def test_commit_to_root_win_transfer():
-    # When the reduction is closed and the reduced game is Delayer-won at
-    # s - 1, the lifted play wins the original at s.
-    rng = np.random.default_rng(23)
-    tried = 0
-    for _ in range(4000):
-        strat = index_to_strategy(int(rng.integers(0, strategy_space(3))), 3, s=4)
-        red = commit_to_root(strat, 0)
-        if not red.closed:
-            continue
-        reduced = red.reduced
-        # Find a reduced Delayer win by brute force.
-        found = None
-        for play_idx in range(reduced.size.n ** reduced.s):
-            answers = []
-            x = play_idx
-            for _i in range(reduced.s):
-                answers.append(x % reduced.size.n)
-                x //= reduced.size.n
-            r = play_simplified(reduced, Play(tuple(answers)))
-            if r.outcome is PlayOutcome.DELAYER_WINS:
-                found = tuple(answers)
-                break
-        if found is None:
-            continue
-        lifted = (0,) + red.lift_answers(found)
-        result = play_simplified(strat, Play(lifted))
-        assert result.outcome is PlayOutcome.DELAYER_WINS, (strat, lifted)
-        tried += 1
-        if tried >= 50:
-            break
-    assert tried >= 25
-
-
-def test_forbid_holes_win_transfer():
-    rng = np.random.default_rng(29)
-    tried = 0
-    for _ in range(4000):
-        strat = index_to_strategy(int(rng.integers(0, strategy_space(3))), 3, s=3)
-        if strat.init == 3:
-            continue
-        red = forbid_holes(strat, frozenset({2}), frozenset({3}))
-        if not red.closed:
-            continue
-        reduced = red.reduced
-        found = None
-        for play_idx in range(reduced.size.n ** reduced.s):
-            answers = []
-            x = play_idx
-            for _i in range(reduced.s):
-                answers.append(x % reduced.size.n)
-                x //= reduced.size.n
-            r = play_simplified(reduced, Play(tuple(answers)))
-            if r.outcome is PlayOutcome.DELAYER_WINS:
-                found = tuple(answers)
-                break
-        if found is None:
-            continue
-        lifted = red.lift_answers(found)
-        result = play_simplified(strat, Play(lifted))
-        assert result.outcome is PlayOutcome.DELAYER_WINS
-        tried += 1
-        if tried >= 50:
-            break
-    assert tried >= 25
+    # The successor table F(p, h) = min(p + 1, n) never revisits a pigeon, so
+    # every fresh hole opens a child: the tree is complete, with
+    # sum_k n!/(n-k)! nodes.  The cycling table F(p, h) = (p + 1 + h) mod
+    # (n + 1) sends some fresh hole back to a pigeon on the path.
+    for n, nodes in ((2, 5), (3, 16), (4, 65)):
+        pairs = [(p, h) for p in range(n + 1) for h in range(n)]
+        t = build_php_tree(make_strategy(n, n, 0, {(p, h): min(p + 1, n) for p, h in pairs}))
+        assert is_complete(t) and validate_php_tree(t) and is_symmetric(t)
+        assert t.depth == n and len(t) == nodes
+        cycling = make_strategy(n, n, 0, {(p, h): (p + 1 + h) % (n + 1) for p, h in pairs})
+        assert not is_complete(build_php_tree(cycling))
 
 
 def test_loop_pipeline_certificate():

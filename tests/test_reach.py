@@ -8,7 +8,11 @@ name, but it catches a helper that nothing calls any more.  The units that
 stay although ``src/`` never reaches them are listed in ``TEST_REFERENCES``
 with the reason they stay.  A name that a module of ``src/`` or ``tests/``
 imports must be used in that module, or be listed in its ``__all__``.  No
-two module-level functions or classes of ``src/`` share a body.
+two module-level functions or classes of ``src/`` share a body.  Every
+annotated field of a module-level dataclass of ``src/`` is read: its name
+appears in ``src/`` outside the field's own definition, as a name, an
+attribute or a keyword, matched by name as units are; a dataclass listed in
+``TEST_REFERENCES`` keeps its unread fields.
 """
 
 from __future__ import annotations
@@ -21,23 +25,21 @@ TESTS = Path(__file__).resolve().parent
 
 INDEPENDENT = "an independent reference the tests compare the engine against"
 LOOP_GATE = "the loop-witness bound the exhaustive loop-bound gate still needs"
-LEMMA = "a board-shrinking lemma of the paper, kept for a claim still to come"
 
-# "module.name" -> why the unit stays though no code in src/ reaches it.  A
-# helper that only such a unit uses (``trees.component``, for one) counts as
-# reached through it.
+# "module.name" -> why the unit stays though no code in src/ reaches it, or,
+# for a dataclass, why its unread fields stay.  A helper that only such a unit
+# uses (``trees.component``, for one) counts as reached through it.
 TEST_REFERENCES = {
     "trees.lex_compare": INDEPENDENT + ": the padded vertex order",
     "trees.is_nc_tree": INDEPENDENT + ": the board-tree shape bounds",
     "trees.format_tree": "the round trip of the tree parser the order command reads",
     "simple_game.path_consistency": INDEPENDENT + ": the walk and consistency flags",
+    "simple_game.PathFlags": INDEPENDENT + ": the flags path_consistency returns",
     "matching.all_matchings": INDEPENDENT + ": every partial matching of a board",
     "matching.covers": INDEPENDENT + ": what a minimal cover must cover",
     "figures.example_strategy": "loads the shipped data/fig1.strat table",
     "php_tree.shortest_loop_witness": LOOP_GATE,
     "verify.loop_bound_batch": LOOP_GATE,
-    "php_tree.commit_to_root": LEMMA,
-    "php_tree.forbid_holes": LEMMA,
 }
 
 
@@ -71,8 +73,12 @@ def _scan(sources: dict[str, str]) -> tuple[dict[str, str], set[str]]:
     return units, used
 
 
+def _src_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
 def _scan_src() -> tuple[dict[str, str], set[str]]:
-    return _scan({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    return _scan(_src_sources())
 
 
 def test_every_unit_is_reached_or_kept_as_a_reference():
@@ -87,8 +93,11 @@ def test_no_stale_reference_entry():
     units, used = _scan_src()
     gone = sorted(key for key in TEST_REFERENCES if key not in units)
     assert not gone, f"TEST_REFERENCES names units that no longer exist: {gone}"
-    reached = sorted(key for key in TEST_REFERENCES if units[key] in used)
-    assert not reached, f"TEST_REFERENCES names units src/ now reaches: {reached}"
+    with_unread_fields = {key.rsplit(".", 1)[0] for key in _unread_fields(_src_sources())}
+    reached = sorted(
+        key for key in TEST_REFERENCES if units[key] in used and key not in with_unread_fields
+    )
+    assert not reached, f"TEST_REFERENCES names units src/ now reaches and reads: {reached}"
 
 
 def test_the_scan_tells_a_call_from_a_self_reference():
@@ -102,6 +111,53 @@ def test_the_scan_tells_a_call_from_a_self_reference():
     # f only calls itself and g is called by nothing; K is imported and h is
     # reached as an attribute.
     assert {name for name in units.values() if name not in used} == {"f", "g"}
+
+
+def _unread_fields(sources: dict[str, str]) -> list[str]:
+    """The annotated fields of the module-level dataclasses of ``{module:
+    source text}``, as ``"module.Class.field"``, whose name is used nowhere
+    outside the field's own definition as a name, an attribute or a keyword."""
+    fields: dict[str, str] = {}
+    used: set[str] = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        own: set[int] = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and any(
+                "dataclass" in _names_in(d) for d in stmt.decorator_list
+            ):
+                for item in stmt.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields[f"{module}.{stmt.name}.{item.target.id}"] = item.target.id
+                        own.add(id(item.target))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in own:
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                used.add(node.arg)
+    return sorted(key for key, name in fields.items() if name not in used)
+
+
+def test_every_dataclass_field_is_read():
+    unread = [
+        key
+        for key in _unread_fields(_src_sources())
+        if key.rsplit(".", 1)[0] not in TEST_REFERENCES
+    ]
+    assert not unread, f"dataclass fields nothing in src/ reads: {unread}"
+
+
+def test_the_field_scan_sees_names_attributes_and_keywords():
+    assert _unread_fields(
+        {
+            "a": "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n    z: int = 0\n"
+            "\nclass Q:\n    w: int\n",
+            "b": "import dataclasses\n\n@dataclasses.dataclass\nclass R:\n    u: int\n    v: int\n"
+            "\ndef f(p, x):\n    return p.y + x, R(u=1)\n",
+        }
+    ) == ["a.P.z", "b.R.v"]
 
 
 def _body_key(unit: ast.AST) -> str:
@@ -128,8 +184,7 @@ def _duplicate_units(sources: dict[str, str]) -> list[list[str]]:
 
 
 def test_no_two_units_share_a_body():
-    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    duplicates = _duplicate_units(sources)
+    duplicates = _duplicate_units(_src_sources())
     assert not duplicates, f"units defined twice: {duplicates}"
 
 
