@@ -63,16 +63,11 @@ def make_strategy(
     n: int,
     s: int,
     init: int,
-    table: dict[tuple[int, int], int] | Sequence[Sequence[int]],
+    table: dict[tuple[int, int], int],
     pigeon_count: Optional[int] = None,
 ) -> SimpleStrategy:
     size = GameSize(n, pigeon_count)
-    if isinstance(table, dict):
-        rows = tuple(
-            tuple(table[(p, h)] for h in size.holes) for p in size.pigeons
-        )
-    else:
-        rows = tuple(tuple(row) for row in table)
+    rows = tuple(tuple(table[(p, h)] for h in size.holes) for p in size.pigeons)
     return SimpleStrategy(size, s, init, rows)
 
 
@@ -326,44 +321,49 @@ def brute_force_delayer_wins(
 
 @dataclass(frozen=True)
 class WinCertificate:
-    """Winning lengths, explicitly up to ``s_max`` and periodically beyond.
+    """The winning lengths for every ``s >= 1``, as the hits of the joint
+    orbit up to its first repeated state.
 
-    For ``s > preperiod`` the verdict is ``(s - preperiod - 1) % period in
-    residues``; the explicit list covers at least ``[1, preperiod]`` so the
-    two views overlap and can be cross-checked.
+    Length 1 is always won (one edge has no earlier edge to contradict),
+    and hit ``t`` decides length ``t + 2``.  The hits from index ``mu`` on
+    are one period of the cycle, which repeats forever, so they decide every
+    longer length.  ``s_max`` only bounds the lengths that ``summary`` lists.
     """
 
     s_max: int
-    explicit: frozenset[int]
-    preperiod: int
-    period: int
-    residues: frozenset[int]
+    hits: tuple[bool, ...]
+    mu: int
+
+    @property
+    def preperiod(self) -> int:
+        return self.mu + 1
+
+    @property
+    def period(self) -> int:
+        return len(self.hits) - self.mu
 
     def wins(self, s: int) -> bool:
         if s < 1:
             raise ValueError("lengths start at 1")
-        if s <= self.s_max:
-            return s in self.explicit
-        return (s - self.preperiod - 1) % self.period in self.residues
+        t = s - 2
+        if t >= len(self.hits):
+            t = self.mu + (t - self.mu) % self.period
+        return t < 0 or self.hits[t]
 
     def wins_all(self) -> bool:
-        return len(self.explicit) == self.s_max and len(self.residues) == self.period
-
-    def check_overlap(self) -> bool:
-        return all(
-            (s in self.explicit) == ((s - self.preperiod - 1) % self.period in self.residues)
-            for s in range(self.preperiod + 1, self.s_max + 1)
-        )
+        return all(self.hits)
 
     def summary(self) -> str:
         if self.wins_all():
             head = "all s >= 1 winning"
         else:
-            wins = sorted(self.explicit)
-            head = f"winning s <= {self.s_max}: {wins if wins else 'none'}"
+            s_hi = max(self.s_max, self.preperiod)
+            wins = [s for s in range(1, s_hi + 1) if self.wins(s)]
+            head = f"winning s <= {s_hi}: {wins}"
+        residues = [i for i, hit in enumerate(self.hits[self.mu :]) if hit]
         return (
             f"{head}; tail: preperiod={self.preperiod} period={self.period} "
-            f"residues={sorted(self.residues)}"
+            f"residues={residues}"
         )
 
 
@@ -413,7 +413,10 @@ def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertifica
     set at once.  The joint state first repeats once every candidate's set has
     entered its cycle and all of them are back in phase, so its preperiod is
     the largest candidate preperiod and its period the least common multiple
-    of the candidate periods.
+    of the candidate periods.  A hit is a state in which the walk of some
+    candidate has reached that candidate's tail.  The hits up to the first
+    repeated state are the certificate; ``s_max`` only bounds the lengths
+    its summary lists.
     """
     size = strat.size
     n = size.n
@@ -430,7 +433,7 @@ def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertifica
     target = sum(m * tail_ones[p] for p, m in enumerate(in_mask))
     r = out_mask[strat.init] * ones & allowed
     seen: dict[int, int] = {}
-    hits: list[bool] = []  # hits[t] corresponds to win at s = t + 2
+    hits: list[bool] = []  # hits[t] decides length t + 2
     while r not in seen:
         seen[r] = len(hits)
         hits.append(bool(r & target))
@@ -440,38 +443,7 @@ def delayer_wins_lengths(strat: SimpleStrategy, s_max: int = 64) -> WinCertifica
             # carries, since each product stays inside its E-bit field.
             nxt |= ((r >> e) & ones) * succ
         r = nxt & allowed
-    mu = seen[r]
-    period = len(hits) - mu
-    # win(1) is always true (a single edge is vacuously globally consistent);
-    # win(s) for s >= 2 is a hit of some candidate at t = s - 2.
-    preperiod = mu + 1
-
-    def win_at(s: int) -> bool:
-        if s == 1:
-            return True
-        t = s - 2
-        return hits[t if t < len(hits) else mu + (t - mu) % period]
-
-    # The explicit region always covers the preperiod so the periodic
-    # formula is only ever consulted on the tail it is valid for.
-    s_hi = max(s_max, preperiod)
-    hi = max(s_hi, preperiod + period)
-    explicit_all = {s for s in range(1, hi + 1) if win_at(s)}
-    residues = frozenset(
-        (s - preperiod - 1) % period
-        for s in range(preperiod + 1, preperiod + period + 1)
-        if s in explicit_all
-    )
-    cert = WinCertificate(
-        s_max=s_hi,
-        explicit=frozenset(s for s in explicit_all if s <= s_hi),
-        preperiod=preperiod,
-        period=period,
-        residues=residues,
-    )
-    if not cert.check_overlap():
-        raise AssertionError("certificate overlap check failed")
-    return cert
+    return WinCertificate(s_max, tuple(hits), seen[r])
 
 
 # ---------------------------------------------------------------------------

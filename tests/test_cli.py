@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from pebblegames.cli import CLAIMS, run
+from pebblegames.simple_game import format_strategy, prover_small_n
 
 
 @pytest.fixture()
@@ -159,6 +160,20 @@ def test_verify_counts_must_be_positive(option, capsys):
 def test_analyze_s_max_must_be_positive(fig1_path, capsys):
     assert run(["analyze", str(fig1_path), "--s-max", "0"]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_max_args, bound", [(["--s-max", "1"], 3), ([], 64)])
+def test_analyze_lists_the_winning_lengths_of_a_prover_won_table(
+    tmp_path, capsys, s_max_args, bound
+):
+    # Prover's n = 2 table: Delayer wins only s = 1, 2.  The list runs to
+    # --s-max, and at least to the preperiod.
+    path = tmp_path / "prover.strat"
+    path.write_text(format_strategy(prover_small_n(2, 3)))
+    assert run(["analyze", str(path), *s_max_args]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"delayer wins: winning s <= {bound}: [1, 2]; tail: preperiod=3 period=1 residues=[]"
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,15 @@ is by name only, so it can be fooled by an unrelated attribute of the same
 name, but it catches a helper that nothing calls any more.  The units that
 stay although ``src/`` never reaches them are listed in ``TEST_REFERENCES``
 with the reason they stay.  A name that a module of ``src/`` or ``tests/``
-imports must be used in that module, or be listed in its ``__all__``.  No
-two module-level functions or classes of ``src/`` share a body.  Every
-annotated field of a module-level dataclass of ``src/`` is read: its name
-appears in ``src/`` outside the field's own definition, as a name, an
-attribute or a keyword, matched by name as units are; a dataclass listed in
-``TEST_REFERENCES`` keeps its unread fields.
+imports must be used in that module, or be listed in its ``__all__``.  A
+method or property of a module-level class of ``src/``, other than a dunder,
+is reached in the same way: its name appears in ``src/`` outside its own
+definition, matched by name as units are.  No two module-level functions or
+classes of ``src/`` share a body.  Every annotated field of a module-level
+dataclass of ``src/`` is read: its name appears in ``src/`` outside the
+field's own definition, as a name, an attribute or a keyword, matched by
+name as units are; a dataclass listed in ``TEST_REFERENCES`` keeps its
+unread fields.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ TESTS = Path(__file__).resolve().parent
 INDEPENDENT = "an independent reference the tests compare the engine against"
 LOOP_GATE = "the loop-witness bound the exhaustive loop-bound gate still needs"
 
-# "module.name" -> why the unit stays though no code in src/ reaches it, or,
-# for a dataclass, why its unread fields stay.  A helper that only such a unit
-# uses (``trees.component``, for one) counts as reached through it.
+# "module.name" or "module.Class.method" -> why the unit or method stays
+# though no code in src/ reaches it, or, for a dataclass, why its unread
+# fields stay.  A helper that only such a unit uses (``trees.component``, for
+# one) counts as reached through it.
 TEST_REFERENCES = {
     "trees.lex_compare": INDEPENDENT + ": the padded vertex order",
     "trees.is_nc_tree": INDEPENDENT + ": the board-tree shape bounds",
@@ -38,12 +42,14 @@ TEST_REFERENCES = {
     "matching.all_matchings": INDEPENDENT + ": every partial matching of a board",
     "matching.covers": INDEPENDENT + ": what a minimal cover must cover",
     "figures.example_strategy": "loads the shipped data/fig1.strat table",
+    "php_tree.PhpTree.children": INDEPENDENT + ": the per-node successor lists",
     "php_tree.shortest_loop_witness": LOOP_GATE,
     "verify.loop_bound_batch": LOOP_GATE,
 }
 
 
-UNIT = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+UNIT = (*FUNCTION, ast.ClassDef)
 
 
 def _names_in(node: ast.AST) -> set[str]:
@@ -73,6 +79,24 @@ def _scan(sources: dict[str, str]) -> tuple[dict[str, str], set[str]]:
     return units, used
 
 
+def _scan_methods(sources: dict[str, str]) -> tuple[dict[str, str], set[str]]:
+    """The methods and properties of the module-level classes of ``{module:
+    source text}``, dunders aside, as ``{"module.Class.name": name}``, and
+    every name used outside the method that defines it."""
+    methods: dict[str, str] = {}
+    used: set[str] = set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            for part in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                names = _names_in(part)
+                method = part is not stmt and isinstance(part, FUNCTION)
+                if method and not part.name[:2] == part.name[-2:] == "__":
+                    methods[f"{module}.{stmt.name}.{part.name}"] = part.name
+                    names.discard(part.name)
+                used |= names
+    return methods, used
+
+
 def _src_sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -89,13 +113,28 @@ def test_every_unit_is_reached_or_kept_as_a_reference():
     assert not unreached, f"units nothing in src/ reaches: {unreached}"
 
 
+def test_every_method_is_reached_or_kept_as_a_reference():
+    methods, used = _scan_methods(_src_sources())
+    unreached = sorted(
+        key for key, name in methods.items() if name not in used and key not in TEST_REFERENCES
+    )
+    assert not unreached, f"methods nothing in src/ reaches: {unreached}"
+
+
 def test_no_stale_reference_entry():
     units, used = _scan_src()
-    gone = sorted(key for key in TEST_REFERENCES if key not in units)
+    methods, method_used = _scan_methods(_src_sources())
+    gone = sorted(key for key in TEST_REFERENCES if key not in units and key not in methods)
     assert not gone, f"TEST_REFERENCES names units that no longer exist: {gone}"
     with_unread_fields = {key.rsplit(".", 1)[0] for key in _unread_fields(_src_sources())}
     reached = sorted(
-        key for key in TEST_REFERENCES if units[key] in used and key not in with_unread_fields
+        key
+        for key in TEST_REFERENCES
+        if (
+            methods[key] in method_used
+            if key in methods
+            else units[key] in used and key not in with_unread_fields
+        )
     )
     assert not reached, f"TEST_REFERENCES names units src/ now reaches and reads: {reached}"
 
@@ -111,6 +150,22 @@ def test_the_scan_tells_a_call_from_a_self_reference():
     # f only calls itself and g is called by nothing; K is imported and h is
     # reached as an attribute.
     assert {name for name in units.values() if name not in used} == {"f", "g"}
+
+
+def test_the_method_scan_tells_a_call_from_a_self_reference():
+    methods, used = _scan_methods(
+        {
+            "a": "class K:\n    def __init__(self):\n        self.f(0)\n\n"
+            "    def f(self, x):\n        return self.f(x - 1) if x else self.g\n\n"
+            "    @property\n    def g(self):\n        return 1\n\n"
+            "    def h(self):\n        return self.h()\n",
+            "b": "def k(obj):\n    return obj.j()\n\nclass L:\n    def j(self):\n        pass\n",
+        }
+    )
+    assert set(methods) == {"a.K.f", "a.K.g", "a.K.h", "b.L.j"}
+    # f is called by __init__, the property g is read by f and j is reached
+    # as an attribute in another module; h only calls itself.
+    assert {name for name in methods.values() if name not in used} == {"h"}
 
 
 def _unread_fields(sources: dict[str, str]) -> list[str]:

@@ -293,7 +293,6 @@ def test_certificate_examples():
     fig1 = example_strategy()
     cert = delayer_wins_lengths(fig1)
     assert cert.wins_all()
-    assert cert.check_overlap()
 
     n2 = paper_n2()
     cert2 = delayer_wins_lengths(n2)
@@ -349,50 +348,37 @@ def _candidate_orbits(strat):
 
 def _per_candidate_certificate(strat, s_max=64):
     """The certificate built from separate candidate orbits: the reference
-    the joint orbit of ``delayer_wins_lengths`` must reproduce."""
+    the joint orbit of ``delayer_wins_lengths`` must reproduce.  The joint
+    orbit starts to cycle at the largest candidate ``mu`` and its period is
+    the lcm of the candidate periods, so it has ``mu + lcm`` hits."""
     orbits = _candidate_orbits(strat)
-    preperiod = max(mu for mu, _, _ in orbits) + 1
+    mu = max(m for m, _, _ in orbits)
     period = math.lcm(*(lam for _, lam, _ in orbits))
-
-    def win_at(s):
-        t = s - 2
-        return s == 1 or any(
-            hits[t if t < len(hits) else mu + (t - mu) % lam] for mu, lam, hits in orbits
-        )
-
-    s_hi = max(s_max, preperiod)
-    explicit_all = {s for s in range(1, max(s_hi, preperiod + period) + 1) if win_at(s)}
-    return WinCertificate(
-        s_max=s_hi,
-        explicit=frozenset(s for s in explicit_all if s <= s_hi),
-        preperiod=preperiod,
-        period=period,
-        residues=frozenset(
-            (s - preperiod - 1) % period
-            for s in range(preperiod + 1, preperiod + period + 1)
-            if s in explicit_all
-        ),
+    hits = tuple(
+        any(h[t if t < len(h) else m + (t - m) % lam] for m, lam, h in orbits)
+        for t in range(mu + period)
     )
+    return WinCertificate(s_max, hits, mu)
 
 
 def _certificate_cases():
-    """(board, index, s_max): every table at n = 1, 2; at n = 3, 4 the oracle
-    gate's 150 tables at its s_max and 2,000 more seeded ones."""
+    """(board, index): every table at n = 1, 2; at n = 3, 4 the oracle
+    gate's 150 tables and 2,000 more seeded ones."""
     for n in (1, 2):
         for idx in range(strategy_space(n)):
-            yield n, idx, 64
+            yield n, idx
     for n in (3, 4):
         gate = np.random.default_rng(20240901).choice(strategy_space(n), 150, replace=False)
         for idx in gate:
-            yield n, int(idx), 16
+            yield n, int(idx)
         for idx in np.random.default_rng(n).choice(strategy_space(n), 2000, replace=False):
-            yield n, int(idx), 64
+            yield n, int(idx)
 
 
 def test_joint_orbit_certificate_matches_per_candidate_orbits():
-    for n, idx, s_max in _certificate_cases():
+    for n, idx in _certificate_cases():
         strat = index_to_strategy(idx, n)
-        assert delayer_wins_lengths(strat, s_max) == _per_candidate_certificate(strat, s_max), (n, idx)
+        assert delayer_wins_lengths(strat) == _per_candidate_certificate(strat), (n, idx)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

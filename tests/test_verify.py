@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import inspect
 import itertools
@@ -14,7 +13,6 @@ from pebblegames.simple_game import (
     brute_force_delayer_wins,
     delayer_wins_lengths,
     format_strategy,
-    make_strategy,
     prover_small_n,
     won_lengths,
 )
@@ -22,13 +20,11 @@ from pebblegames.trees import Ordering
 from pebblegames.verify import (
     CheckpointMismatch,
     board_tables,
-    canonical_strategy,
     certify_batch,
     decode_batch,
     index_to_strategy,
     loop_bound_batch,
     strategy_space,
-    strategy_to_index,
     verify_g2prime,
     verify_g2_properties,
     verify_loop_bound,
@@ -42,15 +38,6 @@ from pebblegames.verify import (
 def test_space_counts():
     assert strategy_space(1) == 8
     assert strategy_space(3) == 4**13 == 67_108_864
-
-
-def test_index_round_trip():
-    for n in (1, 2, 3):
-        space = strategy_space(n)
-        rng = np.random.default_rng(n)
-        for idx in rng.integers(0, space, size=50):
-            strat = index_to_strategy(int(idx), n)
-            assert strategy_to_index(strat) == int(idx)
 
 
 @st.composite
@@ -78,55 +65,25 @@ def test_decode_batch_matches_index_to_strategy(batch):
         assert heads[row].tolist() == [q for cells in strat.table for q in cells]
 
 
-def _orbit_representatives(n: int) -> list:
-    """The tables that are their own canonical form, in index order."""
-    tables = (index_to_strategy(i, n) for i in range(strategy_space(n)))
-    return [t for t in tables if canonical_strategy(t) == t]
-
-
 def test_enumerate_n1_full():
     strategies = [index_to_strategy(i, 1) for i in range(strategy_space(1))]
     assert len(strategies) == 8
     assert len(set(strategies)) == 8
-
-
-def test_symmetry_reduction_n1():
-    reps = _orbit_representatives(1)
-    # Orbits cover the full space exactly once each.
-    full = set(range(strategy_space(1)))
-    covered = set()
-    for rep in reps:
-        orbit = set()
-        import itertools
-
-        for pp in itertools.permutations(range(2)):
-            for hp in itertools.permutations(range(1)):
-                rows = [[0]] * 2
-                rows = [[pp[rep.table[p][0]]] for p in range(2)]
-                remapped = [rows[0], rows[1]]
-                relabeled = [None, None]
-                for p in range(2):
-                    relabeled[pp[p]] = tuple(rows[p])
-                orbit.add(
-                    strategy_to_index(
-                        make_strategy(1, 1, pp[rep.init], relabeled)
-                    )
-                )
-        covered |= orbit
-    assert covered == full
+    # Distinct indices decode to distinct tables over the whole n = 2 space.
+    assert len({index_to_strategy(i, 2) for i in range(strategy_space(2))}) == 2187
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.sampled_from((1, 2, 3)))
-def test_canonical_is_idempotent_and_invariant(data, n):
+def test_winning_lengths_are_invariant_under_relabeling(data, n):
     strat = index_to_strategy(data.draw(st.integers(0, strategy_space(n) - 1)), n)
-    canon = canonical_strategy(strat)
-    assert canonical_strategy(canon) == canon
-    assert strategy_to_index(canon) <= strategy_to_index(strat)
-    # Winning lengths are invariant under relabeling.
-    assert delayer_wins_lengths(strat, 24).explicit == delayer_wins_lengths(
-        canon, 24
-    ).explicit
+    pp = data.draw(st.permutations(range(n + 1)))
+    hp = data.draw(st.permutations(range(n)))
+    relabeled = delayer_wins_lengths(ver._relabel(strat, pp, hp))
+    # Relabeling permutes the bits of each joint state, so the orbit keeps
+    # its hits and its first repeat: the whole certificate, and with it
+    # every wins(s), is unchanged.
+    assert relabeled == delayer_wins_lengths(strat)
 
 
 def test_certify_batch_matches_certificate():
@@ -142,7 +99,7 @@ def test_certify_batch_matches_certificate():
 
 def _first_loss(cert) -> int:
     """The least losing length of a certificate, 0 when every length wins."""
-    horizon = cert.s_max + cert.preperiod + cert.period
+    horizon = cert.preperiod + cert.period
     return next((s for s in range(1, horizon + 1) if not cert.wins(s)), 0)
 
 
@@ -318,8 +275,8 @@ def test_certify_batch_n2_finds_prover_wins():
     res = certify_batch(idxs, bt)
     losers = int((~res.wins_all).sum())
     assert losers > 0
-    paper = prover_small_n(2, 3)
-    paper_idx = strategy_to_index(paper)
+    paper = prover_small_n(2, 3).with_s(1)
+    paper_idx = next(i for i in range(strategy_space(2)) if index_to_strategy(i, 2) == paper)
     assert not res.wins_all[paper_idx]
     # Spot-check a few flagged tables against the oracle.
     flagged = np.nonzero(~res.wins_all)[0][:10]
@@ -704,9 +661,13 @@ def test_oracle_gate_runs():
 def test_oracle_gate_refuses_a_certificate_that_disagrees_with_the_dfs(monkeypatch):
     certificate = ver.delayer_wins_lengths
 
+    class Flipped(ver.WinCertificate):
+        def wins(self, s):
+            return super().wins(s) != (s == 3)
+
     def flipped(strat, *a, **k):
         cert = certificate(strat, *a, **k)
-        return dataclasses.replace(cert, explicit=cert.explicit ^ {3})  # wins(3) flips
+        return Flipped(cert.s_max, cert.hits, cert.mu)
 
     monkeypatch.setattr(ver, "delayer_wins_lengths", flipped)
     with pytest.raises(AssertionError, match=r"certificate mismatch at index \d+, s=3$"):
@@ -812,29 +773,6 @@ def test_theorem_main_checkpoint_resume(tmp_path):
     assert len(ck.read_text().splitlines()) == len(lines)
 
 
-def test_symmetry_reduction_counts_n2():
-    # Orbit sizes of the representatives add back up to the full space.
-    import itertools as it
-
-    reps = _orbit_representatives(2)
-    total = 0
-    for rep in reps:
-        orbit = set()
-        for pp in it.permutations(range(3)):
-            for hp in it.permutations(range(2)):
-                rows = [[0, 0], [0, 0], [0, 0]]
-                for p in range(3):
-                    for h in range(2):
-                        rows[pp[p]][hp[h]] = pp[rep.table[p][h]]
-                orbit.add(
-                    strategy_to_index(
-                        make_strategy(2, 1, pp[rep.init], [tuple(r) for r in rows])
-                    )
-                )
-        total += len(orbit)
-    assert total == strategy_space(2)
-
-
 def test_theorem_main_sampled_n4():
     rep = verify_theorem_main(n=4, sample=3000, seed=8)
     assert rep.ok and rep.space == 3000
@@ -936,30 +874,3 @@ def test_checkpoint_reruns_a_batch_cut_short(tmp_path, monkeypatch):
     assert ran == [(512, 600)]
     assert second.counterexamples == first.counterexamples
     assert ck.read_text() == whole
-
-
-def test_canonical_orbit_membership_n3_sample():
-    # Sampled validation of the relabeling canonicalization at n=3: the
-    # representative is never above its source and the source is in the
-    # representative's orbit.
-    import itertools as it
-
-    rng = np.random.default_rng(19)
-    for _ in range(25):
-        idx = int(rng.integers(0, strategy_space(3)))
-        strat = index_to_strategy(idx, 3)
-        canon = canonical_strategy(strat)
-        assert strategy_to_index(canon) <= idx
-        orbit = set()
-        for pp in it.permutations(range(4)):
-            for hp in it.permutations(range(3)):
-                rows = [[0] * 3 for _ in range(4)]
-                for p in range(4):
-                    for h in range(3):
-                        rows[pp[p]][hp[h]] = pp[canon.table[p][h]]
-                orbit.add(
-                    strategy_to_index(
-                        make_strategy(3, 1, pp[canon.init], [tuple(r) for r in rows])
-                    )
-                )
-        assert idx in orbit
