@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 from pebblegames.matching import LogPower, Query
 from pebblegames import simple_game as sg
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ve = sub.add_parser("verify", help="run a verification campaign")
     p_ve.add_argument("claim")
     # Every option but --no-timing defaults to None, meaning unset: the claim
-    # fills in its own default, and a claim that does not read it refuses it.
+    # takes its campaign's default, and a claim that does not read it refuses it.
     p_ve.add_argument("--threads", type=_positive_int)
     p_ve.add_argument("--seed", type=_nonnegative_int)
     p_ve.add_argument("--playouts", type=_positive_int)
@@ -143,74 +143,43 @@ def _merged(claim: str, *reports: ver.CampaignReport) -> ver.CampaignReport:
     )
 
 
-def _theorem_main(args: argparse.Namespace, n: int) -> ver.CampaignReport:
-    if args.samples is None and args.seed is not None:
+def _theorem_main(n: int, samples: Optional[int] = None, **options) -> ver.CampaignReport:
+    if samples is None and "seed" in options:
         raise InputError(f"claim 'theorem-main-n{n}' reads --seed only with --samples")
     space = ver.strategy_space(n)
-    if args.samples is not None and args.samples > space:
-        raise InputError(f"--samples {args.samples} exceeds the {space} tables at n={n}")
-    return ver.verify_theorem_main(
-        n=n,
-        threads=args.threads,
-        checkpoint=args.checkpoint,
-        ce_dir=args.ce_dir,
-        progress=args.progress,
-        sample=args.samples,
-        seed=ver.SEED if args.seed is None else args.seed,
-    )
+    if samples is not None and samples > space:
+        raise InputError(f"--samples {samples} exceeds the {space} tables at n={n}")
+    return ver.verify_theorem_main(n=n, sample=samples, **options)
 
 
-# The options a theorem-main sweep reads, but for --samples, whose default
-# differs by board.  --seed is read only with --samples, and defaults to
-# ver.SEED there.
-SWEEP = {
-    "threads": 1,
-    "seed": None,
-    "checkpoint": None,
-    "ce_dir": None,
-    "progress": False,
-}
+# The options a theorem-main sweep reads.  --seed is read only with --samples.
+SWEEP = ("samples", "seed", "threads", "checkpoint", "ce_dir", "progress")
 
-# Claim name -> (campaign, the options it reads with their defaults).  Each
-# campaign looks its function up on ``ver`` when it runs, so a function
-# rebound there is the one called.
-CLAIMS: dict[str, tuple[Callable[[argparse.Namespace], ver.CampaignReport], dict]] = {
+# Claim name -> (campaign, the options it reads).  A campaign is called with
+# the options the user set, so each default is written once, in the
+# signature of the function it calls; theorem-main-n4 alone sets one, its
+# sample.  Each campaign looks its function up on ``ver`` when it runs, so a
+# function rebound there is the one called.
+CLAIMS: dict[str, tuple[Callable[..., ver.CampaignReport], tuple[str, ...]]] = {
     **{
-        f"theorem-main-n{n}": (lambda a, n=n: _theorem_main(a, n), {**SWEEP, "samples": None})
+        f"theorem-main-n{n}": (lambda n=n, **o: _theorem_main(n, **o), SWEEP)
         for n in (1, 2, 3)
     },
-    "theorem-main-n4": (lambda a: _theorem_main(a, 4), {**SWEEP, "samples": 100_000}),
-    "loop-bound-n3": (
-        lambda a: ver.verify_loop_bound(3, progress=a.progress),
-        {"progress": False},
-    ),
-    "small-n": (lambda a: _merged("small-n", ver.verify_small_n(1), ver.verify_small_n(2)), {}),
-    **{f"subset-n{n}": (lambda a, n=n: ver.verify_subset_prop(n), {}) for n in (1, 2, 3, 4)},
+    "theorem-main-n4": (lambda **o: _theorem_main(4, **{"samples": 100_000, **o}), SWEEP),
+    "loop-bound-n3": (lambda **o: ver.verify_loop_bound(3, **o), ("progress",)),
+    "small-n": (lambda: _merged("small-n", ver.verify_small_n(1), ver.verify_small_n(2)), ()),
+    **{f"subset-n{n}": (lambda n=n: ver.verify_subset_prop(n), ()) for n in (1, 2, 3, 4)},
     "order-axioms": (
-        lambda a: _merged(
-            "order-axioms",
-            ver.verify_order_axioms(2, 2),
-            ver.verify_order_axioms(3, 2, seed=a.seed),
+        lambda **o: _merged(
+            "order-axioms", ver.verify_order_axioms(2, 2), ver.verify_order_axioms(3, 2, **o)
         ),
-        {"seed": ver.SEED},
+        ("seed",),
     ),
-    "g2-properties": (
-        lambda a: ver.verify_g2_properties(playouts=a.playouts, seed=a.seed),
-        {"playouts": 10_000, "seed": ver.SEED},
-    ),
-    "g2prime": (
-        lambda a: ver.verify_g2prime(plays=a.playouts, seed=a.seed),
-        {"playouts": 1000, "seed": ver.SEED},
-    ),
-    "figures": (lambda a: ver.verify_figures(), {}),
-    "php-trees": (
-        lambda a: ver.verify_php_trees(build_samples=a.samples, seed=a.seed),
-        {"samples": 10_000, "seed": ver.SEED},
-    ),
-    "oracle-equivalence": (
-        lambda a: ver.verify_oracle_equivalence(n3_samples=a.samples, seed=a.seed),
-        {"samples": 10_000, "seed": ver.SEED},
-    ),
+    "g2-properties": (lambda **o: ver.verify_g2_properties(**o), ("playouts", "seed")),
+    "g2prime": (lambda **o: ver.verify_g2prime(**o), ("playouts", "seed")),
+    "figures": (lambda: ver.verify_figures(), ()),
+    "php-trees": (lambda **o: ver.verify_php_trees(**o), ("samples", "seed")),
+    "oracle-equivalence": (lambda **o: ver.verify_oracle_equivalence(**o), ("samples", "seed")),
 }
 
 
@@ -218,16 +187,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.claim not in CLAIMS:
         raise InputError(f"unknown claim {args.claim!r}; claims: {', '.join(CLAIMS)}")
     campaign, reads = CLAIMS[args.claim]
+    options = {}
     for option, value in vars(args).items():
-        if option in ("command", "claim", "no_timing"):
+        if option in ("command", "claim", "no_timing") or value is None:
             continue
-        if option not in reads and value is not None:
+        if option not in reads:
             flag = "--" + option.replace("_", "-")
             raise InputError(f"claim {args.claim!r} does not read {flag}")
-        if value is None:
-            setattr(args, option, reads.get(option))
+        options[option] = value
     t0 = time.time()
-    report = campaign(args)
+    report = campaign(**options)
     print(report.line(0.0 if args.no_timing else time.time() - t0))
     for ce in report.counterexamples[:16]:
         print("counterexample:\n" + ce if "\n" in ce else "counterexample: " + ce)

@@ -37,8 +37,9 @@ class CoverFigure:
 
 def parse_cover(text: str) -> CoverFigure:
     """Read a cover file.  A line that cannot be read, a repeated header key,
-    or an edge off the header's ``n``-hole board, is refused naming its
-    line."""
+    an edge or ``cycle`` line before the first ``path``, a second ``cycle``
+    in one path, or an edge off the header's ``n``-hole board, is refused
+    naming its line."""
     header: dict[str, tuple] = {}  # key -> (value, line)
     paths: list[PathSpec] = []
     prefix: list[Record] = []
@@ -68,7 +69,11 @@ def parse_cover(text: str) -> CoverFigure:
                 if started:
                     flush(line_no)
                 started = True
+            elif key in ("cycle", "edge", "red-edge") and not started:
+                raise ParseError(line_no, f"{key!r} before the first 'path'")
             elif key == "cycle":
+                if in_cycle:
+                    raise ParseError(line_no, "second 'cycle' in one path")
                 in_cycle = True
             elif key in ("edge", "red-edge"):
                 if len(parts) != 3:

@@ -461,14 +461,15 @@ def _hash_int(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def random_nc_tree(n: int, C: int, branching: int, seed: int) -> FiniteTree:
-    """A random left-sibling-closed tree of height <= C."""
+def random_nc_tree(C: int, seed: int) -> FiniteTree:
+    """A random left-sibling-closed tree of height <= C in which each vertex
+    has at most three children."""
     vs: list[Vertex] = [()]
 
     def grow(v: Vertex) -> None:
         if len(v) >= C:
             return
-        width = _hash_int("w", seed, v) % (branching + 1)
+        width = _hash_int("w", seed, v) % 4
         for i in range(1, width + 1):
             child = v + (i,)
             vs.append(child)

@@ -48,13 +48,17 @@ class PrimeCodec:
         return tuple(self.decode(j)[1] for j in v_prime)
 
 
-def required_prime_degree(cfg: LogPower, max_degree: int = 12) -> int:
+# required_prime_degree looks no further than this exponent.
+MAX_PRIME_DEGREE = 12
+
+
+def required_prime_degree(cfg: LogPower) -> int:
     """The least exponent making the packed indices fit the new budget."""
     need = cfg.cap * (cfg.cap + 1) + cfg.cap
-    for c2 in range(cfg.C, max_degree + 1):
+    for c2 in range(cfg.C, MAX_PRIME_DEGREE + 1):
         if need <= 2 ** (cfg.bitlen**c2):
             return c2
-    raise ValueError(f"no admissible degree <= {max_degree} for {cfg}")
+    raise ValueError(f"no admissible degree <= {MAX_PRIME_DEGREE} for {cfg}")
 
 
 def to_g2prime(

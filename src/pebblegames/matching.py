@@ -4,14 +4,10 @@ Pigeons are ``0..n`` and holes are ``0..n-1`` unless the pigeon side is
 overridden (the subset-labeled variant uses ``2**n`` pigeons).  A matching is
 injective in both coordinates; two matchings contradict each other exactly
 when their union is not a matching.
-
-The minimal covers of a query are board-level data: they are built once per
-(query, board) and cached.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -50,11 +46,8 @@ class GameSize:
 
 @dataclass(frozen=True)
 class LogPower:
-    """The width/length budget pair: ``width = |n|^C`` and ``cap = 2**width``.
-
-    ``|n|`` is the binary length of ``n``; callers may shrink ``cap`` for
-    tests since only its existence matters for the game rules.
-    """
+    """The width/length budget pair: ``width = |n|^C`` and ``cap = 2**width``,
+    where ``|n|`` is the binary length of ``n``."""
 
     n: int
     C: int
@@ -153,14 +146,11 @@ def covers(m: Matching, q: Query) -> bool:
     return q.pigeons <= m.pigeons and q.holes <= m.holes
 
 
-@functools.cache
 def minimal_covers(q: Query, size: GameSize) -> frozenset[Matching]:
-    """All inclusion-minimal matchings covering ``q`` on the board, built
-    once per (query, board).
+    """All inclusion-minimal matchings covering ``q`` on the board.
 
     The empty result is meaningful: it signals that the query cannot be
-    answered, which is a Prover win.  A query outside the board raises on
-    every call and is never cached.
+    answered, which is a Prover win.  A query outside the board raises.
     """
     for p in q.pigeons:
         if p not in size.pigeons:

@@ -269,9 +269,11 @@ class SearchBudgetExceeded(RuntimeError):
     pass
 
 
-def brute_force_delayer_wins(
-    strat: SimpleStrategy, s_max: int, budget: int = 5_000_000
-) -> frozenset[int]:
+# brute_force_delayer_wins refuses a search over more answer sequences.
+DFS_BUDGET = 5_000_000
+
+
+def brute_force_delayer_wins(strat: SimpleStrategy, s_max: int) -> frozenset[int]:
     """The lengths ``1..s_max`` Delayer wins, by one exhaustive DFS over
     answer sequences.
 
@@ -280,7 +282,7 @@ def brute_force_delayer_wins(
     locally consistent walk is one too, so each node at depth ``d`` of the
     search decides length ``d``, and the search descends only while some
     longer length is undecided.  Raises ``SearchBudgetExceeded`` when
-    ``n**s_max`` exceeds ``budget``.
+    ``n**s_max`` exceeds ``DFS_BUDGET``.
 
     Kept deliberately independent of the certificate machinery (it tests
     compatibility on plain pairs, never through the certificate's masks);
@@ -288,8 +290,8 @@ def brute_force_delayer_wins(
     """
     if s_max < 1:
         raise ValueError("lengths start at 1")
-    if strat.size.n**s_max > budget:
-        raise SearchBudgetExceeded(f"{strat.size.n}**{s_max} exceeds budget {budget}")
+    if strat.size.n**s_max > DFS_BUDGET:
+        raise SearchBudgetExceeded(f"{strat.size.n}**{s_max} exceeds budget {DFS_BUDGET}")
     holes = strat.size.holes
     table = strat.table
     won = [False] * (s_max + 1)  # won[0] stays False: the stop for `top`
@@ -665,11 +667,18 @@ def parse_strategy(text: str) -> SimpleStrategy:
 
 
 def parse_play(text: str) -> Play:
+    """Read a play file: one ``answers`` line.  A line that cannot be read,
+    or any line after it, is refused naming its line."""
+    play = None
     for line_no, line, parts in file_lines(text):
+        if play is not None:
+            raise ParseError(line_no, f"a play has one 'answers' line, got {line!r}")
         if parts[0] != "answers":
             raise ParseError(line_no, f"expected 'answers ...', got {line!r}")
         try:
-            return Play(tuple(int(p) for p in parts[1:]))
+            play = Play(tuple(int(p) for p in parts[1:]))
         except ValueError as exc:
             raise ParseError(line_no, f"cannot parse {line!r}") from exc
-    raise ParseError(1, "empty play file")
+    if play is None:
+        raise ParseError(1, "empty play file")
+    return play

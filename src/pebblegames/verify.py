@@ -53,7 +53,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from pebblegames.matching import GameSize, LogPower
+from pebblegames.matching import GameSize, LogPower, Query
 from pebblegames.simple_game import (
     PlayOutcome,
     SimpleStrategy,
@@ -318,6 +318,8 @@ HOLD_BACK_MODULUS = 100
 # fresh pages (about 10,000 minor faults per 2^20 tables) than on the walk
 # itself.
 TABLE_BLOCK = 1 << 14
+# Tables per job of verify_theorem_main; the checkpoint header names it.
+BATCH_SIZE = 1 << 18
 
 
 def certify_batch(
@@ -494,7 +496,6 @@ def _certify_job(job: tuple) -> tuple[int, int, list[int], int, int]:
 def verify_theorem_main(
     n: int = 3,
     threads: int = 1,
-    batch_size: int = 1 << 18,
     checkpoint: Optional[Path] = None,
     ce_dir: Optional[Path] = None,
     progress: bool = False,
@@ -514,7 +515,7 @@ def verify_theorem_main(
         raise ValueError("full sweeps stop at n=3; pass sample= for larger boards")
     # The header names every input a batch's verdict depends on.
     header = (
-        f"theorem-main checkpoint n={n} batch_size={batch_size} t_limit={T_LIMIT} "
+        f"theorem-main checkpoint n={n} batch_size={BATCH_SIZE} t_limit={T_LIMIT} "
         f"hold_back={HOLD_BACK_MULTIPLIER}%{HOLD_BACK_MODULUS}"
     )
     if sample is None:
@@ -555,8 +556,8 @@ def verify_theorem_main(
             print(f"  [{pct:5.1f}%] indices {stop}/{total} fast={fast_count}", flush=True)
 
     jobs = []
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
+    for start in range(0, total, BATCH_SIZE):
+        stop = min(start + BATCH_SIZE, total)
         if (start, stop) in done:
             note_batch(start, stop, *done[(start, stop)])
         else:
@@ -760,6 +761,9 @@ _MAX_COUNTEREXAMPLES = 32
 _ENOUGH_COUNTEREXAMPLES = 8
 # Triples are checked this many at a time, which bounds the temporaries.
 _TRIPLE_CHUNK = 1 << 16
+# verify_order_axioms checks every triple of trees when there are at most
+# this many, and a seeded draw of this many otherwise.
+_TRIPLE_BUDGET = 1_000_000
 
 
 def _note_failures(
@@ -779,24 +783,23 @@ def _note_failures(
         bad.extend(fmt.format(*label) for fmt, mask in checks if mask[at])
 
 
-def _triple_chunks(m: int, triple_budget: int, seed: int) -> Iterator[np.ndarray]:
+def _triple_chunks(m: int, seed: int) -> Iterator[np.ndarray]:
     """The triples of indices below ``m`` to check, as (rows, 3) chunks: all
     of them in ``itertools.product`` order when there are at most
-    ``triple_budget``, else the seeded draw ``integers(0, m, (triple_budget,
-    3))``, taken a chunk of rows at a time (which draws the same rows)."""
-    if m**3 <= triple_budget:
+    ``_TRIPLE_BUDGET``, else the seeded draw ``integers(0, m,
+    (_TRIPLE_BUDGET, 3))``, taken a chunk of rows at a time (which draws the
+    same rows)."""
+    if m**3 <= _TRIPLE_BUDGET:
         for lo in range(0, m**3, _TRIPLE_CHUNK):
             flat = np.arange(lo, min(lo + _TRIPLE_CHUNK, m**3))
             yield np.stack(np.unravel_index(flat, (m, m, m)), axis=1)
     else:
         rng = np.random.default_rng(seed)
-        for lo in range(0, triple_budget, _TRIPLE_CHUNK):
-            yield rng.integers(0, m, size=(min(_TRIPLE_CHUNK, triple_budget - lo), 3))
+        for lo in range(0, _TRIPLE_BUDGET, _TRIPLE_CHUNK):
+            yield rng.integers(0, m, size=(min(_TRIPLE_CHUNK, _TRIPLE_BUDGET - lo), 3))
 
 
-def verify_order_axioms(
-    b: int, h: int, triple_budget: int = 1_000_000, seed: int = 7
-) -> CampaignReport:
+def verify_order_axioms(b: int, h: int, seed: int = SEED) -> CampaignReport:
     """Antisymmetry, transitivity and trichotomy of the tree order plus
     strict order reversal of the ordinal embedding.
 
@@ -821,7 +824,7 @@ def verify_order_axioms(
         ("equality failure {},{}", (cmp == order.EQUAL.value) != same),
         ("antisymmetry failure {},{}", (lt & ~gt.T) | (gt & ~lt.T)),
     ])
-    for triples in _triple_chunks(m, triple_budget, seed):
+    for triples in _triple_chunks(m, seed):
         i, j, k = triples.T
         intransitive = lt[i, j] & lt[j, k] & ~lt[i, k]
         _note_failures(bad, [("transitivity failure {},{},{}", intransitive)], triples)
@@ -838,11 +841,11 @@ def verify_order_axioms(
         claim=f"order-axioms-b{b}h{h}",
         space=m * m,
         counterexamples=bad[:_MAX_COUNTEREXAMPLES],
-        details={"trees": m, "triples": min(m**3, triple_budget)},
+        details={"trees": m, "triples": min(m**3, _TRIPLE_BUDGET)},
     )
 
 
-def verify_g2_properties(playouts: int = 10_000, seed: int = 11) -> CampaignReport:
+def verify_g2_properties(playouts: int = 10_000, seed: int = SEED) -> CampaignReport:
     """Monotone growth and halting of random playouts on boards 3, 4 and 5
     with C = 2, plus the exhaustive root-ramify win at n = 3.  Halting is
     checked by the step cap: a playout longer than ``g2.PLAYOUT_STEP_CAP``,
@@ -854,9 +857,8 @@ def verify_g2_properties(playouts: int = 10_000, seed: int = 11) -> CampaignRepo
     per_n = max(1, playouts // len(boards))
     for n in boards:
         cfg = LogPower(n, C)
-        branching = 3
         for i in range(per_n):
-            tree = g2mod.random_nc_tree(n, C, branching, seed * 1000003 + i)
+            tree = g2mod.random_nc_tree(C, seed * 1000003 + i)
             oracle = treemod.TreeOracle.explicit(tree)
             total += 1
             try:
@@ -891,8 +893,6 @@ def _seeded_oblivious(cfg: LogPower, seed: int) -> g2mod.ObliviousStrategy:
         k = h % 2 + 1
         pigeons = sorted(size.pigeons)
         picks = {pigeons[(h >> (4 * i)) % len(pigeons)] for i in range(k)}
-        from pebblegames.matching import Query
-
         return Query.of(picks)
 
     def move(v, m, aux, answer):
@@ -913,14 +913,14 @@ def _seeded_oblivious(cfg: LogPower, seed: int) -> g2mod.ObliviousStrategy:
     return g2mod.ObliviousStrategy(query, move)
 
 
-def verify_g2prime(plays: int = 1000, seed: int = 12345) -> CampaignReport:
+def verify_g2prime(playouts: int = 1000, seed: int = SEED) -> CampaignReport:
     """Winner preservation through the aux-free encoding at n = 3, C = 2:
     each play is replayed by the translated strategy on the packed board,
     both on the G2 engine."""
     cfg = LogPower(3, 2)
     bad = []
-    for i in range(plays):
-        tree = g2mod.random_nc_tree(cfg.n, cfg.C, 3, seed * 31 + i)
+    for i in range(playouts):
+        tree = g2mod.random_nc_tree(cfg.C, seed * 31 + i)
         oracle = treemod.TreeOracle.explicit(tree)
         strategy = _seeded_oblivious(cfg, seed + i)
 
@@ -952,7 +952,7 @@ def verify_g2prime(plays: int = 1000, seed: int = 12345) -> CampaignReport:
             bad.append(f"play {i}: {result.winner}@{result.steps} vs {prime.winner}@{prime.steps}")
     return CampaignReport(
         claim="g2prime-equivalence",
-        space=plays,
+        space=playouts,
         counterexamples=bad,
     )
 
@@ -989,7 +989,7 @@ def _canonical_wins(strat: SimpleStrategy) -> dict[int, bool]:
     return {s: s in wins for s in window}
 
 
-def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignReport:
+def verify_php_trees(samples: int = 10_000, seed: int = SEED) -> CampaignReport:
     """Built trees are valid and symmetric at n = 3 and 4; at n = 3,
     completeness coincides with the absence of winning canonical
     anti-strategies at every length of the window, on 1,000 seeded tables
@@ -1005,7 +1005,7 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
     """
     rng = np.random.default_rng(seed)
     bad = []
-    for i in range(build_samples):
+    for i in range(samples):
         if len(bad) > _ENOUGH_COUNTEREXAMPLES:
             break
         for size_n in (3, 4):
@@ -1045,19 +1045,19 @@ def verify_php_trees(build_samples: int = 10_000, seed: int = 99) -> CampaignRep
             bad.append(f"incomplete tree but no canonical win at sample {i}")
     return CampaignReport(
         claim="php-trees",
-        space=build_samples * 2 + 1_000,
+        space=samples * 2 + 1_000,
         counterexamples=bad,
     )
 
 
-def verify_oracle_equivalence(n3_samples: int = 10_000, seed: int = 4242) -> CampaignReport:
+def verify_oracle_equivalence(samples: int = 10_000, seed: int = SEED) -> CampaignReport:
     """The certificate agrees with the brute-force DFS at every length up
-    to 8, on ``n3_samples`` seeded tables at n = 3 and a tenth as many at
+    to 8, on ``samples`` seeded tables at n = 3 and a tenth as many at
     n = 4 (the module's primary correctness gate)."""
     rng = np.random.default_rng(seed)
     bad = []
-    n4_samples = max(1, n3_samples // 10)
-    draws = ((n, i) for n, samples in ((3, n3_samples), (4, n4_samples)) for i in range(samples))
+    n4_samples = max(1, samples // 10)
+    draws = ((n, i) for n, count in ((3, samples), (4, n4_samples)) for i in range(count))
     for n, i in draws:
         if len(bad) > _ENOUGH_COUNTEREXAMPLES:
             break
@@ -1067,6 +1067,6 @@ def verify_oracle_equivalence(n3_samples: int = 10_000, seed: int = 4242) -> Cam
             bad.append(f"n={n} sample {i} s={s}")
     return CampaignReport(
         claim="oracle-equivalence",
-        space=(n3_samples + n4_samples) * 8,
+        space=(samples + n4_samples) * 8,
         counterexamples=bad,
     )

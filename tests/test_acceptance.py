@@ -25,7 +25,7 @@ THREADS = min(2, os.cpu_count() or 1)
 def test_criterion_01_theorem_main_n3_exhaustive():
     """All 4**13 strategies Delayer-won for every length (exact)."""
     t0 = time.time()
-    report = ver.verify_theorem_main(n=3, threads=THREADS, batch_size=1 << 18)
+    report = ver.verify_theorem_main(n=3, threads=THREADS)
     ok = report.ok and report.space == 67_108_864
     _line(
         "criterion 1: theorem main at n=3 (4^13 strategies, 0 counterexamples)",
@@ -53,7 +53,7 @@ def test_criterion_01b_theorem_main_n2_control():
 def test_criterion_02_oracle_equivalence():
     """Certificate equals brute force for s <= 8 on seeded samples (exact)."""
     t0 = time.time()
-    report = ver.verify_oracle_equivalence(n3_samples=10_000)
+    report = ver.verify_oracle_equivalence(samples=10_000, seed=4242)
     _line(
         "criterion 2: certificate/brute-force agreement (10^4 at n=3, 10^3 at n=4)",
         report.ok,
@@ -87,7 +87,7 @@ def test_criterion_04_subset_prover():
 def test_criterion_05_order_axioms():
     """Tree-order axioms and embedding reversal, exhaustively (exact)."""
     r_small = ver.verify_order_axioms(2, 2)
-    r_pairs = ver.verify_order_axioms(3, 2)
+    r_pairs = ver.verify_order_axioms(3, 2, seed=7)
     ok = r_small.ok and r_pairs.ok
     _line(
         "criterion 5: tree order axioms + order-reversing embedding",
@@ -125,7 +125,7 @@ def test_criterion_07_root_ramify():
 def test_criterion_08_g2prime_preservation():
     """Winner preservation through the aux-free encoding on 10^3 plays."""
     t0 = time.time()
-    report = ver.verify_g2prime(plays=1000, seed=12345)
+    report = ver.verify_g2prime(playouts=1000, seed=12345)
     _line(
         "criterion 8: aux-free translation preserves winners (10^3 plays)",
         report.ok,
@@ -157,7 +157,7 @@ def test_criterion_10_php_trees():
     """Validity/symmetry on 10^4 builds, the completeness biconditional on
     10^3 tables, and the exhaustive loop bound at n=3."""
     t0 = time.time()
-    report = ver.verify_php_trees(build_samples=10_000)
+    report = ver.verify_php_trees(samples=10_000, seed=99)
     bound = ver.verify_loop_bound(3)
     ok = report.ok and bound.ok
     _line(

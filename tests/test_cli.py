@@ -1,3 +1,4 @@
+import inspect
 import re
 from importlib import resources
 from pathlib import Path
@@ -253,6 +254,39 @@ def test_readme_lists_the_registered_claims():
     for name, options in rows:
         reads = {"--" + option.replace("_", "-") for option in CLAIMS[name][1]}
         assert set(re.findall(r"`(--[a-z-]+)`", options)) == reads, name
+
+
+def test_verify_passes_only_the_options_set_and_campaigns_hold_the_defaults(monkeypatch):
+    # A claim calls its campaign with the options the user set, so every
+    # default is the campaign's own; theorem-main-n4 alone sets its sample.
+    from pebblegames import verify as ver
+
+    calls = {}
+
+    def recorder(name):
+        def campaign(*args, **kwargs):
+            calls.setdefault(name, []).append(kwargs)
+            return ver.CampaignReport(name, 0)
+
+        return campaign
+
+    real = {name: getattr(ver, name) for name in dir(ver) if name.startswith("verify_")}
+    for name in real:
+        monkeypatch.setattr(ver, name, recorder(name))
+    assert run(["verify", "php-trees"]) == 0
+    assert run(["verify", "php-trees", "--samples", "7", "--seed", "3"]) == 0
+    assert calls.pop("verify_php_trees") == [{}, {"samples": 7, "seed": 3}]
+    assert run(["verify", "theorem-main-n4"]) == 0
+    assert calls.pop("verify_theorem_main") == [{"n": 4, "sample": 100_000}]
+    for claim, (_, reads) in CLAIMS.items():
+        if "seed" in reads:
+            assert run(["verify", claim]) == 0
+    assert set(calls) == {
+        "verify_theorem_main", "verify_order_axioms", "verify_g2_properties",
+        "verify_g2prime", "verify_php_trees", "verify_oracle_equivalence",
+    }
+    for name in calls:
+        assert inspect.signature(real[name]).parameters["seed"].default == ver.SEED, name
 
 
 def test_campaign_failure_is_not_a_usage_error(monkeypatch):

@@ -267,7 +267,7 @@ def test_play_monotonicity_fuzz():
     for n in (3, 4):
         cfg = LogPower(n, 2)
         for i in range(150):
-            tree = random_nc_tree(n, 2, 3, 1000 * n + i)
+            tree = random_nc_tree(2, 1000 * n + i)
             res = random_playout(cfg, TreeOracle.explicit(tree), i)
             assert res.winner in ("prover", "delayer")
             assert res.steps <= 2 ** (3 ** 3)
@@ -281,7 +281,7 @@ def test_playout_step_cap_lies_below_the_instantiated_bound():
 
 def test_g2_properties_lists_playouts_past_the_step_cap(monkeypatch):
     monkeypatch.setattr(g2mod, "PLAYOUT_STEP_CAP", 1)
-    report = verify_g2_properties(playouts=60)
+    report = verify_g2_properties(playouts=60, seed=11)
     assert report.counterexamples
     assert all(ce.endswith("play exceeded step cap 1") for ce in report.counterexamples)
 
@@ -291,7 +291,7 @@ def test_candidate_moves_are_the_non_losing_moves_of_g2_apply(seed):
     # Along a playout, the candidates are exactly the shape-legal B = 1
     # moves on which g2_apply does not lose, in option order, each paired
     # with the label the move extends.
-    tree = TreeOracle.explicit(random_nc_tree(3, 2, 3, seed))
+    tree = TreeOracle.explicit(random_nc_tree(2, seed))
     play = random_playout(CFG, tree, seed)
     positions = [initial_position()] + [
         st["result"].position
@@ -321,7 +321,7 @@ def test_game_layer_parameters_are_pinned():
         g2mod.exhaust_delayer: ["cfg", "tree", "prover"],
         g2mod.random_playout: ["cfg", "tree", "seed"],
         g2p.to_g2prime: ["strategy", "cfg", "tree"],
-        g2p.required_prime_degree: ["cfg", "max_degree"],
+        g2p.required_prime_degree: ["cfg"],
         TreeOracle: ["member", "max_height"],
     }
     got = {fn: list(inspect.signature(fn).parameters) for fn in pinned}
@@ -386,14 +386,15 @@ def test_codec_vertex_decode():
     assert codec.aux_of(v) == (3, 9)
 
 
-def test_required_prime_degree():
+def test_required_prime_degree(monkeypatch):
     assert required_prime_degree(LogPower(3, 2)) == 4  # 16*17+16=288 <= 2^16
+    monkeypatch.setattr(g2p, "MAX_PRIME_DEGREE", 3)
     with pytest.raises(ValueError):
-        required_prime_degree(LogPower(3, 2), max_degree=3)
+        required_prime_degree(LogPower(3, 2))
 
 
 def test_g2prime_winner_preservation_sample():
-    report = verify_g2prime(plays=60, seed=21)
+    report = verify_g2prime(playouts=60, seed=21)
     assert report.ok, report.counterexamples
 
 
@@ -410,12 +411,15 @@ def test_g2prime_equivalence_sees_a_faulty_codec(monkeypatch, method, fault):
     # The G2' side replays the same strategy through the codec, so a codec
     # that loses information must make some play differ from its G2 twin.
     monkeypatch.setattr(PrimeCodec, method, fault(getattr(PrimeCodec, method)))
-    assert verify_g2prime(plays=40, seed=2).counterexamples
+    assert verify_g2prime(playouts=40, seed=2).counterexamples
 
 
 @pytest.mark.parametrize(
     "campaign",
-    [lambda: verify_g2_properties(playouts=60), lambda: verify_g2prime(plays=20)],
+    [
+        lambda: verify_g2_properties(playouts=60, seed=11),
+        lambda: verify_g2prime(playouts=20, seed=12345),
+    ],
     ids=["g2-properties", "g2prime"],
 )
 def test_plays_do_not_depend_on_the_cover_cache(campaign):
@@ -424,10 +428,8 @@ def test_plays_do_not_depend_on_the_cover_cache(campaign):
         return report.space, report.counterexamples, report.details
 
     answer_options.cache_clear()
-    minimal_covers.cache_clear()
     cold = outcome()
     assert answer_options.cache_info().misses > 0
-    assert minimal_covers.cache_info().misses > 0
     assert outcome() == cold
     assert answer_options.cache_info().hits > 0
 

@@ -149,19 +149,12 @@ def test_minimal_covers_match_their_definition(size):
         assert minimal_covers(q, size) == minimal, q
 
 
-def test_minimal_covers_are_built_once_per_query_and_board():
+def test_minimal_covers_refuse_an_off_board_query_on_every_call():
     size = GameSize(3)
-    q = Query.of([0], [1])
-    minimal_covers.cache_clear()
-    first = minimal_covers(q, size)
-    assert minimal_covers(q, size) is first
-    assert minimal_covers.cache_info().misses == 1
-    stored = minimal_covers.cache_info().currsize
     for bad in (Query.of([size.n + 1]), Query.of(holes=[size.n])):
         for _ in range(2):
             with pytest.raises(ValueError, match="outside board"):
                 minimal_covers(bad, size)
-        assert minimal_covers.cache_info().currsize == stored
 
 
 def test_empty_cover_set_is_meaningful():

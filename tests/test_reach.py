@@ -15,7 +15,11 @@ classes of ``src/`` share a body.  Every annotated field of a module-level
 dataclass of ``src/`` is read: its name appears in ``src/`` outside the
 field's own definition, as a name, an attribute or a keyword, matched by
 name as units are; a dataclass listed in ``TEST_REFERENCES`` keeps its
-unread fields.
+unread fields.  Every parameter with a default, of a module-level function
+or of a method as above, is set by some call in ``src/`` or ``benchmarks/``,
+matched by the called name: by a keyword, by a positional argument at its
+index, or by a call that unpacks ``*`` or ``**`` arguments; otherwise its
+default is the only value it takes and it should be a constant.
 """
 
 from __future__ import annotations
@@ -25,14 +29,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pebblegames"
 TESTS = Path(__file__).resolve().parent
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 INDEPENDENT = "an independent reference the tests compare the engine against"
 LOOP_GATE = "the loop-witness bound the exhaustive loop-bound gate still needs"
 
 # "module.name" or "module.Class.method" -> why the unit or method stays
 # though no code in src/ reaches it, or, for a dataclass, why its unread
-# fields stay.  A helper that only such a unit uses (``trees.component``, for
-# one) counts as reached through it.
+# fields stay; "module.unit.parameter" -> why a parameter keeps a default
+# that no call sets.  A helper that only such a unit uses
+# (``trees.component``, for one) counts as reached through it, and the
+# parameters of a listed unit keep their defaults.
 TEST_REFERENCES = {
     "trees.lex_compare": INDEPENDENT + ": the padded vertex order",
     "trees.is_nc_tree": INDEPENDENT + ": the board-tree shape bounds",
@@ -45,6 +52,8 @@ TEST_REFERENCES = {
     "php_tree.PhpTree.children": INDEPENDENT + ": the per-node successor lists",
     "php_tree.shortest_loop_witness": LOOP_GATE,
     "verify.loop_bound_batch": LOOP_GATE,
+    "matching.Query.of.holes": "a query may name holes: minimal_covers answers them "
+    "and the tests play them",
 }
 
 
@@ -124,15 +133,21 @@ def test_every_method_is_reached_or_kept_as_a_reference():
 def test_no_stale_reference_entry():
     units, used = _scan_src()
     methods, method_used = _scan_methods(_src_sources())
-    gone = sorted(key for key in TEST_REFERENCES if key not in units and key not in methods)
+    defaults = _defaults(_src_sources())
+    gone = sorted(
+        key for key in TEST_REFERENCES if key not in units and key not in methods and key not in defaults
+    )
     assert not gone, f"TEST_REFERENCES names units that no longer exist: {gone}"
     with_unread_fields = {key.rsplit(".", 1)[0] for key in _unread_fields(_src_sources())}
+    unset = _unset_defaults(_src_sources(), _caller_sources())
     reached = sorted(
         key
         for key in TEST_REFERENCES
         if (
             methods[key] in method_used
             if key in methods
+            else key not in unset
+            if key in defaults
             else units[key] in used and key not in with_unread_fields
         )
     )
@@ -213,6 +228,102 @@ def test_the_field_scan_sees_names_attributes_and_keywords():
             "\ndef f(p, x):\n    return p.y + x, R(u=1)\n",
         }
     ) == ["a.P.z", "b.R.v"]
+
+
+def _defaults(sources: dict[str, str]) -> dict[str, tuple[str, int | None, str]]:
+    """The parameters with a default of the module-level functions, and of
+    the methods of the module-level classes, dunders aside, of ``{module:
+    source text}``, as ``{"module.unit.parameter": (called name, position,
+    parameter)}``; the position is the parameter's index among a call's
+    positional arguments, None for a keyword-only one."""
+    out: dict[str, tuple[str, int | None, str]] = {}
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, FUNCTION):
+                defs = [(f"{module}.{stmt.name}", stmt, 0)]
+            elif isinstance(stmt, ast.ClassDef):
+                defs = [
+                    (
+                        f"{module}.{stmt.name}.{fn.name}",
+                        fn,
+                        0 if any("staticmethod" in _names_in(d) for d in fn.decorator_list) else 1,
+                    )
+                    for fn in stmt.body
+                    if isinstance(fn, FUNCTION) and not fn.name[:2] == fn.name[-2:] == "__"
+                ]
+            else:
+                continue
+            for key, fn, bound in defs:  # bound: the self or cls a call does not pass
+                args = fn.args
+                positional = [*args.posonlyargs, *args.args][bound:]
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    out[f"{key}.{arg.arg}"] = (fn.name, i, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out[f"{key}.{arg.arg}"] = (fn.name, None, arg.arg)
+    return out
+
+
+def _unset_defaults(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """The keys of ``_defaults(sources)`` that no call in ``{module: source
+    text}`` ``callers`` sets, matched by the called name: a keyword sets its
+    parameter, positional arguments set the parameters at their indices, and
+    a call that unpacks ``*`` or ``**`` arguments sets every parameter."""
+    unpacked: set[str] = set()
+    positional: dict[str, int] = {}
+    keywords: set[tuple[str, str]] = set()
+    for text in callers.values():
+        for call in ast.walk(ast.parse(text)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                unpacked.add(name)
+            positional[name] = max(positional.get(name, 0), len(call.args))
+            keywords.update((name, k.arg) for k in call.keywords)
+    return sorted(
+        key
+        for key, (name, i, param) in _defaults(sources).items()
+        if name not in unpacked
+        and (name, param) not in keywords
+        and (i is None or positional.get(name, 0) <= i)
+    )
+
+
+def _caller_sources() -> dict[str, str]:
+    return {
+        **_src_sources(),
+        **{f"benchmarks.{path.stem}": path.read_text() for path in sorted(BENCHMARKS.glob("*.py"))},
+    }
+
+
+def test_every_default_is_set_by_some_call():
+    def referenced(key: str) -> bool:
+        parts = key.split(".")
+        return any(".".join(parts[:i]) in TEST_REFERENCES for i in range(2, len(parts) + 1))
+
+    unset = [
+        key for key in _unset_defaults(_src_sources(), _caller_sources()) if not referenced(key)
+    ]
+    assert not unset, f"defaults no call in src/ or benchmarks/ overrides: {unset}"
+
+
+def test_the_default_scan_sees_keywords_positions_and_unpacking():
+    sources = {
+        "a": "def f(x, y=1, z=2, *, w=3):\n    pass\n\ndef g(u=0):\n    pass\n\n"
+        "class K:\n    def m(self, v=1):\n        pass\n\n"
+        "    @staticmethod\n    def s(t=1):\n        pass\n\n"
+        "    def __init__(self, r=1):\n        pass\n",
+    }
+    callers = {**sources, "b": "f(0, 1)\nh.f(0, w=4)\nK().m(5)\nK.s()\ng(*args)\n"}
+    assert set(_defaults(sources)) == {"a.f.y", "a.f.z", "a.f.w", "a.g.u", "a.K.m.v", "a.K.s.t"}
+    # y is set by position and w by keyword, m's v by position past self,
+    # and g's u by the unpacking call; z and the static method's t are not.
+    assert _unset_defaults(sources, callers) == ["a.K.s.t", "a.f.z"]
 
 
 def _body_key(unit: ast.AST) -> str:

@@ -279,11 +279,13 @@ def test_one_search_oracle_matches_the_certificate_on_all_of_n2():
         )
 
 
-def test_oracle_budget_and_length_bounds():
+def test_oracle_budget_and_length_bounds(monkeypatch):
     n2 = paper_n2()
+    monkeypatch.setattr(simple_game, "DFS_BUDGET", 63)
     with pytest.raises(SearchBudgetExceeded):
-        brute_force_delayer_wins(n2, 6, budget=63)
-    assert brute_force_delayer_wins(n2, 6, budget=64) == frozenset({1, 2})
+        brute_force_delayer_wins(n2, 6)
+    monkeypatch.setattr(simple_game, "DFS_BUDGET", 64)
+    assert brute_force_delayer_wins(n2, 6) == frozenset({1, 2})
     for s_max in (0, -1):
         with pytest.raises(ValueError, match="lengths start at 1"):
             brute_force_delayer_wins(n2, s_max)
@@ -546,12 +548,21 @@ _COVER_HEAD = "cover x\nn 3\nthreshold 4\npath\n"
         (parse_cover, _COVER_HEAD + "n 4\nedge 0 0\n", 5, "'n' already given on line 2"),
         (parse_cover, _COVER_HEAD + "cover y\nedge 0 0\n", 5, "'cover' already given on line 1"),
         (parse_cover, _COVER_HEAD + "threshold 9\nedge 0 0\n", 5, "'threshold' already given"),
+        # A play is one answers line.
+        (parse_play, "answers 0 1\nanswers 2 2\n", 2, "one 'answers' line"),
+        (parse_play, "answers 0 1\n# note\ngarbage here\n", 3, "one 'answers' line"),
+        # Every edge and cycle marker belongs to a path, with one cycle each.
+        (parse_cover, _COVER_HEAD.replace("path\n", "edge 3 0\ncycle\nedge 0 1\npath\nedge 3 1\n"), 4, "'edge'"),
+        (parse_cover, _COVER_HEAD.replace("path\n", "red-edge 3 0\npath\nedge 3 1\n"), 4, "'red-edge'"),
+        (parse_cover, _COVER_HEAD.replace("path\n", "cycle\npath\nedge 3 1\n"), 4, "'cycle'"),
+        (parse_cover, _COVER_HEAD + "edge 3 0\ncycle\nedge 0 1\ncycle\nedge 3 1\n", 8, "second 'cycle'"),
     ],
     ids=[
         "map-value", "init", "n", "s", "pigeons", "answer", "cover", "cover-n", "edge", "path",
         "n-extra", "s-extra", "init-bare", "game-extra", "s-twice", "s-same-twice", "game-twice",
         "cover-extra", "cover-n-extra", "threshold-extra", "cover-n-twice", "cover-twice",
-        "threshold-twice",
+        "threshold-twice", "answers-twice", "answers-then-garbage", "edge-before-path",
+        "red-edge-before-path", "cycle-before-path", "cycle-twice",
     ],
 )
 def test_parsers_name_the_line_they_refuse(parse, text, line_no, message):

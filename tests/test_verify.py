@@ -399,7 +399,8 @@ _ORDER_FAULTS = {
 def test_verify_order_axioms_reports_planted_faults(fault, triple_budget, monkeypatch):
     name, planted, message = _ORDER_FAULTS[fault]
     monkeypatch.setattr(treemod, name, planted)
-    rep = verify_order_axioms(2, 2, triple_budget=triple_budget, seed=3)
+    monkeypatch.setattr(ver, "_TRIPLE_BUDGET", triple_budget)
+    rep = verify_order_axioms(2, 2, seed=3)
     assert any(c.startswith(message) for c in rep.counterexamples)
     assert rep.counterexamples == _order_axiom_failures_by_loops(2, 2, triple_budget, seed=3)
     if fault in ("antisymmetry", "transitivity"):
@@ -424,7 +425,8 @@ def test_verify_order_axioms_reports_rare_faults_in_every_chunk(triple_budget, m
 
     monkeypatch.setattr(treemod, "tree_compare", compare)
     monkeypatch.setattr(ver, "_TRIPLE_CHUNK", 1000)
-    rep = verify_order_axioms(2, 2, triple_budget=triple_budget, seed=3)
+    monkeypatch.setattr(ver, "_TRIPLE_BUDGET", triple_budget)
+    rep = verify_order_axioms(2, 2, seed=3)
     assert rep.counterexamples == _order_axiom_failures_by_loops(2, 2, triple_budget, seed=3)
     assert sum(c.startswith("transitivity failure") for c in rep.counterexamples) > 16
 
@@ -436,7 +438,7 @@ def test_verify_g2_properties_small():
 
 
 def test_verify_g2prime_small():
-    assert verify_g2prime(plays=40, seed=2).ok
+    assert verify_g2prime(playouts=40, seed=2).ok
 
 
 def test_verify_loop_bound_slice():
@@ -672,7 +674,7 @@ def test_oracle_gate_refuses_a_certificate_that_disagrees_with_the_dfs(monkeypat
     monkeypatch.setattr(ver, "delayer_wins_lengths", flipped)
     with pytest.raises(AssertionError, match=r"certificate mismatch at index \d+, s=3$"):
         ver._oracle_gate(3)
-    rep = ver.verify_oracle_equivalence(n3_samples=20)
+    rep = ver.verify_oracle_equivalence(samples=20, seed=4242)
     # Nine counterexamples end the campaign: the n = 4 draws are not made.
     assert rep.counterexamples == [f"n=3 sample {i} s=3" for i in range(9)]
 
@@ -682,7 +684,7 @@ def test_php_trees_stops_at_nine_counterexamples(monkeypatch):
     monkeypatch.setattr(ver.phpmod, "is_complete", lambda tree: not complete(tree))
     # Every table now contradicts the biconditional; the campaign stops
     # drawing at the same bound as its build loop.
-    rep = ver.verify_php_trees(build_samples=2)
+    rep = ver.verify_php_trees(samples=2, seed=99)
     assert len(rep.counterexamples) == 9
     assert all(" tree but " in ce for ce in rep.counterexamples)
 
@@ -741,17 +743,17 @@ def test_campaign_parameters_are_pinned():
     # passes is a constant of the campaign.  A new parameter changes this pin.
     pinned = {
         "verify_theorem_main": [
-            "n", "threads", "batch_size", "checkpoint", "ce_dir", "progress", "sample", "seed",
+            "n", "threads", "checkpoint", "ce_dir", "progress", "sample", "seed",
         ],
         "verify_loop_bound": ["n", "progress", "limit"],
         "verify_small_n": ["n"],
         "verify_subset_prop": ["n"],
-        "verify_order_axioms": ["b", "h", "triple_budget", "seed"],
+        "verify_order_axioms": ["b", "h", "seed"],
         "verify_g2_properties": ["playouts", "seed"],
-        "verify_g2prime": ["plays", "seed"],
+        "verify_g2prime": ["playouts", "seed"],
         "verify_figures": [],
-        "verify_php_trees": ["build_samples", "seed"],
-        "verify_oracle_equivalence": ["n3_samples", "seed"],
+        "verify_php_trees": ["samples", "seed"],
+        "verify_oracle_equivalence": ["samples", "seed"],
         "_oracle_gate": ["n"],
         "random_strategy": ["rng", "n"],
     }
@@ -761,14 +763,15 @@ def test_campaign_parameters_are_pinned():
     assert got == pinned
 
 
-def test_theorem_main_checkpoint_resume(tmp_path):
+def test_theorem_main_checkpoint_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(ver, "BATCH_SIZE", 4)
     ck = tmp_path / "progress.txt"
-    first = verify_theorem_main(n=1, checkpoint=ck, batch_size=4)
+    first = verify_theorem_main(n=1, checkpoint=ck)
     lines = ck.read_text().splitlines()
     assert lines[0] == "theorem-main checkpoint n=1 batch_size=4 t_limit=4200 hold_back=2654435761%100"
     assert len(lines) == 3 and all(l.startswith("batch ") for l in lines[1:])
     # Resuming replays only the recorded batches and reproduces the report.
-    second = verify_theorem_main(n=1, checkpoint=ck, batch_size=4)
+    second = verify_theorem_main(n=1, checkpoint=ck)
     assert first.counterexamples == second.counterexamples
     assert len(ck.read_text().splitlines()) == len(lines)
 
@@ -790,12 +793,19 @@ def test_theorem_main_samples_without_replacement():
         verify_theorem_main(n=1, sample=strategy_space(1) + 1)
 
 
+@pytest.fixture
+def batches_of_128(monkeypatch):
+    monkeypatch.setattr(ver, "BATCH_SIZE", 128)
+
+
 def _sampled(tmp_path, n=4, **change):
-    """A small sampled sweep, in several batches, checkpointed to one file."""
-    run = dict(n=n, sample=600, seed=8, batch_size=128, checkpoint=tmp_path / "ck.txt")
+    """A small sampled sweep, in several batches (under ``batches_of_128``),
+    checkpointed to one file."""
+    run = dict(n=n, sample=600, seed=8, checkpoint=tmp_path / "ck.txt")
     return verify_theorem_main(**{**run, **change})
 
 
+@pytest.mark.usefixtures("batches_of_128")
 @pytest.mark.parametrize("n", [2, 4])
 def test_theorem_main_sampled_checkpoint_resume(tmp_path, n):
     first = _sampled(tmp_path, n)
@@ -825,9 +835,8 @@ def test_theorem_main_sampled_crosschecks():
     assert 0 < rep.details["fast_path"] <= 3000 - held_back
 
 
-@pytest.mark.parametrize(
-    "change", [{"seed": 9}, {"n": 3}, {"batch_size": 256}, {"sample": 599}]
-)
+@pytest.mark.usefixtures("batches_of_128")
+@pytest.mark.parametrize("change", [{"seed": 9}, {"n": 3}, {"sample": 599}])
 def test_checkpoint_refuses_another_run(tmp_path, change):
     _sampled(tmp_path)
     before = (tmp_path / "ck.txt").read_text()
@@ -836,13 +845,20 @@ def test_checkpoint_refuses_another_run(tmp_path, change):
     assert (tmp_path / "ck.txt").read_text() == before
 
 
+@pytest.mark.usefixtures("batches_of_128")
 @pytest.mark.parametrize(
     "constant, value",
-    [("T_LIMIT", 4000), ("HOLD_BACK_MODULUS", 50), ("HOLD_BACK_MULTIPLIER", 40503)],
+    [
+        ("T_LIMIT", 4000),
+        ("HOLD_BACK_MODULUS", 50),
+        ("HOLD_BACK_MULTIPLIER", 40503),
+        ("BATCH_SIZE", 256),
+    ],
 )
 def test_checkpoint_refuses_another_verdict_rule(tmp_path, monkeypatch, constant, value):
     # A batch's verdict depends on the step limit and on which tables are
-    # held back from the fast path, so a resume under another rule is refused.
+    # held back from the fast path, and its record on the batch bounds, so a
+    # resume under another rule is refused.
     _sampled(tmp_path)
     before = (tmp_path / "ck.txt").read_text()
     monkeypatch.setattr(ver, constant, value)
@@ -859,6 +875,7 @@ def test_checkpoint_refuses_headerless_file(tmp_path):
     assert ck.read_text() == "batch 0 8\n"
 
 
+@pytest.mark.usefixtures("batches_of_128")
 def test_checkpoint_reruns_a_batch_cut_short(tmp_path, monkeypatch):
     first = _sampled(tmp_path, 2)
     ck = tmp_path / "ck.txt"
