@@ -835,8 +835,11 @@ def test_theorem_main_sampled_crosschecks():
     assert 0 < rep.details["fast_path"] <= 3000 - held_back
 
 
+# A full sweep's header has no sample and seed, so it refuses a sampled file.
 @pytest.mark.usefixtures("batches_of_128")
-@pytest.mark.parametrize("change", [{"seed": 9}, {"n": 3}, {"sample": 599}])
+@pytest.mark.parametrize(
+    "change", [{"seed": 9}, {"n": 3}, {"n": 3, "sample": None}, {"sample": 599}]
+)
 def test_checkpoint_refuses_another_run(tmp_path, change):
     _sampled(tmp_path)
     before = (tmp_path / "ck.txt").read_text()
