@@ -256,7 +256,7 @@ def _cmd_g2sim(args: argparse.Namespace) -> int:
         return options[pick]
 
     result = g2mod.g2_play(cfg, oracle, strategy, delayer, step_cap=10_000)
-    sys.stdout.write(result.transcript.format())
+    sys.stdout.write(g2mod.format_transcript(cfg, result))
     print(f"winner: {result.winner} in {result.steps} steps")
     return 0
 

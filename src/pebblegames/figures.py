@@ -27,7 +27,6 @@ from pebblegames.simple_game import (
 @dataclass(frozen=True)
 class CoverFigure:
     name: str
-    n: int
     threshold: int
     paths: tuple[PathSpec, ...]
 
@@ -98,7 +97,7 @@ def parse_cover(text: str) -> CoverFigure:
     for e, at in placed:
         if not (0 <= e.pigeon <= n and 0 <= e.hole < n):
             raise ParseError(at, f"edge {tuple(e)} is off the {n}-hole board")
-    return CoverFigure(name, n, threshold, tuple(paths))
+    return CoverFigure(name, threshold, tuple(paths))
 
 
 # The complete set of shipped certificates: the four base cases, the

@@ -240,42 +240,28 @@ def answer_options(q: Query, cfg: LogPower) -> tuple[Matching, ...]:
     return tuple(sorted(options, key=lambda m: m.entries))
 
 
-@dataclass
-class G2Transcript:
-    cfg: LogPower
-    steps: list[dict] = field(default_factory=list)
-    winner: Optional[str] = None
-
-    def record(
-        self,
-        q: Query,
-        answer: Matching,
-        mv: ProverMove,
-        result: G2StepResult,
-    ) -> None:
-        self.steps.append(
-            {"query": q, "answer": answer, "move": mv, "result": result}
-        )
-
-    def format(self) -> str:
-        lines = ["game g2", f"n {self.cfg.n}", f"C {self.cfg.C}"]
-        for st in self.steps:
-            mv: ProverMove = st["move"]
-            x = format_vertex(mv.x) if isinstance(mv.x, tuple) else str(mv.x)
-            lines.append(f"query: {st['query']}")
-            answer = " ".join(f"{r.pigeon},{r.hole}" for r in st["answer"].entries)
-            lines.append(f"answer: {answer}")
-            lines.append(f"move: o={mv.option} x={x} B={mv.b}")
-        if self.winner:
-            lines.append(f"winner: {self.winner}")
-        return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class G2PlayResult:
+    """A finished play: its winner, its step count, and each answered step
+    as ``(query, answer, move, result)``.  A final step whose query has no
+    cover is counted but has no entry."""
+
     winner: str
     steps: int
-    transcript: G2Transcript
+    moves: tuple[tuple[Query, Matching, ProverMove, G2StepResult], ...]
+
+
+def format_transcript(cfg: LogPower, play: G2PlayResult) -> str:
+    """The play as ``g2sim`` prints it: a header, then query, answer and move
+    lines per answered step, then the winner."""
+    lines = ["game g2", f"n {cfg.n}", f"C {cfg.C}"]
+    for q, answer, mv, _ in play.moves:
+        x = format_vertex(mv.x) if isinstance(mv.x, tuple) else str(mv.x)
+        lines.append(f"query: {q}")
+        lines.append("answer: " + " ".join(f"{r.pigeon},{r.hole}" for r in answer.entries))
+        lines.append(f"move: o={mv.option} x={x} B={mv.b}")
+    lines.append(f"winner: {play.winner}")
+    return "\n".join(lines) + "\n"
 
 
 def g2_play(
@@ -293,7 +279,7 @@ def g2_play(
     """
     prover = prover.on_positions()
     pos = initial_position()
-    transcript = G2Transcript(cfg)
+    moves = []
     for step in range(1, step_cap + 1):
         q = prover.query(pos)
         options = answer_options(q, cfg)
@@ -305,17 +291,18 @@ def g2_play(
                 raise MalformedMove(f"{answer} is not a minimal cover of {q}")
             mv = prover.move(pos, answer)
             result = g2_apply(pos, answer, mv, cfg, tree)
-            transcript.record(q, answer, mv, result)
+            moves.append((q, answer, mv, result))
             tag = result.tag
         if tag is not G2Tag.ONGOING:
-            transcript.winner = "prover" if tag is G2Tag.PROVER_WINS else "delayer"
-            return G2PlayResult(transcript.winner, step, transcript)
+            winner = "prover" if tag is G2Tag.PROVER_WINS else "delayer"
+            return G2PlayResult(winner, step, tuple(moves))
         pos = result.position
     raise ContractViolation(f"play exceeded step cap {step_cap}")
 
 
 # ---------------------------------------------------------------------------
-# The unrestricted winning Prover for the root-ramified board.
+# The unrestricted Prover for the root-ramified board, winning at n = 2 and
+# n = 3 (checked exhaustively); at n = 4 and 5 some Delayer branch beats it.
 
 
 def root_ramify_tree(n: int) -> FiniteTree:
@@ -367,12 +354,16 @@ def _kill_query(
 
 
 def prover_root_ramify(n: int, cfg: LogPower) -> tuple[FiniteTree, PositionStrategy]:
-    """The winning Prover for the root-ramified board.
+    """The unrestricted Prover for the root-ramified board.
 
     Option 1 opens the first child, option 2 sweeps fresh pigeon questions
     along the root's children, and as soon as some query is guaranteed to
     clash with a reachable stored matching whatever the cover, that query is
     asked and the clash delivered by the refuting move.
+
+    It wins every Delayer branch at n = 2 and n = 3, where
+    ``exhaust_delayer`` checks it.  It is built for any n >= 2 but loses at
+    n = 4 and 5: after the sweep, some answers leave it climbing off a leaf.
     """
     if n < 2 or cfg.C < 2:
         raise ValueError("the construction needs n >= 2 and C >= 2")

@@ -163,23 +163,18 @@ def minimal_covers(q: Query, size: GameSize) -> frozenset[Matching]:
 
     def extend(m: tuple[Record, ...]) -> None:
         got = Matching(m)
-        missing_p = sorted(q.pigeons - got.pigeons)
-        missing_h = sorted(q.holes - got.holes)
-        if not missing_p and not missing_h:
+        missing_p = q.pigeons - got.pigeons
+        missing_h = q.holes - got.holes
+        if missing_p:
+            cands = [Record(min(missing_p), h) for h in size.holes]
+        elif missing_h:
+            cands = [Record(p, min(missing_h)) for p in size.pigeons]
+        else:
             out.add(got)
             return
-        if missing_p:
-            p = missing_p[0]
-            for h in size.holes:
-                cand = Record(p, h)
-                if all(not records_conflict(cand, r) for r in m):
-                    extend(m + (cand,))
-        else:
-            h = missing_h[0]
-            for p in size.pigeons:
-                cand = Record(p, h)
-                if all(not records_conflict(cand, r) for r in m):
-                    extend(m + (cand,))
+        for cand in cands:
+            if all(not records_conflict(cand, r) for r in m):
+                extend(m + (cand,))
 
     extend(())
     return frozenset(out)

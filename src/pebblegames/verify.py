@@ -47,13 +47,14 @@ high digit moved.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from pebblegames.matching import GameSize, LogPower, Query
+from pebblegames.matching import GameSize, LogPower, Matching, Query
 from pebblegames.simple_game import (
     PlayOutcome,
     SimpleStrategy,
@@ -916,44 +917,57 @@ def _seeded_oblivious(cfg: LogPower, seed: int) -> g2mod.ObliviousStrategy:
 def verify_g2prime(playouts: int = 1000, seed: int = SEED) -> CampaignReport:
     """Winner preservation through the aux-free encoding at n = 3, C = 2:
     each play is replayed by the translated strategy on the packed board,
-    both on the G2 engine."""
+    both on the G2 engine.  ``details`` counts the G2 plays by length and,
+    per option, the moves made and the moves that land (do not hand Delayer
+    the win)."""
     cfg = LogPower(3, 2)
     bad = []
+    lengths: Counter[int] = Counter()
+    made: Counter[int] = Counter()
+    landed: Counter[int] = Counter()
+
+    def delayer(i: int, down, aux_of) -> g2mod.DelayerCallback:
+        """Delayer of play ``i`` in either game: the answer hashes the
+        position's labels as read on the original board, through ``down``
+        for the vertex and ``aux_of(v, label)`` for its aux word."""
+
+        def answer(pos: g2mod.G2Position, q: Query) -> Matching:
+            key = tuple(
+                sorted(
+                    (down(v), lab.matching.entries, aux_of(v, lab))
+                    for v, lab in pos.labels.items()
+                )
+            )
+            options = g2mod.answer_options(q, cfg)
+            return options[g2mod._hash_int("dl", seed, i, key, q) % len(options)]
+
+        return answer
+
     for i in range(playouts):
         tree = g2mod.random_nc_tree(cfg.C, seed * 31 + i)
         oracle = treemod.TreeOracle.explicit(tree)
         strategy = _seeded_oblivious(cfg, seed + i)
-
-        def answer_for(key: tuple, q, tag: int) -> object:
-            options = g2mod.answer_options(q, cfg)
-            return options[g2mod._hash_int("dl", seed, tag, key, q) % len(options)]
-
-        def delayer(pos: g2mod.G2Position, q) -> object:
-            key = tuple(
-                sorted((v, lab.matching.entries, lab.aux) for v, lab in pos.labels.items())
-            )
-            return answer_for(key, q, i)
-
-        result = g2mod.g2_play(cfg, oracle, strategy, delayer, step_cap=400)
+        on_g2 = delayer(i, lambda v: v, lambda v, lab: lab.aux)
+        result = g2mod.g2_play(cfg, oracle, strategy, on_g2, step_cap=400)
+        lengths[result.steps] += 1
+        for _, _, mv, step in result.moves:
+            made[mv.option] += 1
+            landed[mv.option] += step.tag is not g2mod.G2Tag.DELAYER_WINS
 
         cfg_p, tree_p, strat_p, codec = g2p.to_g2prime(strategy, cfg, oracle)
-
-        def delayer_p(pos: g2mod.G2Position, q) -> object:
-            key = tuple(
-                sorted(
-                    (codec.vertex_down(v), lab.matching.entries, codec.aux_of(v))
-                    for v, lab in pos.labels.items()
-                )
-            )
-            return answer_for(key, q, i)
-
-        prime = g2mod.g2_play(cfg_p, tree_p, strat_p, delayer_p, step_cap=400)
+        on_g2p = delayer(i, codec.vertex_down, lambda v, lab: codec.aux_of(v))
+        prime = g2mod.g2_play(cfg_p, tree_p, strat_p, on_g2p, step_cap=400)
         if (result.winner, result.steps) != (prime.winner, prime.steps):
             bad.append(f"play {i}: {result.winner}@{result.steps} vs {prime.winner}@{prime.steps}")
     return CampaignReport(
         claim="g2prime-equivalence",
         space=playouts,
         counterexamples=bad,
+        details={
+            "lengths": dict(sorted(lengths.items())),
+            "made": dict(sorted(made.items())),
+            "landed": {o: landed[o] for o in sorted(made)},
+        },
     )
 
 

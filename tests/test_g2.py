@@ -15,6 +15,7 @@ from pebblegames.g2 import (
     ProverMove,
     answer_options,
     exhaust_delayer,
+    format_transcript,
     g2_apply,
     g2_play,
     initial_position,
@@ -294,9 +295,7 @@ def test_candidate_moves_are_the_non_losing_moves_of_g2_apply(seed):
     tree = TreeOracle.explicit(random_nc_tree(2, seed))
     play = random_playout(CFG, tree, seed)
     positions = [initial_position()] + [
-        st["result"].position
-        for st in play.transcript.steps
-        if st["result"].tag is G2Tag.ONGOING
+        result.position for _, _, _, result in play.moves if result.tag is G2Tag.ONGOING
     ]
     for pos in positions:
         c = pos.frontier
@@ -357,7 +356,7 @@ def test_transcript_format():
         return answer_options(q, CFG)[0]
 
     result = g2_play(CFG, TreeOracle.explicit(tree), strategy, delayer, 100)
-    text = result.transcript.format()
+    text = format_transcript(CFG, result)
     assert text.startswith("game g2\nn 3\nC 2\n")
     assert "move: o=" in text
     assert result.winner == "prover"
@@ -396,6 +395,15 @@ def test_required_prime_degree(monkeypatch):
 def test_g2prime_winner_preservation_sample():
     report = verify_g2prime(playouts=60, seed=21)
     assert report.ok, report.counterexamples
+
+
+def test_g2prime_reports_what_its_plays_reach():
+    # At the claim's default seed most G2 plays end by step 2, and few
+    # backtracks (option 3) land on the board.
+    details = verify_g2prime(playouts=250).details
+    assert details["lengths"] == {1: 133, 2: 96, 3: 18, 4: 3}
+    assert details["made"] == {1: 293, 2: 46, 3: 52}
+    assert details["landed"] == {1: 137, 2: 18, 3: 4}
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ TESTS = Path(__file__).resolve().parent
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 INDEPENDENT = "an independent reference the tests compare the engine against"
-LOOP_GATE = "the loop-witness bound the exhaustive loop-bound gate still needs"
+LOOP_BOUND = "the tests compare the loop-bound sweep against it"
 
 # "module.name" or "module.Class.method" -> why the unit or method stays
 # though no code in src/ reaches it, or, for a dataclass, why its unread
@@ -50,8 +50,8 @@ TEST_REFERENCES = {
     "matching.covers": INDEPENDENT + ": what a minimal cover must cover",
     "figures.example_strategy": "loads the shipped data/fig1.strat table",
     "php_tree.PhpTree.children": INDEPENDENT + ": the per-node successor lists",
-    "php_tree.shortest_loop_witness": LOOP_GATE,
-    "verify.loop_bound_batch": LOOP_GATE,
+    "php_tree.shortest_loop_witness": "the scalar loop witness: " + LOOP_BOUND,
+    "verify.loop_bound_batch": "the loop bound's decode route: " + LOOP_BOUND,
     "matching.Query.of.holes": "a query may name holes: minimal_covers answers them "
     "and the tests play them",
 }

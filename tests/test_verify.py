@@ -198,6 +198,39 @@ def test_certify_batch_packs_out_only_at_brent_anchors(n, size, fast, monkeypatc
         assert 2 * len(after) <= len(before) and np.isin(after, before).all()
 
 
+def _step1_loop_exit(strat) -> bool:
+    """The step-1 loop lemma on plain integers: some first edge (init, h_f)
+    leads to a pigeon p = F(init, h_f) with a self-loop (p, h_c), F(p, h_c)
+    = p, that is compatible with the first edge: init == p exactly when
+    h_f == h_c."""
+    table, init = strat.table, strat.init
+    return any(
+        table[p][h_c] == p and (init == p) == (h_f == h_c)
+        for h_f, p in enumerate(table[init])
+        for h_c in range(strat.size.n)
+    )
+
+
+@pytest.mark.parametrize("n, holds", [(1, 4), (2, 1755), (3, 3678), (4, 3888)])
+def test_first_step_loop_exits_match_the_step_1_loop_lemma(n, holds, monkeypatch):
+    # With T_LIMIT = 1 the walk stops after its first step, so a fast-path
+    # table is one that left at step 1: the lemma must hold for it, and
+    # every table the lemma holds for must leave there unless it is held
+    # back.  The whole space at n <= 2, 4,096 seeded tables at n = 3 and 4.
+    space = strategy_space(n)
+    if space <= 4096:
+        idxs = np.arange(space, dtype=np.uint64)
+    else:
+        idxs = np.random.default_rng(n).choice(space, 4096, replace=False).astype(np.uint64)
+    lemma = np.array([_step1_loop_exit(index_to_strategy(int(i), n)) for i in idxs])
+    assert int(lemma.sum()) == holds
+    held = idxs * np.uint64(ver.HOLD_BACK_MULTIPLIER) % np.uint64(ver.HOLD_BACK_MODULUS) == 0
+    monkeypatch.setattr(ver, "T_LIMIT", 1)
+    for mask, expected in ((None, lemma), (held, lemma & ~held)):
+        got = certify_batch(idxs, board_tables(n), sample_mask=mask).fast_path
+        assert not (got != expected).any(), idxs[got != expected][:10]
+
+
 @functools.cache
 def _certificate(idx: int, n: int):
     return delayer_wins_lengths(index_to_strategy(idx, n))
