@@ -170,10 +170,10 @@ CLAIMS: dict[str, tuple[Callable[..., ver.CampaignReport], tuple[str, ...]]] = {
     "small-n": (lambda: _merged("small-n", ver.verify_small_n(1), ver.verify_small_n(2)), ()),
     **{f"subset-n{n}": (lambda n=n: ver.verify_subset_prop(n), ()) for n in (1, 2, 3, 4)},
     "order-axioms": (
-        lambda **o: _merged(
-            "order-axioms", ver.verify_order_axioms(2, 2), ver.verify_order_axioms(3, 2, **o)
+        lambda: _merged(
+            "order-axioms", ver.verify_order_axioms(2, 2), ver.verify_order_axioms(3, 2)
         ),
-        ("seed",),
+        (),
     ),
     "g2-properties": (lambda **o: ver.verify_g2_properties(**o), ("playouts", "seed")),
     "g2prime": (lambda **o: ver.verify_g2prime(**o), ("playouts", "seed")),

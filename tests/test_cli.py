@@ -189,6 +189,7 @@ def test_analyze_lists_the_winning_lengths_of_a_prover_won_table(
         (["subset-n2", "--progress"], "--progress"),
         (["theorem-main-n3", "--playouts", "9"], "--playouts"),
         (["figures", "--ce-dir", "ces"], "--ce-dir"),
+        (["order-axioms", "--seed", "3"], "--seed"),
     ],
 )
 def test_unread_option_exit_2(argv, option, capsys):
@@ -282,8 +283,8 @@ def test_verify_passes_only_the_options_set_and_campaigns_hold_the_defaults(monk
         if "seed" in reads:
             assert run(["verify", claim]) == 0
     assert set(calls) == {
-        "verify_theorem_main", "verify_order_axioms", "verify_g2_properties",
-        "verify_g2prime", "verify_php_trees", "verify_oracle_equivalence",
+        "verify_theorem_main", "verify_g2_properties", "verify_g2prime",
+        "verify_php_trees", "verify_oracle_equivalence",
     }
     for name in calls:
         assert inspect.signature(real[name]).parameters["seed"].default == ver.SEED, name

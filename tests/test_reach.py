@@ -19,7 +19,10 @@ unread fields.  Every parameter with a default, of a module-level function
 or of a method as above, is set by some call in ``src/`` or ``benchmarks/``,
 matched by the called name: by a keyword, by a positional argument at its
 index, or by a call that unpacks ``*`` or ``**`` arguments; otherwise its
-default is the only value it takes and it should be a constant.
+default is the only value it takes and it should be a constant.  Every name
+that a module-level assignment of ``src/`` binds, dunders aside, is read:
+it appears in ``src/`` outside its own assignment, matched by name as units
+are.
 """
 
 from __future__ import annotations
@@ -106,6 +109,26 @@ def _scan_methods(sources: dict[str, str]) -> tuple[dict[str, str], set[str]]:
     return methods, used
 
 
+def _scan_constants(sources: dict[str, str]) -> tuple[dict[str, str], set[str]]:
+    """The names bound by the module-level assignments of ``{module: source
+    text}``, dunders aside, as ``{"module.name": name}``, and every name used
+    outside the assignment that binds it."""
+    constants: dict[str, str] = {}
+    used: set[str] = set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            names = _names_in(stmt)
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name) and not node.id[:2] == node.id[-2:] == "__":
+                            constants[f"{module}.{node.id}"] = node.id
+                            names.discard(node.id)
+            used |= names
+    return constants, used
+
+
 def _src_sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -130,13 +153,21 @@ def test_every_method_is_reached_or_kept_as_a_reference():
     assert not unreached, f"methods nothing in src/ reaches: {unreached}"
 
 
+def test_every_module_constant_is_read_or_kept_as_a_reference():
+    constants, used = _scan_constants(_src_sources())
+    unread = sorted(
+        key for key, name in constants.items() if name not in used and key not in TEST_REFERENCES
+    )
+    assert not unread, f"module-level names nothing in src/ reads: {unread}"
+
+
 def test_no_stale_reference_entry():
     units, used = _scan_src()
     methods, method_used = _scan_methods(_src_sources())
     defaults = _defaults(_src_sources())
-    gone = sorted(
-        key for key in TEST_REFERENCES if key not in units and key not in methods and key not in defaults
-    )
+    constants, constant_used = _scan_constants(_src_sources())
+    known = units.keys() | methods.keys() | defaults.keys() | constants.keys()
+    gone = sorted(key for key in TEST_REFERENCES if key not in known)
     assert not gone, f"TEST_REFERENCES names units that no longer exist: {gone}"
     with_unread_fields = {key.rsplit(".", 1)[0] for key in _unread_fields(_src_sources())}
     unset = _unset_defaults(_src_sources(), _caller_sources())
@@ -148,6 +179,8 @@ def test_no_stale_reference_entry():
             if key in methods
             else key not in unset
             if key in defaults
+            else constants[key] in constant_used
+            if key in constants
             else units[key] in used and key not in with_unread_fields
         )
     )
@@ -181,6 +214,21 @@ def test_the_method_scan_tells_a_call_from_a_self_reference():
     # f is called by __init__, the property g is read by f and j is reached
     # as an attribute in another module; h only calls itself.
     assert {name for name in methods.values() if name not in used} == {"h"}
+
+
+def test_the_constant_scan_tells_a_read_from_an_assignment():
+    constants, used = _scan_constants(
+        {
+            "a": "X = 1\nY: int = 2\nZ, W = 3, 4\n__all__ = ['f']\n\ndef f():\n    return X\n",
+            "b": "from a import Z\n\nV = 5\nT = V + 1\nT += 1\n\nclass K:\n    U = 1\n",
+        }
+    )
+    assert set(constants) == {"a.X", "a.Y", "a.Z", "a.W", "b.V", "b.T"}
+    # X is read by f, Z is imported and V is read by T's assignment; T is
+    # only assigned, and a class attribute or a dunder is no constant.
+    assert sorted(key for key, name in constants.items() if name not in used) == [
+        "a.W", "a.Y", "b.T",
+    ]
 
 
 def _unread_fields(sources: dict[str, str]) -> list[str]:

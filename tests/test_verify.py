@@ -231,6 +231,49 @@ def test_first_step_loop_exits_match_the_step_1_loop_lemma(n, holds, monkeypatch
         assert not (got != expected).any(), idxs[got != expected][:10]
 
 
+@pytest.mark.parametrize("n, holds, lost", [(1, 4, 4), (2, 1755, 108)])
+def test_the_step_1_loop_lemma_implies_the_certificate_win(n, holds, lost):
+    # The lemma is an argument that Delayer wins every length, so the scalar
+    # certificate must find every table it holds on won; none of the
+    # Prover-won tables of the whole space is among them.
+    strats = [index_to_strategy(i, n) for i in range(strategy_space(n))]
+    lemma = [_step1_loop_exit(strat) for strat in strats]
+    won = [delayer_wins_lengths(strat).wins_all() for strat in strats]
+    assert sum(lemma) == holds and won.count(False) == lost
+    assert not any(held and not win for held, win in zip(lemma, won))
+
+
+def _step1_loop_lemma_count(n: int) -> int:
+    """The number of tables the step-1 loop lemma holds on, summed over
+    ``init`` and ``init``'s row ``r``.  When ``init`` occurs in ``r`` the
+    lemma holds on every completion.  Otherwise it fails exactly when the
+    row of every pigeon ``p`` in ``r`` fails: ``p`` has no self-loop, n^n
+    rows, when it occurs twice or more in ``r``; when it occurs once, its
+    self-loops all sit at the one hole that leads to ``p``, (n+1) n^(n-1)
+    rows.  The rows of the pigeons not in ``r`` are free."""
+    row = (n + 1) ** n  # the fillings of one row
+    total = 0
+    for init in range(n + 1):
+        for r in itertools.product(range(n + 1), repeat=n):
+            if init not in r:
+                fails = row ** (n - len(set(r)))
+                for p in set(r):
+                    fails *= n**n if r.count(p) > 1 else (n + 1) * n ** (n - 1)
+                total -= fails
+            total += row**n
+    return total
+
+
+@pytest.mark.parametrize(
+    "n, holds", [(1, 4), (2, 1755), (3, 60_183_040), (4, 450_244_387_003_125)]
+)
+def test_the_step_1_loop_lemma_count_has_a_closed_form(n, holds):
+    assert _step1_loop_lemma_count(n) == holds
+    if n <= 2:
+        space = range(strategy_space(n))
+        assert sum(_step1_loop_exit(index_to_strategy(i, n)) for i in space) == holds
+
+
 @functools.cache
 def _certificate(idx: int, n: int):
     return delayer_wins_lengths(index_to_strategy(idx, n))
@@ -354,9 +397,9 @@ def test_verify_order_axioms_small(monkeypatch):
     assert len(calls) == 25 * 25
 
 
-def _order_axiom_failures_by_loops(b, h, triple_budget=1_000_000, seed=7):
-    """The checks of ``verify_order_axioms``, written as plain loops over the
-    same pairs, triples and messages."""
+def _order_axiom_failures_by_loops(b, h):
+    """The checks of ``verify_order_axioms``, written as plain loops over
+    every pair and triple, with the same messages."""
     ts = list(treemod.all_trees(b, h))
     m = len(ts)
     cmp = [[treemod.tree_compare(t, u) for u in ts] for t in ts]
@@ -368,11 +411,7 @@ def _order_axiom_failures_by_loops(b, h, triple_budget=1_000_000, seed=7):
             bad.append(f"equality failure {i},{j}")
         if (a is L and rev is not G) or (a is G and rev is not L):
             bad.append(f"antisymmetry failure {i},{j}")
-    if m**3 <= triple_budget:
-        triples = itertools.product(range(m), repeat=3)
-    else:
-        triples = np.random.default_rng(seed).integers(0, m, size=(triple_budget, 3)).tolist()
-    for i, j, k in triples:
+    for i, j, k in itertools.product(range(m), repeat=3):
         if cmp[i][j] is L and cmp[j][k] is L and cmp[i][k] is not L:
             bad.append(f"transitivity failure {i},{j},{k}")
     emb = [treemod.ordinal_embed(t, b + 1, h) for t in ts]
@@ -427,41 +466,86 @@ _ORDER_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("triple_budget", [1_000_000, 500], ids=["exhaustive", "sampled"])
-@pytest.mark.parametrize("fault", sorted(_ORDER_FAULTS))
-def test_verify_order_axioms_reports_planted_faults(fault, triple_budget, monkeypatch):
+@pytest.mark.parametrize("fault", sorted(_ORDER_FAULTS), ids=lambda fault: f"{fault}-exhaustive")
+def test_verify_order_axioms_reports_planted_faults(fault, monkeypatch):
     name, planted, message = _ORDER_FAULTS[fault]
     monkeypatch.setattr(treemod, name, planted)
-    monkeypatch.setattr(ver, "_TRIPLE_BUDGET", triple_budget)
-    rep = verify_order_axioms(2, 2, seed=3)
+    rep = verify_order_axioms(2, 2)
     assert any(c.startswith(message) for c in rep.counterexamples)
-    assert rep.counterexamples == _order_axiom_failures_by_loops(2, 2, triple_budget, seed=3)
+    assert rep.counterexamples == _order_axiom_failures_by_loops(2, 2)
     if fault in ("antisymmetry", "transitivity"):
         # Hundreds of failures, reported only up to the cap.
         assert len(rep.counterexamples) == 32
         assert all(c.startswith(message) for c in rep.counterexamples)
 
 
-@pytest.mark.parametrize("triple_budget", [1_000_000, 10_000], ids=["exhaustive", "sampled"])
-def test_verify_order_axioms_reports_rare_faults_in_every_chunk(triple_budget, monkeypatch):
-    # One flipped pair leaves the order antisymmetric and breaks transitivity
-    # on a few triples only, spread over many 1000-triple chunks.
-    from pebblegames import verify as ver
+_SWAP = {Ordering.LESS: Ordering.GREATER, Ordering.GREATER: Ordering.LESS}
 
-    ts = list(treemod.all_trees(2, 2))
-    flipped = {(ts[3], ts[17]), (ts[17], ts[3])}
-    swap = {Ordering.LESS: Ordering.GREATER, Ordering.GREATER: Ordering.LESS}
+
+def _flipped_compare(a, b):
+    """``tree_compare`` with the comparison of the trees ``a`` and ``b``
+    reversed both ways, which keeps it antisymmetric."""
+    ends = ((a.vertices, b.vertices), (b.vertices, a.vertices))
 
     def compare(t, u):
         got = _TREE_COMPARE(t, u)
-        return swap[got] if (t, u) in flipped else got
+        return _SWAP[got] if (t.vertices, u.vertices) in ends else got
 
-    monkeypatch.setattr(treemod, "tree_compare", compare)
-    monkeypatch.setattr(ver, "_TRIPLE_CHUNK", 1000)
-    monkeypatch.setattr(ver, "_TRIPLE_BUDGET", triple_budget)
-    rep = verify_order_axioms(2, 2, seed=3)
-    assert rep.counterexamples == _order_axiom_failures_by_loops(2, 2, triple_budget, seed=3)
+    return compare
+
+
+def test_verify_order_axioms_reports_rare_faults(monkeypatch):
+    # One flipped pair leaves the order antisymmetric and breaks transitivity
+    # on a few triples only.
+    ts = list(treemod.all_trees(2, 2))
+    monkeypatch.setattr(treemod, "tree_compare", _flipped_compare(ts[3], ts[17]))
+    rep = verify_order_axioms(2, 2)
+    assert rep.counterexamples == _order_axiom_failures_by_loops(2, 2)
     assert sum(c.startswith("transitivity failure") for c in rep.counterexamples) > 16
+
+
+def test_verify_order_axioms_checks_every_triple_at_b3(monkeypatch):
+    # Trees 100 and 102 sit two apart in the order at b = 3, h = 2, so
+    # flipping them breaks transitivity on the three triples they make with
+    # tree 101 alone: 3 of the 729^3 triples.
+    ts = list(treemod.all_trees(3, 2))
+    monkeypatch.setattr(treemod, "tree_compare", _flipped_compare(ts[100], ts[102]))
+    assert verify_order_axioms(3, 2).counterexamples == [
+        "transitivity failure 100,101,102",
+        "transitivity failure 101,102,100",
+        "transitivity failure 102,100,101",
+        "embedding not order-reversing at 102,100",
+    ]
+
+
+@st.composite
+def _flipped_orders(draw):
+    """A linear order of the 25 trees at b = 2, h = 2, given as each tree's
+    place, with a few comparisons reversed: each one way or both ways."""
+    place = draw(st.permutations(range(25)))
+    pair = st.tuples(st.integers(0, 24), st.integers(0, 24), st.booleans())
+    flips = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=4))
+    return place, flips
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation=_flipped_orders())
+def test_verify_order_axioms_matches_the_loops_on_any_relation(relation):
+    place, flips = relation
+    ts = list(treemod.all_trees(2, 2))
+    index = {t: i for i, t in enumerate(ts)}
+    flipped = {(i, j) for i, j, _ in flips} | {(j, i) for i, j, both in flips if both}
+
+    def compare(t, u):
+        i, j = index[t], index[u]
+        if i == j:
+            return Ordering.EQUAL
+        less = (place[i] < place[j]) != ((i, j) in flipped)
+        return Ordering.LESS if less else Ordering.GREATER
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(treemod, "tree_compare", compare)
+        assert verify_order_axioms(2, 2).counterexamples == _order_axiom_failures_by_loops(2, 2)
 
 
 def test_verify_g2_properties_small():
@@ -781,7 +865,7 @@ def test_campaign_parameters_are_pinned():
         "verify_loop_bound": ["n", "progress", "limit"],
         "verify_small_n": ["n"],
         "verify_subset_prop": ["n"],
-        "verify_order_axioms": ["b", "h", "seed"],
+        "verify_order_axioms": ["b", "h"],
         "verify_g2_properties": ["playouts", "seed"],
         "verify_g2prime": ["playouts", "seed"],
         "verify_figures": [],
