@@ -241,19 +241,13 @@ def _cmd_g2sim(args: argparse.Namespace) -> int:
     cfg = _input(lambda: LogPower(args.n, args.C))
     tree, strategy = _input(lambda: g2mod.prover_root_ramify(args.n, cfg))
     oracle = treemod.TreeOracle.explicit(tree)
-    answers: list[int] = []
+    answers = iter(())
     if args.answers:
-        answers = _input(lambda: _parse_answers(args.answers.read_text()))
-    pointer = {"i": 0}
+        answers = iter(_input(lambda: _parse_answers(args.answers.read_text())))
 
     def delayer(pos: g2mod.G2Position, q: Query):
         options = g2mod.answer_options(q, cfg)
-        if pointer["i"] < len(answers):
-            pick = answers[pointer["i"]] % len(options)
-            pointer["i"] += 1
-        else:
-            pick = 0
-        return options[pick]
+        return options[next(answers, 0) % len(options)]
 
     result = g2mod.g2_play(cfg, oracle, strategy, delayer, step_cap=10_000)
     sys.stdout.write(g2mod.format_transcript(cfg, result))

@@ -341,8 +341,7 @@ def _kill_query(
         return None
     pigeons = list(size.pigeons)
     queries = [Query.of([p]) for p in pigeons]
-    if cfg.width >= 2:
-        queries += [Query.of(pair) for pair in itertools.combinations(pigeons, 2)]
+    queries += [Query.of(pair) for pair in itertools.combinations(pigeons, 2)]
     for q in queries:
         covers_q = answer_options(q, cfg)
         if covers_q and all(
@@ -362,13 +361,13 @@ def prover_root_ramify(n: int, cfg: LogPower) -> tuple[FiniteTree, PositionStrat
     asked and the clash delivered by the refuting move.
 
     It wins every Delayer branch at n = 2 and n = 3, where
-    ``exhaust_delayer`` checks it.  It is built for any n >= 2 but loses at
-    n = 4 and 5: after the sweep, some answers leave it climbing off a leaf.
+    ``exhaust_delayer`` checks it, and is refused at any other n: at n = 4
+    and 5, after the sweep, some answers leave it climbing off a leaf.
     """
-    if n < 2 or cfg.C < 2:
-        raise ValueError("the construction needs n >= 2 and C >= 2")
-    if cfg.cap <= n:
-        raise ValueError(f"branching cap {cfg.cap} must exceed n={n}")
+    if n not in (2, 3):
+        raise ValueError(f"the construction is checked to win at n = 2 and 3 only, not n={n}")
+    if cfg.C < 2:
+        raise ValueError("the construction needs C >= 2")
     if cfg.n != n:
         raise ValueError("cfg board size mismatch")
     size = GameSize(n)

@@ -12,6 +12,7 @@ is what both the brute-force oracle and the certificate decide.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
@@ -156,16 +157,9 @@ def won_lengths(strat: SimpleStrategy, play: Play) -> frozenset[int]:
 
 
 def all_plays(strat: SimpleStrategy) -> Iterator[Play]:
-    """Every answer sequence of length ``s`` (the exhaustive play space)."""
-
-    def rec(prefix: tuple[int, ...]) -> Iterator[Play]:
-        if len(prefix) == strat.s:
-            yield Play(prefix)
-            return
-        for h in strat.size.holes:
-            yield from rec(prefix + (h,))
-
-    yield from rec(())
+    """Every answer sequence of length ``s`` (the exhaustive play space), in
+    lexicographic order."""
+    return map(Play, itertools.product(strat.size.holes, repeat=strat.s))
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,18 @@ tables that ``board_tables`` builds once per board and caches.  A table
 leaves the batch at its first failing length, at a hit of an absorbing loop
 candidate (the fast path), or at the first repeat of its state (Brent
 anchors at steps 1, 2, 4, ...), which closes every longer length; there is
-no explicit range of lengths.  Most tables leave at the first step, which
-runs over blocks of at most 2^14 tables, so only the tables that stay are
-decoded for the rest of the walk.  After that a leaving table gets its
-verdict at once, but its column stays in the planes, masked off, until an
-anchor where at least half of the columns have left; only there is the
-batch compacted.  A hash-selected 1% of the tables is held back from the
-fast path and certified by the repeat alone as a cross-check.  Exhaustive and
-sampled sweeps take the same route: one worker per batch, one checkpoint
-file (whose first line names the run, so that a mismatched resume is
-refused), one counterexample writer and one process pool.
+no explicit range of lengths.  Step 1 is the first anchor and the same
+rule routes it, but no table is in the planes before it, so its hit test
+runs over blocks of at most 2^14 tables; most tables leave there, and only
+the tables that stay are decoded for the rest of the walk.  After that a
+leaving table gets its verdict at once, but its column stays in the planes,
+masked off, until an anchor where at least half of the columns have left;
+only there is the batch compacted.  A hash-selected 1% of the tables is
+held back from the fast path and certified by the repeat alone as a
+cross-check.  Exhaustive and sampled sweeps take the same route: one worker
+per batch, one checkpoint file (whose first line names the run, so that a
+mismatched resume is refused), one counterexample writer and one process
+pool.
 
 One engine serves both batch sweeps.  ``certify_batch`` (the headline
 sweep) walks the edges compatible with each candidate; ``_loop_bound_planes``
@@ -341,22 +343,20 @@ def certify_batch(
     ``sample_mask`` are held back from the loop exit and certified by the
     repeat alone.
 
-    Most tables leave at t = 1, so that step runs over blocks of
-    ``TABLE_BLOCK`` tables, and only the tables that stay are decoded into
-    the planes of the loop.  A leaving table's column stays in the planes
-    under the ``live`` mask.  At an anchor where at least half of the
-    columns have left, the planes are compacted and the packed state is the
-    new anchor, so the planes are decoded at most once per anchor, each time
-    with at most half of the tables of the decode before.
+    The state at t = 1 is the initial one, and no table is in the planes yet,
+    so that step's hit test runs over blocks of ``TABLE_BLOCK`` tables.  Most
+    tables leave there, and t = 1 is the first anchor: only the tables that
+    stay are decoded into the planes of the walk.  A leaving table's column
+    stays in the planes under the ``live`` mask.  At a later anchor where at
+    least half of the columns have left, the planes are compacted and the
+    packed state is the new anchor, so the planes are decoded at most once
+    per anchor, each time with at most half of the tables of the decode
+    before.
     """
     B = len(indices)
     walk = bt.certify
     held = np.zeros(B, dtype=bool) if sample_mask is None else np.asarray(sample_mask, dtype=bool)
-
-    first_fail = np.zeros(B, dtype=np.int64)
-    wins_all = np.zeros(B, dtype=bool)
-    fast_path = np.zeros(B, dtype=bool)
-    # t = 1: the state is the initial one.
+    # The hits of t = 1, whose state is the initial one, block by block.
     won = np.empty(B, dtype=bool)
     looped = np.empty(B, dtype=bool)
     for lo in range(0, B, TABLE_BLOCK):
@@ -366,43 +366,41 @@ def certify_batch(
         won[lo:hi] = _unpack(np.bitwise_or.reduce(hits, axis=0), hi - lo)
         hits &= tables[bt.loop_plane]
         looped[lo:hi] = _unpack(np.bitwise_or.reduce(hits, axis=0), hi - lo)
-    first_fail[~won] = 2
-    looped &= won & ~held
-    fast_path[looped] = True
-    wins_all[looped] = True
 
-    active = np.flatnonzero(won & ~looped)  # the tables in the planes
-    init, tables = _table_planes(indices[active], bt.n)
-    terms, loops, held_in = tables[walk.step_plane], tables[bt.loop_plane], held[active]
-    rr = anchor = init[walk.slot_tail]  # one plane per state slot
-    live = np.ones(len(active), dtype=bool)  # the tables in the planes that have not left
-    for t in range(2, T_LIMIT + 1):
+    first_fail = np.zeros(B, dtype=np.int64)
+    wins_all = np.zeros(B, dtype=bool)
+    fast_path = np.zeros(B, dtype=bool)
+    active = None  # the tables in the planes; until t = 1's anchor, column i is table i
+    rows = lambda mask: mask if active is None else active[mask]
+    live = np.ones(B, dtype=bool)  # the columns whose tables have not left
+    held_in = held
+    for t in range(1, T_LIMIT + 1):
         if not live.any():
             break
-        rr = walk.step(rr, terms)
-        b = len(active)
-        hits = walk.hits(rr, tables)  # (E, W) candidate wins at s = t + 1
-        won = _unpack(np.bitwise_or.reduce(hits, axis=0), b)
-        hits &= loops
-        looped = _unpack(np.bitwise_or.reduce(hits, axis=0), b)
-        first_fail[active[live & ~won]] = t + 1
+        if active is not None:  # t > 1
+            rr = walk.step(rr, terms)
+            hits = walk.hits(rr, tables)  # (E, W) candidate wins at s = t + 1
+            won = _unpack(np.bitwise_or.reduce(hits, axis=0), len(live))
+            hits &= loops
+            looped = _unpack(np.bitwise_or.reduce(hits, axis=0), len(live))
+        first_fail[rows(live & ~won)] = t + 1
         live &= won
         looped &= live & ~held_in
-        fast_path[active[looped]] = True
-        wins_all[active[looped]] = True
+        fast_path[rows(looped)] = True
+        wins_all[rows(looped)] = True
         live &= ~looped
         if t & (t - 1):
             # A state equal to the anchor repeats every hit seen since.
-            moved = _unpack(np.bitwise_or.reduce(rr ^ anchor, axis=0), b)
-            wins_all[active[live & ~moved]] = True
+            moved = _unpack(np.bitwise_or.reduce(rr ^ anchor, axis=0), len(live))
+            wins_all[rows(live & ~moved)] = True
             live &= moved
-        elif 2 * np.count_nonzero(live) <= b:
-            # A Brent anchor where at least half of the columns have left:
-            # they are packed out here.
-            active = active[live]
-            _, tables = _table_planes(indices[active], bt.n)
+        elif active is None or 2 * np.count_nonzero(live) <= len(live):
+            # A Brent anchor where at least half of the columns have left, or
+            # t = 1: the tables that stay are decoded into the planes here.
+            active = np.flatnonzero(live) if active is None else active[live]
+            init, tables = _table_planes(indices[active], bt.n)
             terms, loops, held_in = tables[walk.step_plane], tables[bt.loop_plane], held[active]
-            rr = anchor = _repack(rr, live)
+            rr = anchor = init[walk.slot_tail] if t == 1 else _repack(rr, live)
             live = np.ones(len(active), dtype=bool)
         else:
             # A repack and re-decode cost 3 to 5 steps at n = 4 and 6 to 17
@@ -411,7 +409,7 @@ def certify_batch(
             anchor = rr
 
     uncertified = np.zeros(B, dtype=bool)
-    uncertified[active[live]] = True
+    uncertified[rows(live)] = True
     return BatchResult(wins_all, fast_path, first_fail, uncertified)
 
 

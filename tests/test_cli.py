@@ -352,6 +352,13 @@ def test_g2sim_has_no_strategy_flag(capsys):
     assert "--strategy" in capsys.readouterr().err
 
 
+def test_g2sim_refuses_the_boards_where_its_prover_is_not_checked(capsys):
+    assert run(["g2sim", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checked to win at n = 2 and 3 only, not n=4" in captured.err
+
+
 def test_g2sim_transcript(capsys, tmp_path):
     answers = tmp_path / "ans.txt"
     answers.write_text("2 1 0 2 1\n")

@@ -247,7 +247,9 @@ def test_root_ramify_rejects_bad_parameters():
     with pytest.raises(ValueError):
         prover_root_ramify(3, LogPower(3, 1))  # height-2 board needs C >= 2
     with pytest.raises(ValueError):
-        prover_root_ramify(4, LogPower(3, 2))  # board size mismatch
+        prover_root_ramify(2, LogPower(3, 2))  # board size mismatch
+    with pytest.raises(ValueError, match="n = 2 and 3 only"):
+        prover_root_ramify(4, LogPower(4, 2))  # it loses some branch there
 
 
 def test_root_ramify_beats_exhaustive_delayer():

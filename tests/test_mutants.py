@@ -3,6 +3,7 @@
 A row names a module, a source fragment and its replacement, the check that
 must refuse the mutant with the message it gives, and the checks the mutant
 is known to survive, each with the ROADMAP item that will close that gap.
+A check names the module it takes, which must be the row's module.
 An equivalent mutant has no refusing check, and the reason it survives is
 recorded in place of an item.  A mutant is built by executing the module's
 patched source in a fresh module object; no file is written.  A fragment
@@ -14,6 +15,7 @@ recorded to survive fails its row too, so a gap that closes is noticed.
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import sys
 import types
@@ -24,7 +26,12 @@ import pytest
 
 from pebblegames import trees as treemod
 from pebblegames import verify as ver
-from test_verify import _cyclic_compare, _order_axiom_failures_by_loops, _step1_loop_exit
+from test_verify import (
+    _breaks_loop_bound,
+    _cyclic_compare,
+    _order_axiom_failures_by_loops,
+    _step1_loop_exit,
+)
 
 
 @contextlib.contextmanager
@@ -46,8 +53,8 @@ def _mutant(module: types.ModuleType, fragment: str, replacement: str) -> Iterat
         del sys.modules[name]
 
 
-# A check takes a module with the interface of ``verify`` and returns why it
-# refuses it, or None when it accepts it.
+# A check takes a module with the interface of the module it names in
+# ``CHECKS`` and returns why it refuses it, or None when it accepts it.
 
 
 def _step1_lemma_at_n2(mod) -> Optional[str]:
@@ -97,13 +104,74 @@ def _batch_results_at_n1_n2(mod) -> Optional[str]:
     return None
 
 
+@functools.cache
+def _loop_bound_violators_at_n4() -> tuple[np.ndarray, list[bool]]:
+    """The 4,096 seeded n = 4 tables of
+    ``test_loop_bound_batch_matches_scalar_witness`` and the scalar witness's
+    verdicts on them, computed once per session."""
+    idxs = np.random.default_rng(5).choice(ver.strategy_space(4), 4096, replace=False)
+    expected = [_breaks_loop_bound(ver.index_to_strategy(int(i), 4)) for i in idxs]
+    return idxs.astype(np.uint64), expected
+
+
+def _loop_bound_witness_at_n4(mod) -> Optional[str]:
+    """The loop-bound engine must flag exactly the tables that the scalar
+    witness flags."""
+    idxs, expected = _loop_bound_violators_at_n4()
+    got = mod.loop_bound_batch(idxs, mod.board_tables(4)).tolist()
+    return None if got == expected else f"{sum(got)} found, {sum(expected)} expected"
+
+
+def _loop_bound_claim(n: int) -> Callable[..., Optional[str]]:
+    def check(mod) -> Optional[str]:
+        bad = mod.verify_loop_bound(n, limit=1 << 16).counterexamples
+        return f"{len(bad)} counterexamples" if bad else None
+
+    return check
+
+
+def _php_trees_claim(mod) -> Optional[str]:
+    """The php-tree claim at 10 samples, its planted tables included."""
+    bad = mod.verify_php_trees(samples=10).counterexamples
+    return bad[0] if bad else None
+
+
+def _php_biconditional_at_n2(mod) -> Optional[str]:
+    """A complete php-tree must mean no canonical win at any window length,
+    and an incomplete one a canonical win at every one, over the whole n = 2
+    space."""
+    broken = 0
+    for idx in range(ver.strategy_space(2)):
+        strat = ver.index_to_strategy(idx, 2)
+        wins = mod._canonical_wins(strat).values()
+        complete = ver.phpmod.is_complete(ver.phpmod.build_php_tree(strat))
+        broken += any(wins) if complete else not all(wins)
+    return f"{broken} tables break the biconditional" if broken else None
+
+
+def _order_claim_at_b2_h2(mod) -> Optional[str]:
+    """The order claim at b = 2, h = 2 on the trees of ``mod``: its first
+    message."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ver, "treemod", mod)
+        bad = ver.verify_order_axioms(2, 2).counterexamples
+    return bad[0] if bad else None
+
+
+# name -> (the module the check takes, the check)
 CHECKS = {
-    "step1-lemma-n2": _step1_lemma_at_n2,
-    "oracle-gate-n2": _gate(2),
-    "oracle-gate-n3": _gate(3),
-    "oracle-gate-n4": _gate(4),
-    "planted-intransitive-order": _planted_intransitive_order,
-    "batch-results-n1-n2": _batch_results_at_n1_n2,
+    "step1-lemma-n2": (ver, _step1_lemma_at_n2),
+    "oracle-gate-n2": (ver, _gate(2)),
+    "oracle-gate-n3": (ver, _gate(3)),
+    "oracle-gate-n4": (ver, _gate(4)),
+    "planted-intransitive-order": (ver, _planted_intransitive_order),
+    "batch-results-n1-n2": (ver, _batch_results_at_n1_n2),
+    "loop-bound-witness-n4": (ver, _loop_bound_witness_at_n4),
+    "loop-bound-claim-n3": (ver, _loop_bound_claim(3)),
+    "loop-bound-claim-n4": (ver, _loop_bound_claim(4)),
+    "php-trees-claim": (ver, _php_trees_claim),
+    "php-biconditional-n2": (ver, _php_biconditional_at_n2),
+    "order-claim-b2-h2": (treemod, _order_claim_at_b2_h2),
 }
 
 # name -> (module, fragment, replacement, (refusing check, its message) or
@@ -149,23 +217,114 @@ MUTANTS = {
             "test_certify_batch_packs_out_only_at_brent_anchors",
         },
     ),
+    "loop-bound-one-step-longer": (
+        ver,
+        "    K = 2 * (bt.n - 2) + 1\n",
+        "    K = 2 * (bt.n - 2) + 2\n",
+        ("loop-bound-witness-n4", "2 found, 5 expected"),
+        {
+            "loop-bound-claim-n3": "item 6: the claim against its scalar witness, both ways",
+            "loop-bound-claim-n4": "item 6: the claim against its scalar witness, both ways",
+        },
+    ),
+    "loop-bound-one-step-shorter": (
+        ver,
+        "    K = 2 * (bt.n - 2) + 1\n",
+        "    K = 2 * (bt.n - 2)\n",
+        ("loop-bound-witness-n4", "32 found, 5 expected"),
+        {"loop-bound-claim-n4": "item 6: the claim against its scalar witness, both ways"},
+    ),
+    "loop-bound-fixpoint-after-one-step": (
+        ver,
+        "        union = grown\n",
+        "        union = grown\n        break\n",
+        ("loop-bound-witness-n4", "3 found, 5 expected"),
+        {
+            "loop-bound-claim-n3": "item 6: the claim against its scalar witness, both ways",
+            "loop-bound-claim-n4": "item 6: the claim against its scalar witness, both ways",
+        },
+    ),
+    "canonical-wins-ignores-gave-up": (
+        ver,
+        "s in window and (cp.gave_up_step is None or s < cp.gave_up_step)",
+        "s in window",
+        # The planted 4-cycle table, which wins only after giving up.
+        ("php-trees-claim", "complete tree but canonical win at sample -3"),
+        {},
+    ),
+    "canonical-wins-counts-the-gave-up-step": (
+        ver,
+        "s < cp.gave_up_step",
+        "s <= cp.gave_up_step",
+        None,
+        {
+            # At the give-up step the question is new and every hole is taken
+            # by another pigeon, so the filler record always conflicts; see
+            # test_no_canonical_play_wins_at_its_gave_up_step.
+            "php-trees-claim": "equivalent: no canonical play wins at its gave-up step",
+            "php-biconditional-n2": "equivalent: no canonical play wins at its gave-up step",
+        },
+    ),
+    "tree-key-not-negated": (
+        treemod,
+        "tuple(-i for v in vs for i in v)",
+        "tuple(i for v in vs for i in v)",
+        ("order-claim-b2-h2", "embedding not order-reversing at 3,2"),
+        {},
+    ),
+    "tree-key-vertices-reversed": (
+        treemod,
+        "tuple(-i for v in vs for i in v)",
+        "tuple(-i for v in reversed(vs) for i in v)",
+        ("order-claim-b2-h2", "equality failure 8,11"),
+        {},
+    ),
+    "tree-key-drops-last-vertex": (
+        treemod,
+        "tuple(-i for v in vs for i in v)",
+        "tuple(-i for v in vs[:-1] for i in v)",
+        ("order-claim-b2-h2", "equality failure 0,1"),
+        {},
+    ),
+    "tree-key-ends-each-vertex": (
+        treemod,
+        "tuple(-i for v in vs for i in v)",
+        "tuple(i for v in vs for i in (*(-j for j in v), 0))",
+        None,
+        {
+            # By prefix-closure the first mismatch of two keys never falls at
+            # the end of a vertex, so no terminator is ever compared.
+            "order-claim-b2-h2": "equivalent: no terminator is ever compared",
+        },
+    ),
 }
+
+
+# name -> a second check that refuses the mutant, with its message.
+ALSO_REFUSED = {
+    "loop-bound-one-step-shorter": ("loop-bound-claim-n3", "1104 counterexamples"),
+    "canonical-wins-ignores-gave-up": ("php-biconditional-n2", "72 tables break the biconditional"),
+}
+assert set(ALSO_REFUSED) <= set(MUTANTS)
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant(name):
     module, fragment, replacement, refused, survives = MUTANTS[name]
+    refusals = [pair for pair in (refused, ALSO_REFUSED.get(name)) if pair is not None]
+    checks = [*dict(refusals), *survives]
+    assert all(CHECKS[check][0] is module for check in checks), "a check takes another module"
     with _mutant(module, fragment, replacement) as mod:
-        if refused is not None:
-            check, message = refused
-            assert CHECKS[check](mod) == message
+        for check, message in refusals:
+            assert CHECKS[check][1](mod) == message
         for check in survives:
-            assert CHECKS[check](mod) is None, f"{check} now refuses it: update its row"
+            assert CHECKS[check][1](mod) is None, f"{check} now refuses it: update its row"
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
 def test_every_check_accepts_the_module_itself(check):
-    assert CHECKS[check](ver) is None
+    module, accepts = CHECKS[check]
+    assert accepts(module) is None
 
 
 def test_a_fragment_must_occur_exactly_once():

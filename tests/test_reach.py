@@ -12,17 +12,19 @@ method or property of a module-level class of ``src/``, other than a dunder,
 is reached in the same way: its name appears in ``src/`` outside its own
 definition, matched by name as units are.  No two module-level functions or
 classes of ``src/`` share a body.  Every annotated field of a module-level
-dataclass of ``src/`` is read: its name appears in ``src/`` outside the
-field's own definition, as a name, an attribute or a keyword, matched by
-name as units are; a dataclass listed in ``TEST_REFERENCES`` keeps its
-unread fields.  Every parameter with a default, of a module-level function
-or of a method as above, is set by some call in ``src/`` or ``benchmarks/``,
-matched by the called name: by a keyword, by a positional argument at its
-index, or by a call that unpacks ``*`` or ``**`` arguments; otherwise its
-default is the only value it takes and it should be a constant.  Every name
-that a module-level assignment of ``src/`` binds, dunders aside, is read:
-it appears in ``src/`` outside its own assignment, matched by name as units
-are.
+dataclass of ``src/`` is read: its name appears in ``src/`` as an attribute
+that is read, matched by name as units are; a bare name does not count, and
+a keyword at construction or an assignment to the attribute is a write.
+Names are still matched, not types, so a field named ``n`` is read by any
+``cfg.n``, whatever ``cfg`` is.  A dataclass listed in ``TEST_REFERENCES``
+keeps its unread fields.  Every parameter with a default, of a module-level
+function or of a method as above, is set by some call in ``src/`` or
+``benchmarks/``, matched by the called name: by a keyword, by a positional
+argument at its index, or by a call that unpacks ``*`` or ``**`` arguments;
+otherwise its default is the only value it takes and it should be a
+constant.  Every name that a module-level assignment of ``src/`` binds,
+dunders aside, is read: it appears in ``src/`` outside its own assignment,
+matched by name as units are.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ TEST_REFERENCES = {
     "php_tree.PhpTree.children": INDEPENDENT + ": the per-node successor lists",
     "php_tree.shortest_loop_witness": "the scalar loop witness: " + LOOP_BOUND,
     "verify.loop_bound_batch": "the loop bound's decode route: " + LOOP_BOUND,
+    "verify.BatchResult": "benchmarks/run.py reads first_fail and uncertified by name, "
+    "and the tests compare first_fail with the certificate's first loss",
+    "verify.CampaignReport": "the tests and the benchmark read details",
     "matching.Query.of.holes": "a query may name holes: minimal_covers answers them "
     "and the tests play them",
 }
@@ -233,13 +238,12 @@ def test_the_constant_scan_tells_a_read_from_an_assignment():
 
 def _unread_fields(sources: dict[str, str]) -> list[str]:
     """The annotated fields of the module-level dataclasses of ``{module:
-    source text}``, as ``"module.Class.field"``, whose name is used nowhere
-    outside the field's own definition as a name, an attribute or a keyword."""
+    source text}``, as ``"module.Class.field"``, whose name is read as an
+    attribute nowhere."""
     fields: dict[str, str] = {}
     used: set[str] = set()
     for module, text in sources.items():
         tree = ast.parse(text)
-        own: set[int] = set()
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef) and any(
                 "dataclass" in _names_in(d) for d in stmt.decorator_list
@@ -247,14 +251,9 @@ def _unread_fields(sources: dict[str, str]) -> list[str]:
                 for item in stmt.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                         fields[f"{module}.{stmt.name}.{item.target.id}"] = item.target.id
-                        own.add(id(item.target))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and id(node) not in own:
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-            elif isinstance(node, ast.keyword) and node.arg:
-                used.add(node.arg)
     return sorted(key for key, name in fields.items() if name not in used)
 
 
@@ -267,15 +266,17 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields nothing in src/ reads: {unread}"
 
 
-def test_the_field_scan_sees_names_attributes_and_keywords():
+def test_the_field_scan_counts_only_attribute_reads():
     assert _unread_fields(
         {
             "a": "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n    z: int = 0\n"
             "\nclass Q:\n    w: int\n",
             "b": "import dataclasses\n\n@dataclasses.dataclass\nclass R:\n    u: int\n    v: int\n"
-            "\ndef f(p, x):\n    return p.y + x, R(u=1)\n",
+            "\ndef f(p, x):\n    p.v = x\n    return p.y + x, R(u=1)\n",
         }
-    ) == ["a.P.z", "b.R.v"]
+    ) == ["a.P.x", "a.P.z", "b.R.u", "b.R.v"]
+    # Only p.y is read: x is a bare name, u a keyword at construction and
+    # p.v an assignment, and Q is no dataclass.
 
 
 def _defaults(sources: dict[str, str]) -> dict[str, tuple[str, int | None, str]]:
