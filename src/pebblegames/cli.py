@@ -239,7 +239,7 @@ def _parse_answers(text: str) -> list[int]:
 
 def _cmd_g2sim(args: argparse.Namespace) -> int:
     cfg = _input(lambda: LogPower(args.n, args.C))
-    tree, strategy = _input(lambda: g2mod.prover_root_ramify(args.n, cfg))
+    tree, strategy = _input(lambda: g2mod.prover_root_ramify(cfg))
     oracle = treemod.TreeOracle.explicit(tree)
     answers = iter(())
     if args.answers:

@@ -113,13 +113,18 @@ class ContractViolation(AssertionError):
     """Raised when a play breaks the growth guarantee or its step cap."""
 
 
+def _in_budget(v: int, cfg: LogPower) -> bool:
+    """``1 <= v <= cfg.cap``, by bit length: ``cfg.cap`` is never built."""
+    return 1 <= v and (v - 1).bit_length() <= cfg.width
+
+
 def _validate_move(mv: ProverMove, frontier: Vertex, cfg: LogPower) -> None:
     if mv.option not in (1, 2, 3):
         raise MalformedMove(f"option {mv.option} not in 1..3")
-    if not 1 <= mv.b <= cfg.cap:
-        raise MalformedMove(f"B={mv.b} outside [1, {cfg.cap}]")
+    if not _in_budget(mv.b, cfg):
+        raise MalformedMove(f"B={mv.b} outside [1, 2**{cfg.width}]")
     if mv.option == 1:
-        if not isinstance(mv.x, int) or not 1 <= mv.x <= cfg.cap:
+        if not isinstance(mv.x, int) or not _in_budget(mv.x, cfg):
             raise MalformedMove(f"option 1 needs a child index, got {mv.x!r}")
     else:
         x = mv.x
@@ -220,11 +225,7 @@ class PositionStrategy:
     query: Callable[[G2Position], Query]
     move: Callable[[G2Position, Matching], ProverMove]
 
-    def on_positions(self) -> PositionStrategy:
-        return self
 
-
-ProverStrategy = Union[ObliviousStrategy, PositionStrategy]
 DelayerCallback = Callable[[G2Position, Query], Matching]
 
 
@@ -267,7 +268,7 @@ def format_transcript(cfg: LogPower, play: G2PlayResult) -> str:
 def g2_play(
     cfg: LogPower,
     tree: TreeOracle,
-    prover: ProverStrategy,
+    prover: PositionStrategy,
     delayer: DelayerCallback,
     step_cap: int,
 ) -> G2PlayResult:
@@ -277,7 +278,6 @@ def g2_play(
     answer); answers are validated for shape but deliberately not for
     consistency, which only the landing check judges.
     """
-    prover = prover.on_positions()
     pos = initial_position()
     moves = []
     for step in range(1, step_cap + 1):
@@ -332,14 +332,10 @@ def _candidate_moves(
     return out
 
 
-def _kill_query(
-    pos: G2Position, tree: TreeOracle, cfg: LogPower, size: GameSize
-) -> Optional[Query]:
+def _kill_query(pos: G2Position, tree: TreeOracle, cfg: LogPower) -> Optional[Query]:
     """A query every minimal cover of which is refuted by some move."""
     candidates = _candidate_moves(pos, tree)
-    if not candidates:
-        return None
-    pigeons = list(size.pigeons)
+    pigeons = list(GameSize(cfg.n).pigeons)
     queries = [Query.of([p]) for p in pigeons]
     queries += [Query.of(pair) for pair in itertools.combinations(pigeons, 2)]
     for q in queries:
@@ -352,33 +348,30 @@ def _kill_query(
     return None
 
 
-def prover_root_ramify(n: int, cfg: LogPower) -> tuple[FiniteTree, PositionStrategy]:
-    """The unrestricted Prover for the root-ramified board.
+def prover_root_ramify(cfg: LogPower) -> tuple[FiniteTree, PositionStrategy]:
+    """The unrestricted Prover for the root-ramified board of ``cfg.n``.
 
-    Option 1 opens the first child, option 2 sweeps fresh pigeon questions
-    along the root's children, and as soon as some query is guaranteed to
-    clash with a reachable stored matching whatever the cover, that query is
-    asked and the clash delivered by the refuting move.
+    Query: the kill query, whose every cover clashes with the matching that
+    some non-losing move carries; else pigeon ``m`` at child ``m``; else
+    pigeon 0.  Move: the move that delivers a clash with the answer; else
+    option 2; else the first non-losing move; else concede.  So the root
+    asks pigeon 0 and opens child 1, and child ``m`` jumps to ``m + 1``.
 
     It wins every Delayer branch at n = 2 and n = 3, where
     ``exhaust_delayer`` checks it, and is refused at any other n: at n = 4
     and 5, after the sweep, some answers leave it climbing off a leaf.
     """
+    n = cfg.n
     if n not in (2, 3):
         raise ValueError(f"the construction is checked to win at n = 2 and 3 only, not n={n}")
     if cfg.C < 2:
         raise ValueError("the construction needs C >= 2")
-    if cfg.n != n:
-        raise ValueError("cfg board size mismatch")
-    size = GameSize(n)
     tree_explicit = root_ramify_tree(n)
     tree = TreeOracle.explicit(tree_explicit)
 
     def query(pos: G2Position) -> Query:
         c = pos.frontier
-        if c == ():
-            return Query.of([0])
-        kill = _kill_query(pos, tree, cfg, size)
+        kill = _kill_query(pos, tree, cfg)
         if kill is not None:
             return kill
         if len(c) == 1 and c[0] <= n:
@@ -390,15 +383,10 @@ def prover_root_ramify(n: int, cfg: LogPower) -> tuple[FiniteTree, PositionStrat
         for mv, store in candidates:
             if not matchings_consistent(store, answer):
                 return mv
-        c = pos.frontier
-        if c == ():
-            return ProverMove(1, 1, 1)
-        if len(c) == 1 and c[0] <= n and c[:0] + (c[0] + 1,) in tree:
-            return ProverMove(2, (), 1)
+        for mv, _ in candidates:
+            if mv.option == 2:
+                return mv
         if candidates:
-            for mv, _ in candidates:
-                if mv.option == 2:
-                    return mv
             return candidates[0][0]
         return ProverMove(1, 1, 1)  # no non-losing move: concede
 
@@ -410,11 +398,10 @@ EXHAUST_MAX_DEPTH = 60
 
 
 def exhaust_delayer(
-    cfg: LogPower, tree: TreeOracle, prover: ProverStrategy
+    cfg: LogPower, tree: TreeOracle, prover: PositionStrategy
 ) -> tuple[bool, int, int]:
     """Walk the full Delayer answer tree; returns (prover_always_wins,
     number of terminal branches, maximal depth seen)."""
-    prover = prover.on_positions()
     branches = 0
     deepest = 0
     all_win = True

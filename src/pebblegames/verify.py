@@ -58,7 +58,6 @@ import numpy as np
 
 from pebblegames.matching import GameSize, LogPower, Matching, Query
 from pebblegames.simple_game import (
-    PlayOutcome,
     SimpleStrategy,
     WinCertificate,
     all_canonical_plays,
@@ -387,7 +386,6 @@ def certify_batch(
         live &= won
         looped &= live & ~held_in
         fast_path[rows(looped)] = True
-        wins_all[rows(looped)] = True
         live &= ~looped
         if t & (t - 1):
             # A state equal to the anchor repeats every hit seen since.
@@ -408,6 +406,7 @@ def certify_batch(
             # keeps them all.
             anchor = rr
 
+    wins_all |= fast_path  # a loop hit wins every longer length
     uncertified = np.zeros(B, dtype=bool)
     uncertified[rows(live)] = True
     return BatchResult(wins_all, fast_path, first_fail, uncertified)
@@ -739,11 +738,7 @@ def verify_subset_prop(n: int) -> CampaignReport:
     space, lost = _lost_plays(strat)
     bad = [f"answers={answers}" for answers in lost]
     lowered = strat.with_s(n)
-    delayer_can_win = any(
-        play_simplified(lowered, play).outcome is PlayOutcome.DELAYER_WINS
-        for play in all_plays(lowered)
-    )
-    if not delayer_can_win:
+    if all(play_simplified(lowered, play).prover_won for play in all_plays(lowered)):
         bad.append("negative control failed: no Delayer win at s=n")
     return CampaignReport(
         claim=f"subset-n{n}",
@@ -852,7 +847,7 @@ def verify_g2_properties(playouts: int = 10_000, seed: int = SEED) -> CampaignRe
                 continue
             max_steps = max(max_steps, result.steps)
     cfg = LogPower(3, C)
-    tree, strategy = g2mod.prover_root_ramify(3, cfg)
+    tree, strategy = g2mod.prover_root_ramify(cfg)
     all_win, branches, depth = g2mod.exhaust_delayer(
         cfg, treemod.TreeOracle.explicit(tree), strategy
     )
@@ -931,7 +926,7 @@ def verify_g2prime(playouts: int = 1000, seed: int = SEED) -> CampaignReport:
         oracle = treemod.TreeOracle.explicit(tree)
         strategy = _seeded_oblivious(cfg, seed + i)
         on_g2 = delayer(i, lambda v: v, lambda v, lab: lab.aux)
-        result = g2mod.g2_play(cfg, oracle, strategy, on_g2, step_cap=400)
+        result = g2mod.g2_play(cfg, oracle, strategy.on_positions(), on_g2, step_cap=400)
         lengths[result.steps] += 1
         for _, _, mv, step in result.moves:
             made[mv.option] += 1
@@ -939,7 +934,7 @@ def verify_g2prime(playouts: int = 1000, seed: int = SEED) -> CampaignReport:
 
         cfg_p, tree_p, strat_p, codec = g2p.to_g2prime(strategy, cfg, oracle)
         on_g2p = delayer(i, codec.vertex_down, lambda v, lab: codec.aux_of(v))
-        prime = g2mod.g2_play(cfg_p, tree_p, strat_p, on_g2p, step_cap=400)
+        prime = g2mod.g2_play(cfg_p, tree_p, strat_p.on_positions(), on_g2p, step_cap=400)
         if (result.winner, result.steps) != (prime.winner, prime.steps):
             bad.append(f"play {i}: {result.winner}@{result.steps} vs {prime.winner}@{prime.steps}")
     return CampaignReport(

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from pebblegames.cli import CLAIMS, run
+from pebblegames.matching import LogPower
 from pebblegames.simple_game import format_strategy, prover_small_n
 
 
@@ -357,6 +358,18 @@ def test_g2sim_refuses_the_boards_where_its_prover_is_not_checked(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "checked to win at n = 2 and 3 only, not n=4" in captured.err
+
+
+def test_g2sim_plays_a_large_c_without_building_the_cap(capsys, monkeypatch):
+    # The cap 2**(2**40) of C = 40 would take 128 GiB, so it must never be
+    # built; the board has height 2, so every move is the one of C = 2.
+    assert run(["g2sim", "--n", "3"]) == 0
+    small = capsys.readouterr().out
+    monkeypatch.setattr(LogPower, "cap", property(lambda self: pytest.fail("cap built")))
+    assert run(["g2sim", "--n", "3", "--C", "40"]) == 0
+    large = capsys.readouterr().out
+    assert large.replace("\nC 40\n", "\nC 2\n", 1) == small
+    assert "\nC 40\n" in large
 
 
 def test_g2sim_transcript(capsys, tmp_path):

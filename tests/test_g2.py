@@ -157,6 +157,15 @@ def test_move_validation():
     pos = g2_apply(initial_position(), M(), ProverMove(1, 1, 1), CFG, RAMIFY).position
     with pytest.raises(MalformedMove):
         g2_apply(pos, M(), ProverMove(2, (1,), 1), CFG, RAMIFY)  # not a proper prefix
+    # B and a child index lie in [1, 2**width].
+    cfg = LogPower(3, 3)
+    assert cfg.width == 8
+    g2mod._validate_move(ProverMove(1, 256, 256), (), cfg)
+    for v in (0, 257):
+        with pytest.raises(MalformedMove, match=r"outside \[1, 2\*\*8\]"):
+            g2mod._validate_move(ProverMove(1, 1, v), (), cfg)
+        with pytest.raises(MalformedMove, match="needs a child index"):
+            g2mod._validate_move(ProverMove(1, v, 1), (), cfg)
 
 
 def test_position_invariants():
@@ -243,27 +252,29 @@ def test_root_ramify_tree_shape():
 
 def test_root_ramify_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        prover_root_ramify(1, LogPower(1, 2))
+        prover_root_ramify(LogPower(1, 2))
     with pytest.raises(ValueError):
-        prover_root_ramify(3, LogPower(3, 1))  # height-2 board needs C >= 2
-    with pytest.raises(ValueError):
-        prover_root_ramify(2, LogPower(3, 2))  # board size mismatch
+        prover_root_ramify(LogPower(3, 1))  # height-2 board needs C >= 2
     with pytest.raises(ValueError, match="n = 2 and 3 only"):
-        prover_root_ramify(4, LogPower(4, 2))  # it loses some branch there
+        prover_root_ramify(LogPower(4, 2))  # it loses some branch there
+
+
+def _ramify_delayer_tree(n, C):
+    cfg = LogPower(n, C)
+    tree, strategy = prover_root_ramify(cfg)
+    return exhaust_delayer(cfg, TreeOracle.explicit(tree), strategy)
 
 
 def test_root_ramify_beats_exhaustive_delayer():
-    tree, strategy = prover_root_ramify(3, CFG)
-    all_win, branches, depth = exhaust_delayer(CFG, TreeOracle.explicit(tree), strategy)
-    assert all_win
-    assert branches <= 3**5
+    # (Prover wins every branch, terminal branches, deepest step); the
+    # board's height is 2, so a larger C changes no play.
+    for C in (2, 3):
+        assert _ramify_delayer_tree(3, C) == (True, 39, 3)
 
 
 def test_root_ramify_n2():
-    cfg = LogPower(2, 2)
-    tree, strategy = prover_root_ramify(2, cfg)
-    all_win, _, _ = exhaust_delayer(cfg, TreeOracle.explicit(tree), strategy)
-    assert all_win
+    for C in (2, 3):
+        assert _ramify_delayer_tree(2, C) == (True, 4, 2)
 
 
 def test_play_monotonicity_fuzz():
@@ -320,6 +331,7 @@ def test_game_layer_parameters_are_pinned():
         g2mod.answer_options: ["q", "cfg"],
         minimal_covers: ["q", "size"],
         g2mod.exhaust_delayer: ["cfg", "tree", "prover"],
+        g2mod.prover_root_ramify: ["cfg"],
         g2mod.random_playout: ["cfg", "tree", "seed"],
         g2p.to_g2prime: ["strategy", "cfg", "tree"],
         g2p.required_prime_degree: ["cfg"],
@@ -333,7 +345,7 @@ def test_play_rejects_bad_answers():
     def bad_delayer(pos, q):
         return M((0, 0), (1, 1))  # never a minimal cover of a singleton
 
-    tree, strategy = prover_root_ramify(3, CFG)
+    tree, strategy = prover_root_ramify(CFG)
     with pytest.raises(MalformedMove):
         g2_play(CFG, TreeOracle.explicit(tree), strategy, bad_delayer, 100)
 
@@ -352,7 +364,7 @@ def test_both_drivers_refuse_a_query_wider_than_the_width():
 
 
 def test_transcript_format():
-    tree, strategy = prover_root_ramify(3, CFG)
+    tree, strategy = prover_root_ramify(CFG)
 
     def delayer(pos, q):
         return answer_options(q, CFG)[0]

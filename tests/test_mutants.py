@@ -2,7 +2,8 @@
 
 A row names a module, a source fragment and its replacement, the check that
 must refuse the mutant with the message it gives, and the checks the mutant
-is known to survive, each with the ROADMAP item that will close that gap.
+is known to survive, each with the ROADMAP item that will close that gap,
+or why that check cannot see a mutant that another check refuses.
 A check names the module it takes, which must be the row's module.
 An equivalent mutant has no refusing check, and the reason it survives is
 recorded in place of an item.  A mutant is built by executing the module's
@@ -24,8 +25,11 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 import pytest
 
+from pebblegames import g2 as g2mod
+from pebblegames import g2prime as g2p
 from pebblegames import trees as treemod
 from pebblegames import verify as ver
+from pebblegames.matching import LogPower
 from test_verify import (
     _breaks_loop_bound,
     _cyclic_compare,
@@ -158,6 +162,43 @@ def _order_claim_at_b2_h2(mod) -> Optional[str]:
     return bad[0] if bad else None
 
 
+def _subset_claims(mod) -> Optional[str]:
+    """The subset claims at n = 1 to 4: every message, with its n."""
+    bad = [(n, ce) for n in (1, 2, 3, 4) for ce in mod.verify_subset_prop(n).counterexamples]
+    return "; ".join(f"n={n}: {ce}" for n, ce in bad) or None
+
+
+def _g2_properties_claim(mod) -> Optional[str]:
+    """The backtracking-game claim at 3 playouts, on the game of ``mod``: its
+    first message."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ver, "g2mod", mod)
+        bad = ver.verify_g2_properties(playouts=3).counterexamples
+    return bad[0] if bad else None
+
+
+def _root_ramify_at_n2(mod) -> Optional[str]:
+    """The root-ramify Prover of ``mod`` must win every Delayer branch at
+    n = 2."""
+    cfg = LogPower(2, 2)
+    tree, strategy = mod.prover_root_ramify(cfg)
+    all_win, _, _ = mod.exhaust_delayer(cfg, treemod.TreeOracle.explicit(tree), strategy)
+    return None if all_win else "root-ramify lost some branch at n=2"
+
+
+def _g2prime_claim_of_verify(mod) -> Optional[str]:
+    """The G2' claim at 250 plays, as ``mod`` runs it: its first message."""
+    bad = mod.verify_g2prime(playouts=250).counterexamples
+    return bad[0] if bad else None
+
+
+def _g2prime_claim(mod) -> Optional[str]:
+    """The G2' claim at 250 plays, on the encoding of ``mod``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ver, "g2p", mod)
+        return _g2prime_claim_of_verify(ver)
+
+
 # name -> (the module the check takes, the check)
 CHECKS = {
     "step1-lemma-n2": (ver, _step1_lemma_at_n2),
@@ -172,7 +213,17 @@ CHECKS = {
     "php-trees-claim": (ver, _php_trees_claim),
     "php-biconditional-n2": (ver, _php_biconditional_at_n2),
     "order-claim-b2-h2": (treemod, _order_claim_at_b2_h2),
+    "subset-claims": (ver, _subset_claims),
+    "g2-properties-claim": (g2mod, _g2_properties_claim),
+    "root-ramify-n2": (g2mod, _root_ramify_at_n2),
+    "g2prime-claim": (g2p, _g2prime_claim),
+    "g2prime-claim-of-verify": (ver, _g2prime_claim_of_verify),
 }
+
+RAMIFY_LOST = "root-ramify lost some branch at n=3"
+# At n = 2 the root-ramify Prover wins without any one of the clauses that
+# these rows delete, so only the claim's n = 3 leg shows that each is needed.
+RAMIFY_N2 = {"root-ramify-n2": "not a gap: n = 2 needs no such clause; n = 3 does"}
 
 # name -> (module, fragment, replacement, (refusing check, its message) or
 # None, {check the mutant survives: the ROADMAP item that closes the gap, or
@@ -296,6 +347,90 @@ MUTANTS = {
             # the end of a vertex, so no terminator is ever compared.
             "order-claim-b2-h2": "equivalent: no terminator is ever compared",
         },
+    ),
+    **{
+        name: (g2mod, fragment, replacement, ("g2-properties-claim", RAMIFY_LOST), RAMIFY_N2)
+        # Each name notes the Delayer branches the mutant explores at n = 3;
+        # the Prover itself explores 39.
+        for name, fragment, replacement in (
+            (
+                "ramify-skips-the-refuting-move",  # 1,899 branches
+                "if not matchings_consistent(store, answer):",
+                "if False:",
+            ),
+            (
+                "ramify-asks-no-kill-query",  # 177 branches
+                "kill = _kill_query(pos, tree, cfg)",
+                "kill = None",
+            ),
+            (
+                "ramify-without-option-2-fallback",  # 3,369 branches
+                "            if mv.option == 2:\n",
+                "            if False:\n",
+            ),
+            (
+                "ramify-sweep-asks-pigeon-0",  # 51 branches
+                "return Query.of([c[0]])",
+                "return Query.of([0])",
+            ),
+            (
+                "kill-query-without-pairs",  # 177 branches
+                "    queries += [Query.of(pair) for pair in itertools.combinations(pigeons, 2)]\n",
+                "",
+            ),
+            (
+                "candidate-moves-without-option-3",  # 189 branches
+                "ProverMove(2, c[:cut], 1), ProverMove(3, c[:cut], 1)]",
+                "ProverMove(2, c[:cut], 1)]",
+            ),
+        )
+    },
+    "ramify-concedes-to-child-2": (
+        g2mod,
+        "return ProverMove(1, 1, 1)  # no non-losing move: concede",
+        "return ProverMove(1, 2, 1)  # no non-losing move: concede",
+        None,
+        {
+            # Every position of the Prover's play at n = 2 and 3 has a
+            # non-losing move, so it never concedes; the faulty Provers above
+            # do reach the concede.
+            "g2-properties-claim": "equivalent: the Prover never concedes",
+            "root-ramify-n2": "equivalent: the Prover never concedes",
+        },
+    ),
+    "prime-decode-neutral-aux-2": (
+        g2p,
+        "return k, max(a, 1)",
+        "return k, max(a, 2)",
+        # 1 play of 250 differs, 12 of 1,000.
+        ("g2prime-claim", "play 217: delayer@2 vs delayer@4"),
+        {},
+    ),
+    "prime-member-refuses-raw-index-1": (
+        g2p,
+        "0 <= a <= cfg.cap",
+        "1 <= a <= cfg.cap",
+        # 4 plays of 250 differ, 18 of 1,000.
+        ("g2prime-claim", "play 39: prover@3 vs delayer@3"),
+        {},
+    ),
+    "seeded-oblivious-drops-aux-on-option-2": (
+        ver,
+        "g2mod.ProverMove(2, v[:cut], aux[cut])",
+        "g2mod.ProverMove(2, v[:cut], 1)",
+        # 5 plays of 250 differ, 37 of 1,000.
+        ("g2prime-claim-of-verify", "play 39: delayer@3 vs prover@3"),
+        {},
+    ),
+    "subset-control-one-round-longer": (
+        ver,
+        "lowered = strat.with_s(n)\n",
+        "lowered = strat.with_s(n + 1)\n",
+        (
+            "subset-claims",
+            "; ".join(f"n={n}: negative control failed: no Delayer win at s=n" for n in range(1, 5)),
+        ),
+        {},
     ),
 }
 
