@@ -33,9 +33,12 @@ One engine serves both batch sweeps.  ``certify_batch`` (the headline
 sweep) walks the edges compatible with each candidate; ``_loop_bound_planes``
 (criterion 10's sweep: ``verify_loop_bound`` calls it per aligned block
 through ``_loop_bound_block``, and the tests' ``loop_bound_batch`` on decoded
-planes) walks the same planes without the candidate edge itself, and tests
-hits twice per table: once on the union of the sets within the bound,
-once on the union's fixpoint (the step and the hit test distribute over OR).
+planes) walks the same planes without the candidate edge itself, and walks
+the union of the sets within the bound on to its fixpoint.  A batch whose
+union is already closed there has no table that breaks the bound, and is
+decided without a hit test; any other batch tests hits twice per table:
+once on the union within the bound, once on its fixpoint (the step and the
+hit test distribute over OR).
 The headline sweep runs 2^18-table jobs, because each job pays the per-step
 cost of its longest repeat tail once.  The loop bound walks a few steps per
 table, so it sweeps aligned blocks of at most 2^14 tables (the block size of
@@ -589,32 +592,42 @@ def verify_theorem_main(
 def loop_bound_batch(indices: np.ndarray, bt: BoardTables) -> np.ndarray:
     """The tables of a batch that break the loop bound: some loop edge's
     tail is reachable, but not within ``2(n-2)+1`` steps of the start."""
-    return _unpack(_loop_bound_planes(*_table_planes(indices, bt.n), bt), len(indices))
+    violators = _loop_bound_planes(*_table_planes(indices, bt.n), bt)
+    if violators is None:
+        return np.zeros(len(indices), dtype=bool)
+    return _unpack(violators, len(indices))
 
 
-def _loop_bound_planes(init: np.ndarray, tables: np.ndarray, bt: BoardTables) -> np.ndarray:
+def _loop_bound_planes(
+    init: np.ndarray, tables: np.ndarray, bt: BoardTables
+) -> Optional[np.ndarray]:
     """The (W,) plane of the tables that break the loop bound, from the
-    planes of ``_table_planes``.  The step and the hit test both distribute
-    over OR, so the union of the sets reached in 0..K-1 steps is hit exactly
-    when one of them is: a block makes one hit test within the bound and one
-    at the fixpoint of the union, which decides reachability-ever."""
+    planes of ``_table_planes``, or None when the batch closes: when the
+    union of the sets reached in 0..K-1 steps is already its own fixpoint,
+    no table of the batch can break the bound.  The step and the hit test
+    both distribute over OR, so the union is hit exactly when one of its
+    sets is: a batch that grows makes one hit test within the bound and one
+    at the fixpoint of the union, which decides reachability-ever, and a
+    batch that closes would make the same hit test twice."""
     walk = bt.loop
     K = 2 * (bt.n - 2) + 1
     terms = tables[walk.step_plane]
     union = init[walk.slot_tail]
     for _ in range(K - 1):
         union |= walk.step(union, terms)
-    hit_by_k = walk.hits(union, tables)
+    within = union
     while True:
         grown = walk.step(union, terms)
         grown |= union
         if (grown == union).all():
             break
         union = grown
+    if union is within:
+        return None
     # A loop whose tail is the start is reached at once and breaks no bound.
     # It needs no mask: no slot of candidate c holds an edge leaving c's own
     # tail, so such a candidate keeps an empty set and is never hit.
-    violation = tables[bt.loop_plane] & walk.hits(union, tables) & ~hit_by_k
+    violation = tables[bt.loop_plane] & walk.hits(union, tables) & ~walk.hits(within, tables)
     return np.bitwise_or.reduce(violation, axis=0)
 
 
@@ -660,12 +673,18 @@ class _AlignedBlocks:
         return self.init, self._tables
 
 
-def _loop_bound_block(blocks: _AlignedBlocks, bt: BoardTables, start: int, stop: int) -> np.ndarray:
+def _loop_bound_block(
+    blocks: _AlignedBlocks, bt: BoardTables, start: int, stop: int
+) -> Optional[np.ndarray]:
     """The indices in ``[start, stop)`` that break the loop bound, where
-    ``start`` begins an aligned block and ``stop`` lies in it.  The block is
-    walked whole and only its first ``stop - start`` rows are read."""
-    init, tables = blocks.planes(start // blocks.size)
-    return np.flatnonzero(_unpack(_loop_bound_planes(init, tables, bt), stop - start)) + start
+    ``start`` begins an aligned block and ``stop`` lies in it, or None when
+    the block closes (see ``_loop_bound_planes``), which leaves none.  The
+    block is walked whole and only its first ``stop - start`` rows are
+    read."""
+    violators = _loop_bound_planes(*blocks.planes(start // blocks.size), bt)
+    if violators is None:
+        return None
+    return np.flatnonzero(_unpack(violators, stop - start)) + start
 
 
 def verify_loop_bound(
@@ -677,7 +696,8 @@ def verify_loop_bound(
     ``2(n-2)+1``, exhaustively over every strategy table.
 
     ``limit`` truncates the sweep to the first ``limit`` indices for unit
-    tests; the campaign runs full.
+    tests; the campaign runs full.  ``details`` counts the aligned blocks
+    swept and those that closed without a hit test.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit={limit} is negative")
@@ -685,16 +705,22 @@ def verify_loop_bound(
     total = strategy_space(n) if limit is None else min(strategy_space(n), limit)
     blocks = _AlignedBlocks(n)
     bad: list[str] = []
-    for start in range(0, total, blocks.size):
+    starts = range(0, total, blocks.size)
+    closed = 0
+    for start in starts:
         stop = min(start + blocks.size, total)
-        for idx in _loop_bound_block(blocks, bt, start, stop):
-            bad.append(format_strategy(index_to_strategy(int(idx), n)))
+        found = _loop_bound_block(blocks, bt, start, stop)
+        if found is None:
+            closed += 1
+        else:
+            bad += [format_strategy(index_to_strategy(int(idx), n)) for idx in found]
         if progress and (stop // _PROGRESS_EVERY > start // _PROGRESS_EVERY or stop == total):
             print(f"  loop bound {stop}/{total}", flush=True)
     return CampaignReport(
         claim=f"loop-bound-n{n}",
         space=total,
         counterexamples=bad,
+        details={"blocks": len(starts), "closed_blocks": closed},
     )
 
 

@@ -169,3 +169,5 @@ def test_criterion_10_php_trees():
     )
     assert report.ok, report.counterexamples[:4]
     assert bound.ok, bound.counterexamples[:2]
+    # Every n = 3 block's union closes within K - 1 steps.
+    assert bound.details == {"blocks": 4096, "closed_blocks": 4096}

@@ -134,6 +134,14 @@ def _loop_bound_claim(n: int) -> Callable[..., Optional[str]]:
     return check
 
 
+def _loop_bound_closure_at_n3(mod) -> Optional[str]:
+    """Every block of the n = 3 claim at ``limit=2^16`` must close within
+    K - 1 steps, and so be decided without a hit test."""
+    details = mod.verify_loop_bound(3, limit=1 << 16).details
+    closed, blocks = details["closed_blocks"], details["blocks"]
+    return None if (closed, blocks) == (4, 4) else f"{closed} of {blocks} blocks closed"
+
+
 def _php_trees_claim(mod) -> Optional[str]:
     """The php-tree claim at 10 samples, its planted tables included."""
     bad = mod.verify_php_trees(samples=10).counterexamples
@@ -210,6 +218,7 @@ CHECKS = {
     "loop-bound-witness-n4": (ver, _loop_bound_witness_at_n4),
     "loop-bound-claim-n3": (ver, _loop_bound_claim(3)),
     "loop-bound-claim-n4": (ver, _loop_bound_claim(4)),
+    "loop-bound-closure-n3": (ver, _loop_bound_closure_at_n3),
     "php-trees-claim": (ver, _php_trees_claim),
     "php-biconditional-n2": (ver, _php_biconditional_at_n2),
     "order-claim-b2-h2": (treemod, _order_claim_at_b2_h2),
@@ -293,6 +302,31 @@ MUTANTS = {
         {
             "loop-bound-claim-n3": "item 6: the claim against its scalar witness, both ways",
             "loop-bound-claim-n4": "item 6: the claim against its scalar witness, both ways",
+        },
+    ),
+    "loop-bound-closure-always": (
+        ver,
+        "    if union is within:\n",
+        "    if True:\n",
+        ("loop-bound-witness-n4", "0 found, 5 expected"),
+        {
+            # Every block of the claims' first 2^16 indices closes.
+            "loop-bound-claim-n3": "item 6: the claim against its scalar witness, both ways",
+            "loop-bound-claim-n4": "item 6: the claim against its scalar witness, both ways",
+            "loop-bound-closure-n3": "item 6: the claim against its scalar witness, both ways",
+        },
+    ),
+    "loop-bound-closure-never": (
+        ver,
+        "    if union is within:\n",
+        "    if False:\n",
+        ("loop-bound-closure-n3", "0 of 4 blocks closed"),
+        {
+            # A closed block's two hit tests agree, so the hit route finds no
+            # violator in it either.
+            "loop-bound-witness-n4": "equivalent in verdicts: the hit route decides a closed block too",
+            "loop-bound-claim-n3": "equivalent in verdicts: the hit route decides a closed block too",
+            "loop-bound-claim-n4": "equivalent in verdicts: the hit route decides a closed block too",
         },
     ),
     "canonical-wins-ignores-gave-up": (

@@ -653,19 +653,29 @@ def test_aligned_block_planes_match_decoded_planes(case):
         assert np.array_equal(tables, want_tables)
 
 
-def test_loop_bound_blocks_find_the_n4_violators():
-    # A negative control through the block route: the aligned n = 4 blocks
-    # that hold the violators of the scalar-witness test below.
-    from pebblegames import verify as ver
+def _count_hit_tests(monkeypatch) -> list:
+    """A list that grows by one at each ``Walk.hits`` call."""
+    calls = []
+    hits = ver.Walk.hits
+    monkeypatch.setattr(ver.Walk, "hits", lambda walk, *a: calls.append(1) or hits(walk, *a))
+    return calls
 
+
+def test_loop_bound_blocks_find_the_n4_violators(monkeypatch):
+    # A negative control through the block route: the aligned n = 4 blocks
+    # that hold the violators of the scalar-witness test below.  Each grows
+    # after K - 1 steps, so each makes both hit tests.
     n = 4
     bt = board_tables(n)
     idxs = np.random.default_rng(5).choice(strategy_space(n), 4096, replace=False)
     blocks = ver._AlignedBlocks(n)
+    calls = _count_hit_tests(monkeypatch)
     counts = []
     for v in idxs[loop_bound_batch(idxs.astype(np.uint64), bt)]:
         start = int(v) // blocks.size * blocks.size
+        calls.clear()
         got = ver._loop_bound_block(blocks, bt, start, start + blocks.size)
+        assert len(calls) == 2
         block = np.arange(start, start + blocks.size, dtype=np.uint64)
         assert got.tolist() == block[loop_bound_batch(block, bt)].tolist()
         # A partial block reads the first rows of the whole block's walk.
@@ -704,14 +714,22 @@ def test_loop_walk_keeps_no_edge_of_the_candidates_tail(n):
 
 
 @pytest.mark.parametrize("n, blocks", [(3, 1), (3, 5), (4, 1), (4, 3)])
-def test_loop_bound_tests_hits_twice_per_block(n, blocks, monkeypatch):
-    # One hit test of the union within K = 2(n-2)+1 steps, one at the fixpoint.
-    calls = []
-    hits = ver.Walk.hits
-    monkeypatch.setattr(ver.Walk, "hits", lambda walk, *a: calls.append(1) or hits(walk, *a))
+def test_loop_bound_decides_closed_blocks_without_a_hit_test(n, blocks, monkeypatch):
+    # Each of these blocks' unions stops growing within K - 1 steps, so its
+    # two hit tests would agree and none is made.
+    calls = _count_hit_tests(monkeypatch)
     size = ver._AlignedBlocks(n).size
-    verify_loop_bound(n, limit=blocks * size)
-    assert len(calls) == 2 * blocks
+    report = verify_loop_bound(n, limit=blocks * size)
+    assert len(calls) == 0
+    assert report.details == {"blocks": blocks, "closed_blocks": blocks}
+
+
+def test_loop_bound_hit_tests_a_batch_that_grows_twice(monkeypatch):
+    # One hit test of the union within K = 2(n-2)+1 steps, one at the fixpoint.
+    idxs = np.random.default_rng(5).choice(strategy_space(4), 4096, replace=False)
+    calls = _count_hit_tests(monkeypatch)
+    assert loop_bound_batch(idxs.astype(np.uint64), board_tables(4)).sum() == 5
+    assert len(calls) == 2
 
 
 def _breaks_loop_bound(strat) -> bool:
