@@ -34,11 +34,13 @@ sweep) walks the edges compatible with each candidate; ``_loop_bound_planes``
 (criterion 10's sweep: ``verify_loop_bound`` calls it per aligned block
 through ``_loop_bound_block``, and the tests' ``loop_bound_batch`` on decoded
 planes) walks the same planes without the candidate edge itself, and walks
-the union of the sets within the bound on to its fixpoint.  A batch whose
-union is already closed there has no table that breaks the bound, and is
-decided without a hit test; any other batch tests hits twice per table:
-once on the union within the bound, once on its fixpoint (the step and the
-hit test distribute over OR).
+the union of the sets within the bound on to its fixpoint.  It walks only
+the candidates that are a loop in some table of the batch: each
+candidate's set evolves on its own slots, and only a loop can break the
+bound.  A batch whose union is already closed there has no table that
+breaks the bound, and is decided without a hit test; any other batch tests
+hits twice per table: once on the union within the bound, once on its
+fixpoint (the step and the hit test distribute over OR).
 The headline sweep runs 2^18-table jobs, because each job pays the per-step
 cost of its longest repeat tail once.  The loop bound walks a few steps per
 table, so it sweeps aligned blocks of at most 2^14 tables (the block size of
@@ -168,11 +170,28 @@ class Walk:
         return np.bitwise_or.reduce(gathered, axis=0)
 
     def hits(self, state: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        """(E, W) planes: candidate c's set holds an edge pointing at c's tail."""
+        """One plane per candidate of the walk: candidate c's set holds an
+        edge pointing at c's tail."""
         per_cand, num_cands = self.hit_plane.shape
         gathered = tables[self.hit_plane]
         gathered &= state.reshape(num_cands, per_cand, state.shape[1]).transpose(1, 0, 2)
         return np.bitwise_or.reduce(gathered, axis=0)
+
+    def restrict(self, kept: np.ndarray) -> Walk:
+        """The same walk over the candidates set in ``kept`` (E,), in their
+        order.  A real term of a slot reads a slot of the same candidate, so
+        each candidate's set evolves on its own: the restricted walk's step
+        and hits are the rows of the kept slots and candidates of the full
+        walk's.  A padding term reads the all-zero table plane, so the slot
+        it names does not matter; dropped slots are renumbered to slot 0."""
+        cols = np.repeat(kept, self.hit_plane.shape[0])
+        renumber = np.where(cols, np.cumsum(cols) - 1, 0)
+        return Walk(
+            slot_tail=self.slot_tail[cols],
+            hit_plane=self.hit_plane[:, kept],
+            step_src=renumber[self.step_src[:, cols]],
+            step_plane=self.step_plane[:, cols],
+        )
 
 
 def _walk(n: int, compat: np.ndarray, allowed: np.ndarray) -> Walk:
@@ -592,7 +611,7 @@ def verify_theorem_main(
 def loop_bound_batch(indices: np.ndarray, bt: BoardTables) -> np.ndarray:
     """The tables of a batch that break the loop bound: some loop edge's
     tail is reachable, but not within ``2(n-2)+1`` steps of the start."""
-    violators = _loop_bound_planes(*_table_planes(indices, bt.n), bt)
+    _, violators = _loop_bound_planes(*_table_planes(indices, bt.n), bt)
     if violators is None:
         return np.zeros(len(indices), dtype=bool)
     return _unpack(violators, len(indices))
@@ -600,16 +619,26 @@ def loop_bound_batch(indices: np.ndarray, bt: BoardTables) -> np.ndarray:
 
 def _loop_bound_planes(
     init: np.ndarray, tables: np.ndarray, bt: BoardTables
-) -> Optional[np.ndarray]:
-    """The (W,) plane of the tables that break the loop bound, from the
-    planes of ``_table_planes``, or None when the batch closes: when the
-    union of the sets reached in 0..K-1 steps is already its own fixpoint,
+) -> tuple[int, Optional[np.ndarray]]:
+    """The number of candidates walked, and the (W,) plane of the tables
+    that break the loop bound, from the planes of ``_table_planes``, or None
+    when the batch closes.
+
+    Only a loop can break the bound, and each candidate's set is walked on
+    its own slots, so only the candidates that are a loop in some table of
+    the batch are walked.  The batch closes when none is, or when the union
+    of their sets reached in 0..K-1 steps is already its own fixpoint: then
     no table of the batch can break the bound.  The step and the hit test
     both distribute over OR, so the union is hit exactly when one of its
     sets is: a batch that grows makes one hit test within the bound and one
     at the fixpoint of the union, which decides reachability-ever, and a
     batch that closes would make the same hit test twice."""
-    walk = bt.loop
+    loops = tables[bt.loop_plane]
+    kept = loops.any(axis=1)
+    if not kept.any():
+        return 0, None
+    walked = int(np.count_nonzero(kept))
+    walk = bt.loop.restrict(kept)
     K = 2 * (bt.n - 2) + 1
     terms = tables[walk.step_plane]
     union = init[walk.slot_tail]
@@ -623,12 +652,12 @@ def _loop_bound_planes(
             break
         union = grown
     if union is within:
-        return None
+        return walked, None
     # A loop whose tail is the start is reached at once and breaks no bound.
     # It needs no mask: no slot of candidate c holds an edge leaving c's own
     # tail, so such a candidate keeps an empty set and is never hit.
-    violation = tables[bt.loop_plane] & walk.hits(union, tables) & ~walk.hits(within, tables)
-    return np.bitwise_or.reduce(violation, axis=0)
+    violation = loops[kept] & walk.hits(union, tables) & ~walk.hits(within, tables)
+    return walked, np.bitwise_or.reduce(violation, axis=0)
 
 
 # The loop-bound sweep reports progress once per this many tables.
@@ -675,16 +704,16 @@ class _AlignedBlocks:
 
 def _loop_bound_block(
     blocks: _AlignedBlocks, bt: BoardTables, start: int, stop: int
-) -> Optional[np.ndarray]:
-    """The indices in ``[start, stop)`` that break the loop bound, where
-    ``start`` begins an aligned block and ``stop`` lies in it, or None when
-    the block closes (see ``_loop_bound_planes``), which leaves none.  The
-    block is walked whole and only its first ``stop - start`` rows are
-    read."""
-    violators = _loop_bound_planes(*blocks.planes(start // blocks.size), bt)
+) -> tuple[int, Optional[np.ndarray]]:
+    """The number of candidates walked, and the indices in ``[start, stop)``
+    that break the loop bound, where ``start`` begins an aligned block and
+    ``stop`` lies in it, or None when the block closes (see
+    ``_loop_bound_planes``), which leaves none.  The block is walked whole
+    and only its first ``stop - start`` rows are read."""
+    walked, violators = _loop_bound_planes(*blocks.planes(start // blocks.size), bt)
     if violators is None:
-        return None
-    return np.flatnonzero(_unpack(violators, stop - start)) + start
+        return walked, None
+    return walked, np.flatnonzero(_unpack(violators, stop - start)) + start
 
 
 def verify_loop_bound(
@@ -697,7 +726,8 @@ def verify_loop_bound(
 
     ``limit`` truncates the sweep to the first ``limit`` indices for unit
     tests; the campaign runs full.  ``details`` counts the aligned blocks
-    swept and those that closed without a hit test.
+    swept, those that closed without a hit test, and the candidates walked,
+    summed over the blocks.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit={limit} is negative")
@@ -706,10 +736,11 @@ def verify_loop_bound(
     blocks = _AlignedBlocks(n)
     bad: list[str] = []
     starts = range(0, total, blocks.size)
-    closed = 0
+    closed = walked = 0
     for start in starts:
         stop = min(start + blocks.size, total)
-        found = _loop_bound_block(blocks, bt, start, stop)
+        block_walked, found = _loop_bound_block(blocks, bt, start, stop)
+        walked += block_walked
         if found is None:
             closed += 1
         else:
@@ -720,7 +751,7 @@ def verify_loop_bound(
         claim=f"loop-bound-n{n}",
         space=total,
         counterexamples=bad,
-        details={"blocks": len(starts), "closed_blocks": closed},
+        details={"blocks": len(starts), "closed_blocks": closed, "walked_candidates": walked},
     )
 
 

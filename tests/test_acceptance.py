@@ -169,5 +169,8 @@ def test_criterion_10_php_trees():
     )
     assert report.ok, report.counterexamples[:4]
     assert bound.ok, bound.counterexamples[:2]
-    # Every n = 3 block's union closes within K - 1 steps.
-    assert bound.details == {"blocks": 4096, "closed_blocks": 4096}
+    # Every n = 3 block's union closes within K - 1 steps.  A block walks
+    # the 6 candidates on pigeons 0 and 1, whose heads vary inside it, and
+    # each of the 6 on pigeons 2 and 3 in the quarter of the blocks where
+    # its constant head is its tail: 4,096 * 6 + 6 * 1,024.
+    assert bound.details == {"blocks": 4096, "closed_blocks": 4096, "walked_candidates": 30720}

@@ -34,6 +34,7 @@ from test_verify import (
     _breaks_loop_bound,
     _cyclic_compare,
     _order_axiom_failures_by_loops,
+    _restricted_kernel_that_differs,
     _step1_loop_exit,
 )
 
@@ -126,6 +127,23 @@ def _loop_bound_witness_at_n4(mod) -> Optional[str]:
     return None if got == expected else f"{sum(got)} found, {sum(expected)} expected"
 
 
+def _loop_bound_blocks_at_n4(mod) -> Optional[str]:
+    """The block route must find the 40, 185, 125, 75 and 125 violators of
+    the aligned n = 4 blocks that hold the witness tables' violators; each
+    block walks only some of its candidates, and
+    ``test_loop_bound_blocks_find_the_n4_violators`` checks these counts
+    against the scalar witness."""
+    idxs, expected = _loop_bound_violators_at_n4()
+    bt, blocks = mod.board_tables(4), mod._AlignedBlocks(4)
+    for v, want in zip(idxs[expected], (40, 185, 125, 75, 125)):
+        j = int(v) // blocks.size
+        _, got = mod._loop_bound_block(blocks, bt, j * blocks.size, (j + 1) * blocks.size)
+        found = 0 if got is None else len(got)
+        if found != want:
+            return f"{found} of {want} violators in block {j}"
+    return None
+
+
 def _loop_bound_claim(n: int) -> Callable[..., Optional[str]]:
     def check(mod) -> Optional[str]:
         bad = mod.verify_loop_bound(n, limit=1 << 16).counterexamples
@@ -140,6 +158,33 @@ def _loop_bound_closure_at_n3(mod) -> Optional[str]:
     details = mod.verify_loop_bound(3, limit=1 << 16).details
     closed, blocks = details["closed_blocks"], details["blocks"]
     return None if (closed, blocks) == (4, 4) else f"{closed} of {blocks} blocks closed"
+
+
+def _loop_bound_walked_at_n3(mod) -> Optional[str]:
+    """The n = 3 claim at ``limit=2^16`` must walk 25 candidates over its 4
+    blocks: the 6 that vary in each block, and the one block in which a
+    constant candidate is a loop."""
+    walked = mod.verify_loop_bound(3, limit=1 << 16).details["walked_candidates"]
+    return None if walked == 25 else f"{walked} candidates walked, 25 expected"
+
+
+def _walk_restrict_at_n3(mod) -> Optional[str]:
+    """Each n = 3 walk restricted to the odd candidates, or to a seeded half
+    of them without candidate 0, must step and hit as the rows of the full
+    walk do, on seeded planes: a term may read no other candidate's slot."""
+    bt = mod.board_tables(3)
+    rng = np.random.default_rng(32)
+    E = len(bt.loop_plane)
+    tables = rng.integers(0, 2**64, (E * 4 + 1, 2), dtype=np.uint64)
+    tables[-1] = 0
+    masks = (np.arange(E) % 2 == 1, (rng.random(E) < 0.5) & (np.arange(E) > 0))
+    for walk in (bt.certify, bt.loop):
+        state = rng.integers(0, 2**64, (len(walk.slot_tail), 2), dtype=np.uint64)
+        for kept in masks:
+            kernel = _restricted_kernel_that_differs(walk, kept, tables, state)
+            if kernel is not None:
+                return f"a restricted {kernel} differs"
+    return None
 
 
 def _php_trees_claim(mod) -> Optional[str]:
@@ -216,9 +261,12 @@ CHECKS = {
     "planted-intransitive-order": (ver, _planted_intransitive_order),
     "batch-results-n1-n2": (ver, _batch_results_at_n1_n2),
     "loop-bound-witness-n4": (ver, _loop_bound_witness_at_n4),
+    "loop-bound-blocks-n4": (ver, _loop_bound_blocks_at_n4),
     "loop-bound-claim-n3": (ver, _loop_bound_claim(3)),
     "loop-bound-claim-n4": (ver, _loop_bound_claim(4)),
     "loop-bound-closure-n3": (ver, _loop_bound_closure_at_n3),
+    "loop-bound-walked-n3": (ver, _loop_bound_walked_at_n3),
+    "walk-restrict-n3": (ver, _walk_restrict_at_n3),
     "php-trees-claim": (ver, _php_trees_claim),
     "php-biconditional-n2": (ver, _php_biconditional_at_n2),
     "order-claim-b2-h2": (treemod, _order_claim_at_b2_h2),
@@ -327,6 +375,63 @@ MUTANTS = {
             "loop-bound-witness-n4": "equivalent in verdicts: the hit route decides a closed block too",
             "loop-bound-claim-n3": "equivalent in verdicts: the hit route decides a closed block too",
             "loop-bound-claim-n4": "equivalent in verdicts: the hit route decides a closed block too",
+        },
+    ),
+    "loop-bound-walks-even-candidates-only": (
+        ver,
+        "    if not kept.any():\n",
+        "    kept &= np.arange(len(kept)) % 2 == 0\n    if not kept.any():\n",
+        ("loop-bound-witness-n4", "2 found, 5 expected"),
+        {
+            "loop-bound-claim-n3": "item 6: the claim against its scalar witness, both ways",
+            "loop-bound-claim-n4": "item 6: the claim against its scalar witness, both ways",
+        },
+    ),
+    "loop-bound-walks-every-candidate": (
+        ver,
+        "    kept = loops.any(axis=1)\n",
+        "    kept = np.ones(len(loops), dtype=bool)\n",
+        ("loop-bound-walked-n3", "48 candidates walked, 25 expected"),
+        {
+            # A candidate that is a loop in no table flags none.
+            "loop-bound-witness-n4": "equivalent in verdicts: a dropped candidate is no loop",
+            "loop-bound-claim-n3": "equivalent in verdicts: a dropped candidate is no loop",
+            "loop-bound-claim-n4": "equivalent in verdicts: a dropped candidate is no loop",
+            "loop-bound-closure-n3": "equivalent in verdicts: a dropped candidate is no loop",
+        },
+    ),
+    "loop-bound-masks-with-the-first-loop-planes": (
+        ver,
+        "violation = loops[kept] &",
+        "violation = loops[: np.count_nonzero(kept)] &",
+        ("loop-bound-blocks-n4", "0 of 40 violators in block 416594564"),
+        {
+            # A seeded batch keeps every candidate, and every block of the
+            # claims' first 2^16 indices closes.
+            "loop-bound-witness-n4": "not a gap: loop-bound-blocks-n4 drops candidates",
+            "loop-bound-claim-n3": "item 6: the claim against its scalar witness, both ways",
+            "loop-bound-claim-n4": "item 6: the claim against its scalar witness, both ways",
+        },
+    ),
+    "restrict-pads-from-the-last-kept-slot": (
+        ver,
+        "np.where(cols, np.cumsum(cols) - 1, 0)",
+        "np.where(cols, np.cumsum(cols) - 1, -1)",
+        None,
+        {
+            # Only padding terms name a dropped slot; the second mask of the
+            # check drops candidate 0, whose slot 0 they all name.
+            "walk-restrict-n3": "equivalent: a padding term reads the all-zero table plane",
+        },
+    ),
+    "restrict-hits-on-the-first-candidates": (
+        ver,
+        "hit_plane=self.hit_plane[:, kept]",
+        "hit_plane=self.hit_plane[:, : np.count_nonzero(kept)]",
+        ("walk-restrict-n3", "a restricted hit test differs"),
+        {
+            # A seeded batch keeps every candidate.
+            "loop-bound-witness-n4": "not a gap: walk-restrict-n3 drops candidates",
         },
     ),
     "canonical-wins-ignores-gave-up": (
@@ -472,6 +577,7 @@ MUTANTS = {
 # name -> a second check that refuses the mutant, with its message.
 ALSO_REFUSED = {
     "loop-bound-one-step-shorter": ("loop-bound-claim-n3", "1104 counterexamples"),
+    "loop-bound-walks-even-candidates-only": ("loop-bound-walked-n3", "13 candidates walked, 25 expected"),
     "canonical-wins-ignores-gave-up": ("php-biconditional-n2", "72 tables break the biconditional"),
 }
 assert set(ALSO_REFUSED) <= set(MUTANTS)

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -664,22 +665,30 @@ def _count_hit_tests(monkeypatch) -> list:
 def test_loop_bound_blocks_find_the_n4_violators(monkeypatch):
     # A negative control through the block route: the aligned n = 4 blocks
     # that hold the violators of the scalar-witness test below.  Each grows
-    # after K - 1 steps, so each makes both hit tests.
+    # after K - 1 steps, so each makes both hit tests.  Each walks only its
+    # loop candidates, fewer than the 20, so the scalar witness checks the
+    # pruned walk: every violator breaks the bound, and no table of a seeded
+    # sample of the rest does.
     n = 4
     bt = board_tables(n)
     idxs = np.random.default_rng(5).choice(strategy_space(n), 4096, replace=False)
     blocks = ver._AlignedBlocks(n)
     calls = _count_hit_tests(monkeypatch)
+    rng = np.random.default_rng(32)
     counts = []
     for v in idxs[loop_bound_batch(idxs.astype(np.uint64), bt)]:
         start = int(v) // blocks.size * blocks.size
         calls.clear()
-        got = ver._loop_bound_block(blocks, bt, start, start + blocks.size)
+        walked, got = ver._loop_bound_block(blocks, bt, start, start + blocks.size)
         assert len(calls) == 2
+        assert walked < len(bt.loop_plane)
         block = np.arange(start, start + blocks.size, dtype=np.uint64)
         assert got.tolist() == block[loop_bound_batch(block, bt)].tolist()
+        rest = np.setdiff1d(block, got)
+        for i in (*got, *rng.choice(rest, 200, replace=False)):
+            assert _breaks_loop_bound(index_to_strategy(int(i), n)) == (i in got)
         # A partial block reads the first rows of the whole block's walk.
-        part = ver._loop_bound_block(blocks, bt, start, start + 7000)
+        _, part = ver._loop_bound_block(blocks, bt, start, start + 7000)
         assert part.tolist() == [i for i in got.tolist() if i < start + 7000]
         counts.append(len(got))
     assert counts == [40, 185, 125, 75, 125]
@@ -703,6 +712,44 @@ def test_walk_step_and_hits_distribute_over_or(n, loop, width, seed):
     assert not walk.step(a & 0, terms).any() and not walk.hits(a & 0, tables).any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    loop=st.booleans(),
+    width=st.integers(0, 3),
+    kept=st.sampled_from(("none", "all", "random")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walk_restrict_keeps_the_rows_of_its_candidates(n, loop, width, kept, seed):
+    # The loop bound walks only a block's loop candidates: each candidate's
+    # set must evolve on its own slots, on any planes and any candidates.
+    bt = board_tables(n)
+    walk = bt.loop if loop else bt.certify
+    rng = np.random.default_rng(seed)
+    E = len(bt.loop_plane)
+    kept = {"none": np.zeros(E, bool), "all": np.ones(E, bool), "random": rng.random(E) < 0.5}[kept]
+    planes = lambda rows: rng.integers(0, 2**64, (rows, width), dtype=np.uint64, endpoint=False)
+    tables = planes(E * (n + 1) + 1)
+    tables[-1] = 0
+    cols = np.repeat(kept, len(walk.slot_tail) // E)
+    assert np.array_equal(walk.restrict(kept).slot_tail, walk.slot_tail[cols])
+    assert _restricted_kernel_that_differs(walk, kept, tables, planes(len(walk.slot_tail))) is None
+
+
+def _restricted_kernel_that_differs(walk, kept, tables, state) -> Optional[str]:
+    """The kernel of ``walk.restrict(kept)``, "step" or "hit test", whose
+    output on these planes is not the full walk's rows of the kept slots or
+    candidates, or None."""
+    cols = np.repeat(kept, len(walk.slot_tail) // len(kept))
+    part = walk.restrict(kept)
+    step = part.step(state[cols], tables[part.step_plane])
+    if not np.array_equal(step, walk.step(state, tables[walk.step_plane])[cols]):
+        return "step"
+    if not np.array_equal(part.hits(state[cols], tables), walk.hits(state, tables)[kept]):
+        return "hit test"
+    return None
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_loop_walk_keeps_no_edge_of_the_candidates_tail(n):
     # So a candidate whose tail is the start has an empty set in the loop
@@ -717,11 +764,14 @@ def test_loop_walk_keeps_no_edge_of_the_candidates_tail(n):
 def test_loop_bound_decides_closed_blocks_without_a_hit_test(n, blocks, monkeypatch):
     # Each of these blocks' unions stops growing within K - 1 steps, so its
     # two hit tests would agree and none is made.
+    # A block walks the candidates whose digits vary in it, and each other
+    # one whose constant head is its tail.
+    walked = {(3, 1): 6, (3, 5): 31, (4, 1): 5, (4, 3): 16}[n, blocks]
     calls = _count_hit_tests(monkeypatch)
     size = ver._AlignedBlocks(n).size
     report = verify_loop_bound(n, limit=blocks * size)
     assert len(calls) == 0
-    assert report.details == {"blocks": blocks, "closed_blocks": blocks}
+    assert report.details == {"blocks": blocks, "closed_blocks": blocks, "walked_candidates": walked}
 
 
 def test_loop_bound_hit_tests_a_batch_that_grows_twice(monkeypatch):
