@@ -3,9 +3,8 @@
 Subcommands: ``analyze`` a strategy file, ``play`` it against an answers
 file, ``verify`` a claim campaign, ``order`` two tree files, and ``g2sim``
 a backtracking-game transcript.  Exit codes: 0 success / zero
-counterexamples, 1 counterexamples found, 2 usage or input errors (a
-checkpoint file of another run included).  Any other failure is a fault of
-the program and propagates as an exception.
+counterexamples, 1 counterexamples found, 2 usage or input errors.  Any
+other failure is a fault of the program and propagates as an exception.
 """
 
 from __future__ import annotations
@@ -65,10 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("--seed", type=_nonnegative_int)
     p_ve.add_argument("--playouts", type=_positive_int)
     p_ve.add_argument("--samples", type=_positive_int)
-    p_ve.add_argument("--checkpoint", type=Path)
     p_ve.add_argument("--ce-dir", type=Path)
     p_ve.add_argument("--no-timing", action="store_true", help="print seconds=0.000 for reproducible output")
-    p_ve.add_argument("--progress", action="store_true", default=None)
 
     p_or = sub.add_parser("order", help="compare two tree files under the tree order")
     p_or.add_argument("tree_a", type=Path)
@@ -153,7 +150,7 @@ def _theorem_main(n: int, samples: Optional[int] = None, **options) -> ver.Campa
 
 
 # The options a theorem-main sweep reads.  --seed is read only with --samples.
-SWEEP = ("samples", "seed", "threads", "checkpoint", "ce_dir", "progress")
+SWEEP = ("samples", "seed", "threads", "ce_dir")
 
 # Claim name -> (campaign, the options it reads).  A campaign is called with
 # the options the user set, so each default is written once, in the
@@ -166,7 +163,7 @@ CLAIMS: dict[str, tuple[Callable[..., ver.CampaignReport], tuple[str, ...]]] = {
         for n in (1, 2, 3)
     },
     "theorem-main-n4": (lambda **o: _theorem_main(4, **{"samples": 100_000, **o}), SWEEP),
-    "loop-bound-n3": (lambda **o: ver.verify_loop_bound(3, **o), ("progress",)),
+    "loop-bound-n3": (lambda: ver.verify_loop_bound(3), ()),
     "small-n": (lambda: _merged("small-n", ver.verify_small_n(1), ver.verify_small_n(2)), ()),
     **{f"subset-n{n}": (lambda n=n: ver.verify_subset_prop(n), ()) for n in (1, 2, 3, 4)},
     "order-axioms": (
@@ -270,7 +267,7 @@ def run(argv: list[str]) -> int:
     }[args.command]
     try:
         return command(args)
-    except (InputError, OSError, ver.CheckpointMismatch) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,9 +25,7 @@ masked off, until an anchor where at least half of the columns have left;
 only there is the batch compacted.  A hash-selected 1% of the tables is
 held back from the fast path and certified by the repeat alone as a
 cross-check.  Exhaustive and sampled sweeps take the same route: one worker
-per batch, one checkpoint file (whose first line names the run, so that a
-mismatched resume is refused), one counterexample writer and one process
-pool.
+per batch, one counterexample writer and one process pool.
 
 One engine serves both batch sweeps.  ``certify_batch`` (the headline
 sweep) walks the edges compatible with each candidate; ``_loop_bound_planes``
@@ -342,7 +340,7 @@ HOLD_BACK_MODULUS = 100
 # fresh pages (about 10,000 minor faults per 2^20 tables) than on the walk
 # itself.
 TABLE_BLOCK = 1 << 14
-# Tables per job of verify_theorem_main; the checkpoint header names it.
+# Tables per job of verify_theorem_main.
 BATCH_SIZE = 1 << 18
 
 
@@ -465,40 +463,7 @@ def _oracle_gate(n: int) -> None:
             raise AssertionError(f"oracle gate: engine mismatch at index {idx}")
 
 
-class CheckpointMismatch(Exception):
-    """A checkpoint file written by another run, or in another format."""
-
-
-def _read_checkpoint(path: Path, header: str) -> dict[tuple[int, int], tuple]:
-    """The finished batches recorded in ``path``: ``(lo, hi)`` maps to the
-    batch's counterexamples, fast-path count and cross-check count, from a
-    line ``batch lo hi fast checked ce...``.
-
-    The file opens with ``header``, which names the run it belongs to; any
-    other first line is refused.  A last line without its newline is a write
-    cut short, so it is cut from the file and its batch runs again.
-    """
-    text = path.read_text() if path.exists() else ""
-    whole = text[: text.rfind("\n") + 1]
-    lines = whole.splitlines()
-    if not lines:
-        path.write_text(header + "\n")
-        return {}
-    if lines[0] != header:
-        raise CheckpointMismatch(f"{path} starts {lines[0]!r}, this run writes {header!r}")
-    done = {}
-    for number, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) < 5 or parts[0] != "batch" or not all(x.isdigit() for x in parts[1:]):
-            raise CheckpointMismatch(f"{path} line {number} is not a batch record: {line!r}")
-        lo, hi, fast, checked, *batch_ces = map(int, parts[1:])
-        done[(lo, hi)] = (batch_ces, fast, checked)
-    if whole != text:
-        path.write_text(whole)
-    return done
-
-
-def _certify_job(job: tuple) -> tuple[int, int, list[int], int, int]:
+def _certify_job(job: tuple) -> tuple[list[int], int, int]:
     """Worker: certify the batch ``idxs``, or the index range [lo, hi) when
     ``idxs`` is None; returns the batch's counterexamples, its fast-path
     count and its cross-check count."""
@@ -510,34 +475,27 @@ def _certify_job(job: tuple) -> tuple[int, int, list[int], int, int]:
     crosscheck = (idxs * np.uint64(HOLD_BACK_MULTIPLIER) % np.uint64(HOLD_BACK_MODULUS)) == 0
     res = certify_batch(idxs, board_tables(n), sample_mask=crosscheck)
     ces = [int(i) for i in idxs[~res.wins_all]]
-    return lo, hi, ces, int(res.fast_path.sum()), int(crosscheck.sum())
+    return ces, int(res.fast_path.sum()), int(crosscheck.sum())
 
 
 def verify_theorem_main(
     n: int = 3,
     threads: int = 1,
-    checkpoint: Optional[Path] = None,
     ce_dir: Optional[Path] = None,
-    progress: bool = False,
     sample: Optional[int] = None,
     seed: int = SEED,
 ) -> CampaignReport:
     """Every strategy must be Delayer-won for all lengths.
 
     The sweep covers every index, or with ``sample`` that many distinct
-    seeded indices; either way it runs batch by batch through the same worker,
-    checkpoint and counterexample writer.  Expected outcome: zero
-    counterexamples at three or more holes; at two holes Prover-winning
-    tables exist and are reported.  Boards beyond three holes are too large
-    to sweep and require ``sample``.
+    seeded indices; either way it runs in jobs of ``BATCH_SIZE`` tables
+    through the same worker, on ``threads`` processes, and one counterexample
+    writer.  Expected outcome: zero counterexamples at three or more holes;
+    at two holes Prover-winning tables exist and are reported.  Boards
+    beyond three holes are too large to sweep and require ``sample``.
     """
     if n > 3 and sample is None:
         raise ValueError("full sweeps stop at n=3; pass sample= for larger boards")
-    # The header names every input a batch's verdict depends on.
-    header = (
-        f"theorem-main checkpoint n={n} batch_size={BATCH_SIZE} t_limit={T_LIMIT} "
-        f"hold_back={HOLD_BACK_MULTIPLIER}%{HOLD_BACK_MODULUS}"
-    )
     if sample is None:
         picks = None
         total = strategy_space(n)
@@ -552,47 +510,20 @@ def verify_theorem_main(
         picks.sort()
         picks = picks.view(np.uint64)
         total = sample
-        header += f" sample={sample} seed={seed}"
-    done = _read_checkpoint(Path(checkpoint), header) if checkpoint else {}
     _oracle_gate(n)
-
-    ces: list[int] = []
-    fast_count = 0
-    crosschecks = 0
-
-    def note_batch(start: int, stop: int, batch_ces: list[int], fast: int, checked: int) -> None:
-        nonlocal fast_count, crosschecks
-        ces.extend(batch_ces)
-        fast_count += fast
-        crosschecks += checked
-        if (start, stop) in done:
-            return
-        if checkpoint:
-            with open(checkpoint, "a") as fh:
-                fields = [start, stop, fast, checked, *batch_ces]
-                fh.write("batch " + " ".join(map(str, fields)) + "\n")
-        if progress:
-            pct = 100.0 * stop / total
-            print(f"  [{pct:5.1f}%] indices {stop}/{total} fast={fast_count}", flush=True)
 
     jobs = []
     for start in range(0, total, BATCH_SIZE):
         stop = min(start + BATCH_SIZE, total)
-        if (start, stop) in done:
-            note_batch(start, stop, *done[(start, stop)])
-        else:
-            idxs = None if picks is None else picks[start:stop]
-            jobs.append((start, stop, idxs, n))
-
+        jobs.append((start, stop, None if picks is None else picks[start:stop], n))
     if threads <= 1:
-        for job in jobs:
-            note_batch(*_certify_job(job))
+        results = list(map(_certify_job, jobs))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(_certify_job, jobs, chunksize=1):
-                note_batch(*result)
+            results = list(pool.map(_certify_job, jobs, chunksize=1))
+    ces = [idx for batch_ces, _, _ in results for idx in batch_ces]
 
     serialized = []
     for idx in sorted(ces):
@@ -604,7 +535,10 @@ def verify_theorem_main(
         claim=f"theorem-main-n{n}" if picks is None else f"theorem-main-n{n}-sampled",
         space=total,
         counterexamples=serialized,
-        details={"fast_path": fast_count, "sampled_crosschecks": crosschecks},
+        details={
+            "fast_path": sum(fast for _, fast, _ in results),
+            "sampled_crosschecks": sum(checked for _, _, checked in results),
+        },
     )
 
 
@@ -660,10 +594,6 @@ def _loop_bound_planes(
     return walked, np.bitwise_or.reduce(violation, axis=0)
 
 
-# The loop-bound sweep reports progress once per this many tables.
-_PROGRESS_EVERY = 1 << 18
-
-
 class _AlignedBlocks:
     """The planes of the aligned blocks of one board's index space.
 
@@ -716,18 +646,14 @@ def _loop_bound_block(
     return walked, np.flatnonzero(_unpack(violators, stop - start)) + start
 
 
-def verify_loop_bound(
-    n: int = 3,
-    progress: bool = False,
-    limit: Optional[int] = None,
-) -> CampaignReport:
+def verify_loop_bound(n: int = 3, limit: Optional[int] = None) -> CampaignReport:
     """Shortest qualifying path to any reachable loop has length at most
     ``2(n-2)+1``, exhaustively over every strategy table.
 
-    ``limit`` truncates the sweep to the first ``limit`` indices for unit
-    tests; the campaign runs full.  ``details`` counts the aligned blocks
-    swept, those that closed without a hit test, and the candidates walked,
-    summed over the blocks.
+    ``limit`` truncates the sweep to the first ``limit`` indices, for unit
+    tests and the benchmark's ``loop-bound`` workload; the campaign runs
+    full.  ``details`` counts the aligned blocks swept, those that closed
+    without a hit test, and the candidates walked, summed over the blocks.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit={limit} is negative")
@@ -745,8 +671,6 @@ def verify_loop_bound(
             closed += 1
         else:
             bad += [format_strategy(index_to_strategy(int(idx), n)) for idx in found]
-        if progress and (stop // _PROGRESS_EVERY > start // _PROGRESS_EVERY or stop == total):
-            print(f"  loop bound {stop}/{total}", flush=True)
     return CampaignReport(
         claim=f"loop-bound-n{n}",
         space=total,

@@ -185,9 +185,9 @@ def test_analyze_lists_the_winning_lengths_of_a_prover_won_table(
         (["g2prime", "--samples", "7"], "--samples"),
         (["small-n", "--seed", "3"], "--seed"),
         (["order-axioms", "--playouts", "9"], "--playouts"),
-        (["loop-bound-n3", "--checkpoint", "ck.txt"], "--checkpoint"),
+        (["loop-bound-n3", "--threads", "2"], "--threads"),
         (["php-trees", "--threads", "2"], "--threads"),
-        (["subset-n2", "--progress"], "--progress"),
+        (["subset-n2", "--ce-dir", "ces"], "--ce-dir"),
         (["theorem-main-n3", "--playouts", "9"], "--playouts"),
         (["figures", "--ce-dir", "ces"], "--ce-dir"),
         (["order-axioms", "--seed", "3"], "--seed"),
@@ -239,14 +239,16 @@ def test_sample_larger_than_the_space_exit_2(capsys):
     assert run(["verify", "theorem-main-n1", "--samples", "8", "--no-timing"]) == 1
 
 
-def test_checkpoint_of_another_run_exit_2(tmp_path, capsys):
-    ck = tmp_path / "ck.txt"
-    ck.write_text("batch 0 8\n")  # a batch record with no header line
-    assert run(["verify", "theorem-main-n1", "--checkpoint", str(ck)]) == 2
-    ck.write_text("theorem-main checkpoint n=1 batch_size=262144\n")
-    assert run(["verify", "theorem-main-n1", "--checkpoint", str(ck), "--samples", "4"]) == 2
-    assert capsys.readouterr().err.count("error: ") == 2
-    assert ck.read_text() == "theorem-main checkpoint n=1 batch_size=262144\n"
+@pytest.mark.parametrize(
+    "argv",
+    [["theorem-main-n1", "--checkpoint", "x"], ["loop-bound-n3", "--progress"]],
+    ids=lambda argv: argv[1],
+)
+def test_removed_sweep_options_exit_2(argv, capsys):
+    # The sweeps take seconds, so they keep no checkpoint and print no
+    # progress; either option is unknown to the parser.
+    assert run(["verify", *argv]) == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_readme_lists_the_registered_claims():
@@ -345,6 +347,25 @@ def test_verify_reports_byte_identical(capsys):
     assert run(["verify", "figures", "--no-timing"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def _pinned_claims() -> dict[str, tuple[int, str]]:
+    """Claim -> (exit code, stdout) from ``claims_no_timing.txt``."""
+    text = (Path(__file__).parent / "claims_no_timing.txt").read_text()
+    _, *sections = re.split(r"^== (\S+) exit (\d)\n", text, flags=re.M)
+    return {
+        claim: (int(code), out)
+        for claim, code, out in zip(sections[::3], sections[1::3], sections[2::3])
+    }
+
+
+PINNED_CLAIMS = _pinned_claims()
+
+
+@pytest.mark.parametrize("claim", PINNED_CLAIMS)
+def test_fast_claims_print_their_pinned_output(claim, capsys):
+    code = run(["verify", claim, "--no-timing"])
+    assert (code, capsys.readouterr().out) == PINNED_CLAIMS[claim]
 
 
 def test_g2sim_has_no_strategy_flag(capsys):

@@ -27,6 +27,8 @@ import pytest
 
 from pebblegames import g2 as g2mod
 from pebblegames import g2prime as g2p
+from pebblegames import php_tree as phpmod
+from pebblegames import simple_game as sg
 from pebblegames import trees as treemod
 from pebblegames import verify as ver
 from pebblegames.matching import LogPower
@@ -83,6 +85,35 @@ def _gate(n: int) -> Callable[..., Optional[str]]:
         return None
 
     return check
+
+
+@contextlib.contextmanager
+def _witnesses_of(mod) -> Iterator[None]:
+    """``verify`` with the certificate and the DFS oracle of ``mod``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ver, "delayer_wins_lengths", mod.delayer_wins_lengths)
+        mp.setattr(ver, "brute_force_delayer_wins", mod.brute_force_delayer_wins)
+        yield
+
+
+def _gate_of_game(n: int) -> Callable[..., Optional[str]]:
+    """The oracle gate at board ``n``, on the witnesses of the module it
+    takes."""
+    gate = _gate(n)
+
+    def check(mod) -> Optional[str]:
+        with _witnesses_of(mod):
+            return gate(ver)
+
+    return check
+
+
+def _oracle_equivalence_claim(mod) -> Optional[str]:
+    """The certificate-against-DFS claim at 100 samples, on the witnesses of
+    ``mod``: its first message."""
+    with _witnesses_of(mod):
+        bad = ver.verify_oracle_equivalence(samples=100).counterexamples
+    return bad[0] if bad else None
 
 
 def _planted_intransitive_order(mod) -> Optional[str]:
@@ -193,6 +224,13 @@ def _php_trees_claim(mod) -> Optional[str]:
     return bad[0] if bad else None
 
 
+def _php_trees_claim_of_tree(mod) -> Optional[str]:
+    """The php-tree claim at 10 samples, on the trees of ``mod``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ver, "phpmod", mod)
+        return _php_trees_claim(ver)
+
+
 def _php_biconditional_at_n2(mod) -> Optional[str]:
     """A complete php-tree must mean no canonical win at any window length,
     and an incomplete one a canonical win at every one, over the whole n = 2
@@ -258,6 +296,10 @@ CHECKS = {
     "oracle-gate-n2": (ver, _gate(2)),
     "oracle-gate-n3": (ver, _gate(3)),
     "oracle-gate-n4": (ver, _gate(4)),
+    "oracle-gate-n2-game": (sg, _gate_of_game(2)),
+    "oracle-gate-n3-game": (sg, _gate_of_game(3)),
+    "oracle-gate-n4-game": (sg, _gate_of_game(4)),
+    "oracle-equivalence-claim": (sg, _oracle_equivalence_claim),
     "planted-intransitive-order": (ver, _planted_intransitive_order),
     "batch-results-n1-n2": (ver, _batch_results_at_n1_n2),
     "loop-bound-witness-n4": (ver, _loop_bound_witness_at_n4),
@@ -268,6 +310,7 @@ CHECKS = {
     "loop-bound-walked-n3": (ver, _loop_bound_walked_at_n3),
     "walk-restrict-n3": (ver, _walk_restrict_at_n3),
     "php-trees-claim": (ver, _php_trees_claim),
+    "php-trees-claim-of-tree": (phpmod, _php_trees_claim_of_tree),
     "php-biconditional-n2": (ver, _php_biconditional_at_n2),
     "order-claim-b2-h2": (treemod, _order_claim_at_b2_h2),
     "subset-claims": (ver, _subset_claims),
@@ -278,6 +321,13 @@ CHECKS = {
 }
 
 RAMIFY_LOST = "root-ramify lost some branch at n=3"
+# At n >= 3 every length of every table is won, so a witness that answers
+# "won" more often than it should still agrees with the other one.
+WITNESS_N2 = ("oracle-gate-n2-game", "oracle gate: certificate mismatch at index 1182, s=3")
+WITNESS_AT_N3_N4 = {
+    check: "item 9: compare which final records win, not whether Delayer wins"
+    for check in ("oracle-gate-n3-game", "oracle-gate-n4-game", "oracle-equivalence-claim")
+}
 # At n = 2 the root-ramify Prover wins without any one of the clauses that
 # these rows delete, so only the claim's n = 3 leg shows that each is needed.
 RAMIFY_N2 = {"root-ramify-n2": "not a gap: n = 2 needs no such clause; n = 3 does"}
@@ -454,6 +504,42 @@ MUTANTS = {
             "php-trees-claim": "equivalent: no canonical play wins at its gave-up step",
             "php-biconditional-n2": "equivalent: no canonical play wins at its gave-up step",
         },
+    ),
+    "certificate-hits-every-step": (
+        sg,
+        "        hits.append(bool(r & target))\n",
+        "        hits.append(True)\n",
+        WITNESS_N2,
+        WITNESS_AT_N3_N4,
+    ),
+    "dfs-wins-without-the-final-compatibility": (
+        sg,
+        "if not won[depth] and all((p == q) == (h == k) for q, k in walk):",
+        "if not won[depth]:",
+        WITNESS_N2,
+        WITNESS_AT_N3_N4,
+    ),
+    "dfs-walks-locally-inconsistent-steps": (
+        sg,
+        "                if (p == q) != (h == k):\n                    continue\n",
+        "",
+        WITNESS_N2,
+        WITNESS_AT_N3_N4,
+    ),
+    "php-tree-skips-the-last-hole": (
+        phpmod,
+        "        for h in range(n):\n            if h in path:\n",
+        "        for h in range(n - 1):\n            if h in path:\n",
+        # The planted successor table, whose tree is complete.
+        ("php-trees-claim-of-tree", "incomplete tree but no canonical win at sample -5"),
+        {},
+    ),
+    "php-tree-stops-only-at-its-own-pigeon": (
+        phpmod,
+        "            if nxt in labels_on_path:\n",
+        "            if nxt == current:\n",
+        ("php-trees-claim-of-tree", "invalid build at sample 0 n=3"),
+        {},
     ),
     "tree-key-not-negated": (
         treemod,

@@ -19,7 +19,6 @@ from pebblegames.simple_game import (
 )
 from pebblegames.trees import Ordering
 from pebblegames.verify import (
-    CheckpointMismatch,
     board_tables,
     certify_batch,
     decode_batch,
@@ -607,27 +606,6 @@ def test_verify_loop_bound_limit_zero_and_negative():
         verify_loop_bound(3, limit=-1)
 
 
-def test_verify_loop_bound_progress_every_2_18_tables(capsys):
-    limit = (1 << 18) + 5000
-    verify_loop_bound(3, progress=True, limit=limit)
-    assert capsys.readouterr().out.splitlines() == [
-        f"  loop bound {1 << 18}/{limit}",
-        f"  loop bound {limit}/{limit}",
-    ]
-
-
-def test_verify_loop_bound_progress_when_a_block_crosses_2_18_tables(capsys):
-    # At n = 4 a block holds 5^6 tables, so no block ends on a multiple of
-    # 2^18; the line comes at the end of the block that crosses it.
-    limit = (1 << 18) + 5000
-    verify_loop_bound(4, progress=True, limit=limit)
-    crossing = -(-(1 << 18) // 5**6) * 5**6
-    assert capsys.readouterr().out.splitlines() == [
-        f"  loop bound {crossing}/{limit}",
-        f"  loop bound {limit}/{limit}",
-    ]
-
-
 @st.composite
 def _aligned_blocks(draw):
     """A board and block numbers of its aligned blocks, always with the first
@@ -927,10 +905,8 @@ def test_campaign_parameters_are_pinned():
     # Each parameter is an input some caller varies; a value that every caller
     # passes is a constant of the campaign.  A new parameter changes this pin.
     pinned = {
-        "verify_theorem_main": [
-            "n", "threads", "checkpoint", "ce_dir", "progress", "sample", "seed",
-        ],
-        "verify_loop_bound": ["n", "progress", "limit"],
+        "verify_theorem_main": ["n", "threads", "ce_dir", "sample", "seed"],
+        "verify_loop_bound": ["n", "limit"],
         "verify_small_n": ["n"],
         "verify_subset_prop": ["n"],
         "verify_order_axioms": ["b", "h"],
@@ -946,19 +922,6 @@ def test_campaign_parameters_are_pinned():
     names += ["_oracle_gate", "random_strategy"]
     got = {name: list(inspect.signature(getattr(ver, name)).parameters) for name in names}
     assert got == pinned
-
-
-def test_theorem_main_checkpoint_resume(tmp_path, monkeypatch):
-    monkeypatch.setattr(ver, "BATCH_SIZE", 4)
-    ck = tmp_path / "progress.txt"
-    first = verify_theorem_main(n=1, checkpoint=ck)
-    lines = ck.read_text().splitlines()
-    assert lines[0] == "theorem-main checkpoint n=1 batch_size=4 t_limit=4200 hold_back=2654435761%100"
-    assert len(lines) == 3 and all(l.startswith("batch ") for l in lines[1:])
-    # Resuming replays only the recorded batches and reproduces the report.
-    second = verify_theorem_main(n=1, checkpoint=ck)
-    assert first.counterexamples == second.counterexamples
-    assert len(ck.read_text().splitlines()) == len(lines)
 
 
 def test_theorem_main_sampled_n4():
@@ -983,32 +946,22 @@ def batches_of_128(monkeypatch):
     monkeypatch.setattr(ver, "BATCH_SIZE", 128)
 
 
-def _sampled(tmp_path, n=4, **change):
-    """A small sampled sweep, in several batches (under ``batches_of_128``),
-    checkpointed to one file."""
-    run = dict(n=n, sample=600, seed=8, checkpoint=tmp_path / "ck.txt")
-    return verify_theorem_main(**{**run, **change})
-
-
-@pytest.mark.usefixtures("batches_of_128")
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n", [2, 4])
-def test_theorem_main_sampled_checkpoint_resume(tmp_path, n):
-    first = _sampled(tmp_path, n)
-    lines = (tmp_path / "ck.txt").read_text().splitlines()
-    assert lines[0] == (
-        f"theorem-main checkpoint n={n} batch_size=128 t_limit=4200 hold_back=2654435761%100 "
-        "sample=600 seed=8"
+def test_theorem_main_sampled_in_batches(request, n, threads):
+    # A sampled sweep cut into 5 jobs, in process or on a pool, sums to the
+    # report of the one job that BATCH_SIZE makes of it.
+    ces, fast, checked = {2: (37, 470, 4), 4: (0, 581, 10)}[n]
+    run = dict(n=n, sample=600, seed=8)
+    one = verify_theorem_main(**run)
+    request.getfixturevalue("batches_of_128")
+    cut = verify_theorem_main(**run, threads=threads)
+    assert (cut.claim, cut.space, cut.counterexamples, cut.details) == (
+        one.claim, one.space, one.counterexamples, one.details
     )
-    bounds = [line.split()[1:3] for line in lines[1:]]
-    assert bounds == [[str(lo), str(min(lo + 128, 600))] for lo in range(0, 600, 128)]
-    assert first.claim == f"theorem-main-n{n}-sampled" and first.space == 600
-    assert first.ok == (n > 2)
-    # Resuming replays only the recorded batches and reproduces the report.
-    second = _sampled(tmp_path, n)
-    assert (tmp_path / "ck.txt").read_text().splitlines() == lines
-    assert (second.claim, second.space, second.counterexamples, second.details) == (
-        first.claim, first.space, first.counterexamples, first.details
-    )
+    assert (cut.claim, cut.space) == (f"theorem-main-n{n}-sampled", 600)
+    assert len(cut.counterexamples) == ces
+    assert cut.details == {"fast_path": fast, "sampled_crosschecks": checked}
 
 
 def test_theorem_main_sampled_crosschecks():
@@ -1018,64 +971,3 @@ def test_theorem_main_sampled_crosschecks():
     held_back = int(((idxs * np.uint64(2654435761)) % np.uint64(100) == 0).sum())
     assert rep.details["sampled_crosschecks"] == held_back > 0
     assert 0 < rep.details["fast_path"] <= 3000 - held_back
-
-
-# A full sweep's header has no sample and seed, so it refuses a sampled file.
-@pytest.mark.usefixtures("batches_of_128")
-@pytest.mark.parametrize(
-    "change", [{"seed": 9}, {"n": 3}, {"n": 3, "sample": None}, {"sample": 599}]
-)
-def test_checkpoint_refuses_another_run(tmp_path, change):
-    _sampled(tmp_path)
-    before = (tmp_path / "ck.txt").read_text()
-    with pytest.raises(CheckpointMismatch):
-        _sampled(tmp_path, **change)
-    assert (tmp_path / "ck.txt").read_text() == before
-
-
-@pytest.mark.usefixtures("batches_of_128")
-@pytest.mark.parametrize(
-    "constant, value",
-    [
-        ("T_LIMIT", 4000),
-        ("HOLD_BACK_MODULUS", 50),
-        ("HOLD_BACK_MULTIPLIER", 40503),
-        ("BATCH_SIZE", 256),
-    ],
-)
-def test_checkpoint_refuses_another_verdict_rule(tmp_path, monkeypatch, constant, value):
-    # A batch's verdict depends on the step limit and on which tables are
-    # held back from the fast path, and its record on the batch bounds, so a
-    # resume under another rule is refused.
-    _sampled(tmp_path)
-    before = (tmp_path / "ck.txt").read_text()
-    monkeypatch.setattr(ver, constant, value)
-    with pytest.raises(CheckpointMismatch):
-        _sampled(tmp_path)
-    assert (tmp_path / "ck.txt").read_text() == before
-
-
-def test_checkpoint_refuses_headerless_file(tmp_path):
-    ck = tmp_path / "ck.txt"
-    ck.write_text("batch 0 8\n")  # a batch record with no header line
-    with pytest.raises(CheckpointMismatch):
-        verify_theorem_main(n=1, checkpoint=ck)
-    assert ck.read_text() == "batch 0 8\n"
-
-
-@pytest.mark.usefixtures("batches_of_128")
-def test_checkpoint_reruns_a_batch_cut_short(tmp_path, monkeypatch):
-    first = _sampled(tmp_path, 2)
-    ck = tmp_path / "ck.txt"
-    whole = ck.read_text()
-    # A crash in the middle of writing the last batch record.
-    ck.write_text(whole[:-3])
-    from pebblegames import verify as ver
-
-    ran = []
-    certify_job = ver._certify_job
-    monkeypatch.setattr(ver, "_certify_job", lambda job: ran.append(job[:2]) or certify_job(job))
-    second = _sampled(tmp_path, 2)
-    assert ran == [(512, 600)]
-    assert second.counterexamples == first.counterexamples
-    assert ck.read_text() == whole
