@@ -45,8 +45,8 @@ table, so it sweeps aligned blocks of at most 2^14 tables (the block size of
 a job's first step), whose temporaries stay in L2, and decodes none of
 them: a block of ``(n+1)^k`` tables that starts at a multiple of its size
 shares its low ``k`` digits with block 0 and has constant higher digits, so
-its planes are block 0's, decoded once per sweep, with one row per nonzero
-high digit moved.
+its planes are block 0's, which ``board_tables`` decodes once per board and
+process, with one row per nonzero high digit moved.
 """
 
 from __future__ import annotations
@@ -221,31 +221,45 @@ def _walk(n: int, compat: np.ndarray, allowed: np.ndarray) -> Walk:
 
 @dataclass
 class BoardTables:
-    """Strategy-independent index tables for one board size."""
+    """Strategy-independent tables of one board size: the index tables of
+    the walks, and block 0's planes.  Aligned block ``j`` holds the
+    ``(n+1)^k`` indices from ``j (n+1)^k``, the largest power of the base
+    that is at most ``TABLE_BLOCK`` (capped at the whole space); its low
+    ``k`` digits, ``init`` among them, run through block 0's pattern."""
 
     n: int
     certify: Walk  # candidate c walks the edges compatible with c
     loop: Walk  # the same without c itself, which carries the loop hole
     loop_plane: np.ndarray  # (E,) table plane of "candidate c is a loop"
+    k: int
+    block_init: np.ndarray  # (P, W) init planes of every aligned block
+    block_tables: np.ndarray  # (E * P + 1, W) table planes of block 0
 
 
 @functools.cache
 def board_tables(n: int) -> BoardTables:
-    """The index tables of board ``n``.  They are built once per board,
-    cached, and shared by every batch on that board, so their arrays are
-    read-only."""
+    """The tables of board ``n``.  They are built once per board and
+    process, cached, and shared by every batch on that board, so their
+    arrays are read-only."""
     pigeons = n + 1
     num_edges = pigeons * n
     e = np.arange(num_edges)
     compat = (e[:, None] // n == e // n) == (e[:, None] % n == e % n)
+    k = 1
+    while k < num_edges + 1 and pigeons ** (k + 1) <= TABLE_BLOCK:
+        k += 1
+    block_init, block_tables = _table_planes(np.arange(pigeons**k, dtype=np.uint64), n)
     bt = BoardTables(
         n,
         certify=_walk(n, compat, compat),
         loop=_walk(n, compat, compat & ~np.eye(num_edges, dtype=bool)),
         loop_plane=e * pigeons + e // n,
+        k=k,
+        block_init=block_init,
+        block_tables=block_tables,
     )
     walks = (*vars(bt.certify).values(), *vars(bt.loop).values())
-    for array in (bt.loop_plane, *walks):
+    for array in (bt.loop_plane, bt.block_init, bt.block_tables, *walks):
         array.flags.writeable = False
     return bt
 
@@ -504,10 +518,9 @@ def verify_theorem_main(
             raise ValueError(f"sample={sample} exceeds the {strategy_space(n)} tables at n={n}")
         rng = np.random.default_rng(seed)
         picks = rng.choice(strategy_space(n), size=sample, replace=False, shuffle=False)
-        # Sorted in place and read as uint64 (every index is below 2^63): a
-        # sorted copy and a cast copy added two sample-sized arrays, and the
-        # sweep's peak RSS then hung on where the heap put them.
-        picks.sort()
+        # Used as drawn, since the jobs' counts are summed and the
+        # counterexamples sorted, and read as uint64 in place (every index is
+        # below 2^63): a cast copy's extra array moved the sweep's peak RSS.
         picks = picks.view(np.uint64)
         total = sample
     _oracle_gate(n)
@@ -594,53 +607,35 @@ def _loop_bound_planes(
     return walked, np.bitwise_or.reduce(violation, axis=0)
 
 
-class _AlignedBlocks:
-    """The planes of the aligned blocks of one board's index space.
-
-    A block holds ``size`` consecutive indices, the largest power
-    ``(n+1)^k`` of the base that is at most ``TABLE_BLOCK`` (capped at
-    the whole space), and block ``j`` starts at ``j * size``.  Its digits
-    below ``k``, the initial pigeon among them, run through block 0's
-    pattern, and each higher digit ``d`` is the constant ``q_d``, digit
-    ``d - k`` of ``j``.  Block 0 is decoded once; in it row ``(d, 0)`` is the
-    plane of the valid tables, so block ``j``'s planes are block 0's with
-    that row moved to ``(d, q_d)``.  Every block is written into one buffer,
-    which the next call overwrites."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        digits = (n + 1) * n + 1
-        self.k = 1
-        while self.k < digits and (n + 1) ** (self.k + 1) <= TABLE_BLOCK:
-            self.k += 1
-        self.size = (n + 1) ** self.k
-        self.init, self._pattern = _table_planes(np.arange(self.size, dtype=np.uint64), n)
-        self._tables = np.empty_like(self._pattern)
-
-    def planes(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """``init`` and ``tables`` of block ``j``, as ``_table_planes`` gives
-        them for ``np.arange(j * size, (j + 1) * size)``."""
-        np.copyto(self._tables, self._pattern)
-        pigeons = self.n + 1
-        edge = self.k - 1  # table digit d >= 1 is edge d - 1
-        while j:
-            j, q = divmod(j, pigeons)
-            if q:
-                self._tables[edge * pigeons + q] = self._tables[edge * pigeons]
-                self._tables[edge * pigeons] = 0
-            edge += 1
-        return self.init, self._tables
+def _block_planes(bt: BoardTables, j: int, out: np.ndarray) -> np.ndarray:
+    """The table planes of aligned block ``j``, as ``_table_planes`` gives
+    them for its indices, written into ``out``.  Each digit ``d`` above
+    ``bt.k`` is the constant ``q_d``, digit ``d - k`` of ``j``, and in block
+    0 row ``(d, 0)`` is the plane of the valid tables, so block ``j``'s
+    planes are block 0's with that row moved to ``(d, q_d)``."""
+    np.copyto(out, bt.block_tables)
+    pigeons = bt.n + 1
+    edge = bt.k - 1  # table digit d >= 1 is edge d - 1
+    while j:
+        j, q = divmod(j, pigeons)
+        if q:
+            out[edge * pigeons + q] = out[edge * pigeons]
+            out[edge * pigeons] = 0
+        edge += 1
+    return out
 
 
 def _loop_bound_block(
-    blocks: _AlignedBlocks, bt: BoardTables, start: int, stop: int
+    bt: BoardTables, out: np.ndarray, start: int, stop: int
 ) -> tuple[int, Optional[np.ndarray]]:
     """The number of candidates walked, and the indices in ``[start, stop)``
     that break the loop bound, where ``start`` begins an aligned block and
     ``stop`` lies in it, or None when the block closes (see
-    ``_loop_bound_planes``), which leaves none.  The block is walked whole
-    and only its first ``stop - start`` rows are read."""
-    walked, violators = _loop_bound_planes(*blocks.planes(start // blocks.size), bt)
+    ``_loop_bound_planes``), which leaves none.  The block, its planes
+    written into ``out``, is walked whole; its first ``stop - start`` rows
+    are read."""
+    tables = _block_planes(bt, start // (bt.n + 1) ** bt.k, out)
+    walked, violators = _loop_bound_planes(bt.block_init, tables, bt)
     if violators is None:
         return walked, None
     return walked, np.flatnonzero(_unpack(violators, stop - start)) + start
@@ -652,20 +647,24 @@ def verify_loop_bound(n: int = 3, limit: Optional[int] = None) -> CampaignReport
 
     ``limit`` truncates the sweep to the first ``limit`` indices, for unit
     tests and the benchmark's ``loop-bound`` workload; the campaign runs
-    full.  ``details`` counts the aligned blocks swept, those that closed
-    without a hit test, and the candidates walked, summed over the blocks.
+    full, and needs ``limit`` beyond three holes.  ``details`` counts the
+    aligned blocks swept, those that closed without a hit test, and the
+    candidates walked, summed over the blocks.
     """
+    if n > 3 and limit is None:
+        raise ValueError("full sweeps stop at n=3; pass limit= for larger boards")
     if limit is not None and limit < 0:
         raise ValueError(f"limit={limit} is negative")
     bt = board_tables(n)
     total = strategy_space(n) if limit is None else min(strategy_space(n), limit)
-    blocks = _AlignedBlocks(n)
+    size = (n + 1) ** bt.k
+    out = np.empty_like(bt.block_tables)
     bad: list[str] = []
-    starts = range(0, total, blocks.size)
+    starts = range(0, total, size)
     closed = walked = 0
     for start in starts:
-        stop = min(start + blocks.size, total)
-        block_walked, found = _loop_bound_block(blocks, bt, start, stop)
+        stop = min(start + size, total)
+        block_walked, found = _loop_bound_block(bt, out, start, stop)
         walked += block_walked
         if found is None:
             closed += 1

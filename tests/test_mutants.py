@@ -165,10 +165,11 @@ def _loop_bound_blocks_at_n4(mod) -> Optional[str]:
     ``test_loop_bound_blocks_find_the_n4_violators`` checks these counts
     against the scalar witness."""
     idxs, expected = _loop_bound_violators_at_n4()
-    bt, blocks = mod.board_tables(4), mod._AlignedBlocks(4)
+    bt = mod.board_tables(4)
+    size, out = 5**bt.k, np.empty_like(bt.block_tables)
     for v, want in zip(idxs[expected], (40, 185, 125, 75, 125)):
-        j = int(v) // blocks.size
-        _, got = mod._loop_bound_block(blocks, bt, j * blocks.size, (j + 1) * blocks.size)
+        j = int(v) // size
+        _, got = mod._loop_bound_block(bt, out, j * size, (j + 1) * size)
         found = 0 if got is None else len(got)
         if found != want:
             return f"{found} of {want} violators in block {j}"
@@ -321,6 +322,13 @@ CHECKS = {
 }
 
 RAMIFY_LOST = "root-ramify lost some branch at n=3"
+# A table's route and exit step are invariant under relabelling, but its
+# verdict at n >= 3 is constant, so only a relabelled comparison sees most
+# wiring faults of the index tables there.
+WIRING_AT_N3_N4 = {
+    check: "item 17: relabelling invariance of each table's route and exit step"
+    for check in ("oracle-gate-n3", "oracle-gate-n4")
+}
 # At n >= 3 every length of every table is won, so a witness that answers
 # "won" more often than it should still agrees with the other one.
 WITNESS_N2 = ("oracle-gate-n2-game", "oracle gate: certificate mismatch at index 1182, s=3")
@@ -357,6 +365,48 @@ MUTANTS = {
             "oracle-gate-n3": "item 1: per-candidate hits and the tail",
             "oracle-gate-n4": "item 1: per-candidate hits and the tail",
         },
+    ),
+    "loop-plane-one-pigeon-off": (
+        ver,
+        "        loop_plane=e * pigeons + e // n,\n",
+        "        loop_plane=e * pigeons + (e // n + 1) % pigeons,\n",
+        ("step1-lemma-n2", "1539 tables mismatch"),
+        {
+            # The gate holds every row back, so it never runs the fast path.
+            "oracle-gate-n2": "item 1: a negative control with the sweep's hold-back",
+            **WIRING_AT_N3_N4,
+        },
+    ),
+    "hit-plane-with-the-wrong-tail": (
+        ver,
+        "edge * pigeons + tail[cand]",
+        "edge * pigeons + (tail[cand] + 1) % pigeons",
+        ("oracle-gate-n2", "oracle gate: engine mismatch at index 1960"),
+        WIRING_AT_N3_N4,
+    ),
+    "step-plane-with-the-wrong-tail": (
+        ver,
+        "e * pigeons + tail[edge]",
+        "e * pigeons + (tail[edge] + 1) % pigeons",
+        ("oracle-gate-n2", "oracle gate: engine mismatch at index 1504"),
+        {
+            "step1-lemma-n2": "not a gap: the walk stopped after its first step reads no step plane",
+            **WIRING_AT_N3_N4,
+        },
+    ),
+    "slot-tail-shifted": (
+        ver,
+        "        slot_tail=tail[edge],\n",
+        "        slot_tail=(tail[edge] + 1) % pigeons,\n",
+        ("step1-lemma-n2", "378 tables mismatch"),
+        WIRING_AT_N3_N4,
+    ),
+    "compat-with-its-hole-shifted": (
+        ver,
+        "(e[:, None] % n == e % n)",
+        "((e[:, None] + 1) % n == e % n)",
+        ("oracle-gate-n3", "oracle gate: engine mismatch at index 11617619"),
+        {},
     ),
     "transitivity-masks-with-trees-i-is-below": (
         ver,
@@ -660,11 +710,29 @@ MUTANTS = {
 }
 
 
-# name -> a second check that refuses the mutant, with its message.
+# name -> the other checks that refuse the mutant, each with its message.
 ALSO_REFUSED = {
-    "loop-bound-one-step-shorter": ("loop-bound-claim-n3", "1104 counterexamples"),
-    "loop-bound-walks-even-candidates-only": ("loop-bound-walked-n3", "13 candidates walked, 25 expected"),
-    "canonical-wins-ignores-gave-up": ("php-biconditional-n2", "72 tables break the biconditional"),
+    "loop-bound-one-step-shorter": (("loop-bound-claim-n3", "1104 counterexamples"),),
+    "loop-bound-walks-even-candidates-only": (
+        ("loop-bound-walked-n3", "13 candidates walked, 25 expected"),
+    ),
+    "canonical-wins-ignores-gave-up": (("php-biconditional-n2", "72 tables break the biconditional"),),
+    "loop-plane-one-pigeon-off": (("batch-results-n1-n2", "fast_path differs at n=1"),),
+    "hit-plane-with-the-wrong-tail": (
+        ("step1-lemma-n2", "1155 tables mismatch"),
+        ("batch-results-n1-n2", "wins_all differs at n=1"),
+    ),
+    "step-plane-with-the-wrong-tail": (("batch-results-n1-n2", "wins_all differs at n=1"),),
+    "slot-tail-shifted": (
+        ("oracle-gate-n2", "oracle gate: engine mismatch at index 1182"),
+        ("batch-results-n1-n2", "wins_all differs at n=1"),
+    ),
+    "compat-with-its-hole-shifted": (
+        ("oracle-gate-n4", "oracle gate: engine mismatch at index 290136742675551"),
+        ("oracle-gate-n2", "oracle gate: engine mismatch at index 792"),
+        ("step1-lemma-n2", "888 tables mismatch"),
+        ("batch-results-n1-n2", "wins_all differs at n=2"),
+    ),
 }
 assert set(ALSO_REFUSED) <= set(MUTANTS)
 
@@ -672,7 +740,7 @@ assert set(ALSO_REFUSED) <= set(MUTANTS)
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant(name):
     module, fragment, replacement, refused, survives = MUTANTS[name]
-    refusals = [pair for pair in (refused, ALSO_REFUSED.get(name)) if pair is not None]
+    refusals = [pair for pair in (refused, *ALSO_REFUSED.get(name, ())) if pair is not None]
     checks = [*dict(refusals), *survives]
     assert all(CHECKS[check][0] is module for check in checks), "a check takes another module"
     with _mutant(module, fragment, replacement) as mod:

@@ -24,7 +24,8 @@ argument at its index, or by a call that unpacks ``*`` or ``**`` arguments;
 otherwise its default is the only value it takes and it should be a
 constant.  Every name that a module-level assignment of ``src/`` binds,
 dunders aside, is read: it appears in ``src/`` outside its own assignment,
-matched by name as units are.
+matched by name as units are.  The witnesses that the engine is checked
+against stay independent of what they check, as ``INDEPENDENT_UNITS`` lists.
 """
 
 from __future__ import annotations
@@ -62,6 +63,40 @@ TEST_REFERENCES = {
     "verify.CampaignReport": "the tests and the benchmark read details",
     "matching.Query.of.holes": "a query may name holes: minimal_covers answers them "
     "and the tests play them",
+}
+
+ENGINE = tuple(
+    f"verify.{name}"
+    for name in (
+        "board_tables",
+        "_walk",
+        "Walk",
+        "decode_batch",
+        "_table_planes",
+        "_block_planes",
+        "certify_batch",
+        "_loop_bound_planes",
+    )
+)
+SRC_MODULES = tuple(path.stem for path in sorted(SRC.glob("*.py")))
+
+# witness -> (its units, the modules of src/ that they must not reach, the
+# units of those modules that they may reach all the same).  A unit reaches
+# the module-level units of src/ whose names its body uses, matched by name
+# as above, apart from the functions and classes nested in it, and every
+# unit that those reach.  Each witness shares no code with what it checks,
+# so that a fault in the shared code cannot hide from it.
+INDEPENDENT_UNITS = {
+    # The DFS checks the certificate on plain pairs: it calls no function
+    # and builds no class of src/ but the exception of its budget.
+    "the DFS oracle": (
+        ("simple_game.brute_force_delayer_wins",),
+        SRC_MODULES,
+        ("simple_game.SearchBudgetExceeded",),
+    ),
+    # The certificate, the DFS and the php-tree search are checked against
+    # the engine, and the engine against them.
+    "the batch engine": (ENGINE, ("simple_game", "php_tree"), ()),
 }
 
 
@@ -452,3 +487,67 @@ def test_the_import_scan_sees_every_form_of_import():
         "def f():\n    from g import h\n    return np.zeros(1), d\n"
     )
     assert _unused_imports(text) == ["b", "h", "os"]
+
+
+def _dependences(sources: dict[str, str]) -> list[str]:
+    """The units of ``{module: source text}`` that a witness of
+    ``INDEPENDENT_UNITS`` reaches and must not, as "witness reaches
+    module.name"."""
+    units = {
+        f"{module}.{stmt.name}": stmt
+        for module, text in sources.items()
+        for stmt in ast.parse(text).body
+        if isinstance(stmt, UNIT)
+    }
+    by_name: dict[str, list[str]] = {}
+    for key, unit in units.items():
+        by_name.setdefault(unit.name, []).append(key)
+    out = []
+    for witness, (own, modules, allowed) in INDEPENDENT_UNITS.items():
+        missing = [key for key in own if key not in units]
+        assert not missing, f"{witness}: no such unit {missing}"
+        reached: set[str] = set()
+        todo = list(own)
+        while todo:
+            key = todo.pop()
+            if key in reached:
+                continue
+            reached.add(key)
+            unit = units[key]
+            nested = {sub.name for sub in ast.walk(unit) if isinstance(sub, UNIT) and sub is not unit}
+            for name in set().union(*map(_names_in, unit.body)) - nested:
+                todo += by_name.get(name, [])
+        out += [
+            f"{witness} reaches {key}"
+            for key in sorted(reached - {*own, *allowed})
+            if key.split(".")[0] in modules
+        ]
+    return out
+
+
+def test_every_witness_stays_independent():
+    dependences = _dependences(_src_sources())
+    assert not dependences, f"witnesses that share code with what they check: {dependences}"
+
+
+def _plant(text: str, unit: str, statement: str) -> str:
+    """The module ``text`` with ``statement`` put first in the body of its
+    module-level unit ``unit``."""
+    tree = ast.parse(text)
+    target = next(stmt for stmt in tree.body if isinstance(stmt, UNIT) and stmt.name == unit)
+    target.body.insert(0, ast.parse(statement).body[0])
+    return ast.unparse(tree)
+
+
+def test_the_independence_scan_reports_a_planted_call():
+    sources = _src_sources()
+    planted = {
+        **sources,
+        "simple_game": _plant(
+            sources["simple_game"], "brute_force_delayer_wins", "records_conflict((0, 0), (0, 1))"
+        ),
+        "verify": _plant(sources["verify"], "certify_batch", "delayer_wins_lengths(None)"),
+    }
+    found = _dependences(planted)
+    assert "the DFS oracle reaches matching.records_conflict" in found
+    assert "the batch engine reaches simple_game.delayer_wins_lengths" in found

@@ -318,7 +318,7 @@ def test_board_tables_are_cached_and_read_only(n):
     bt = board_tables(n)
     assert board_tables(n) is bt
     walks = [*vars(bt.certify).values(), *vars(bt.loop).values()]
-    for array in (bt.loop_plane, *walks):
+    for array in (bt.loop_plane, bt.block_init, bt.block_tables, *walks):
         assert not array.flags.writeable
         if array.size:
             first = (0,) * array.ndim
@@ -585,9 +585,9 @@ def test_verify_loop_bound_hands_each_index_to_one_block(monkeypatch):
     blocks = []
     block = ver._loop_bound_block
 
-    def record(aligned, bt, start, stop):
+    def record(bt, out, start, stop):
         blocks.append(np.arange(start, stop))
-        return block(aligned, bt, start, stop)
+        return block(bt, out, start, stop)
 
     monkeypatch.setattr(ver, "_loop_bound_block", record)
     report = verify_loop_bound(3, limit=limit)
@@ -606,6 +606,13 @@ def test_verify_loop_bound_limit_zero_and_negative():
         verify_loop_bound(3, limit=-1)
 
 
+def test_verify_loop_bound_refuses_a_full_sweep_past_n3():
+    # At n = 4 a full sweep would walk 5^21 tables, about 3 * 10^10 blocks.
+    with pytest.raises(ValueError, match="limit="):
+        verify_loop_bound(4)
+    assert verify_loop_bound(4, limit=1000).space == 1000
+
+
 @st.composite
 def _aligned_blocks(draw):
     """A board and block numbers of its aligned blocks, always with the first
@@ -613,7 +620,7 @@ def _aligned_blocks(draw):
     from pebblegames import verify as ver
 
     n = draw(st.sampled_from((1, 2, 3, 4)))
-    last = strategy_space(n) // ver._AlignedBlocks(n).size - 1
+    last = strategy_space(n) // (n + 1) ** board_tables(n).k - 1
     return n, [0, last, *draw(st.lists(st.integers(0, last), max_size=3))]
 
 
@@ -623,13 +630,16 @@ def test_aligned_block_planes_match_decoded_planes(case):
     from pebblegames import verify as ver
 
     n, js = case
-    blocks = ver._AlignedBlocks(n)
+    bt = board_tables(n)
+    size = (n + 1) ** bt.k
+    out = np.empty_like(bt.block_tables)
     for j in js:
-        init, tables = blocks.planes(j)
-        idxs = np.arange(j * blocks.size, (j + 1) * blocks.size, dtype=np.uint64)
+        # Every block reuses the buffer that the block before it filled.
+        assert ver._block_planes(bt, j, out) is out
+        idxs = np.arange(j * size, (j + 1) * size, dtype=np.uint64)
         want_init, want_tables = ver._table_planes(idxs, n)
-        assert np.array_equal(init, want_init)
-        assert np.array_equal(tables, want_tables)
+        assert np.array_equal(bt.block_init, want_init)
+        assert np.array_equal(out, want_tables)
 
 
 def _count_hit_tests(monkeypatch) -> list:
@@ -650,23 +660,24 @@ def test_loop_bound_blocks_find_the_n4_violators(monkeypatch):
     n = 4
     bt = board_tables(n)
     idxs = np.random.default_rng(5).choice(strategy_space(n), 4096, replace=False)
-    blocks = ver._AlignedBlocks(n)
+    size = (n + 1) ** bt.k
+    out = np.empty_like(bt.block_tables)
     calls = _count_hit_tests(monkeypatch)
     rng = np.random.default_rng(32)
     counts = []
     for v in idxs[loop_bound_batch(idxs.astype(np.uint64), bt)]:
-        start = int(v) // blocks.size * blocks.size
+        start = int(v) // size * size
         calls.clear()
-        walked, got = ver._loop_bound_block(blocks, bt, start, start + blocks.size)
+        walked, got = ver._loop_bound_block(bt, out, start, start + size)
         assert len(calls) == 2
         assert walked < len(bt.loop_plane)
-        block = np.arange(start, start + blocks.size, dtype=np.uint64)
+        block = np.arange(start, start + size, dtype=np.uint64)
         assert got.tolist() == block[loop_bound_batch(block, bt)].tolist()
         rest = np.setdiff1d(block, got)
         for i in (*got, *rng.choice(rest, 200, replace=False)):
             assert _breaks_loop_bound(index_to_strategy(int(i), n)) == (i in got)
         # A partial block reads the first rows of the whole block's walk.
-        _, part = ver._loop_bound_block(blocks, bt, start, start + 7000)
+        _, part = ver._loop_bound_block(bt, out, start, start + 7000)
         assert part.tolist() == [i for i in got.tolist() if i < start + 7000]
         counts.append(len(got))
     assert counts == [40, 185, 125, 75, 125]
@@ -746,8 +757,7 @@ def test_loop_bound_decides_closed_blocks_without_a_hit_test(n, blocks, monkeypa
     # one whose constant head is its tail.
     walked = {(3, 1): 6, (3, 5): 31, (4, 1): 5, (4, 3): 16}[n, blocks]
     calls = _count_hit_tests(monkeypatch)
-    size = ver._AlignedBlocks(n).size
-    report = verify_loop_bound(n, limit=blocks * size)
+    report = verify_loop_bound(n, limit=blocks * (n + 1) ** board_tables(n).k)
     assert len(calls) == 0
     assert report.details == {"blocks": blocks, "closed_blocks": blocks, "walked_candidates": walked}
 
