@@ -19,10 +19,12 @@ anchors at steps 1, 2, 4, ...), which closes every longer length; there is
 no explicit range of lengths.  Step 1 is the first anchor and the same
 rule routes it, but no table is in the planes before it, so its hit test
 runs over blocks of at most 2^14 tables; most tables leave there, and only
-the tables that stay are decoded for the rest of the walk.  After that a
-leaving table gets its verdict at once, but its column stays in the planes,
-masked off, until an anchor where at least half of the columns have left;
-only there is the batch compacted.  A hash-selected 1% of the tables is
+the tables that stay are decoded for the rest of the walk.  Each table's
+exit is stored once, as a route (failed, loop or repeat) and the step at
+which it left; the verdicts are views of these.  After step 1 a leaving
+table is routed at once, but its column stays in the planes, masked off,
+until an anchor where at least half of the columns have left; only there is
+the batch compacted.  A hash-selected 1% of the tables is
 held back from the fast path and certified by the repeat alone as a
 cross-check.  Exhaustive and sampled sweeps take the same route: one worker
 per batch, one counterexample writer and one process pool.
@@ -299,10 +301,10 @@ def decode_batch(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """(rows, b) booleans to (rows, ceil(b / 64)) planes; the padding is 0."""
-    rows, b = bits.shape
-    packed = np.zeros((rows, -(-b // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-b // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    """(..., b) booleans to (..., ceil(b / 64)) planes; the padding is 0."""
+    *rows, b = bits.shape
+    packed = np.zeros((*rows, -(-b // 64) * 8), dtype=np.uint8)
+    packed[..., : -(-b // 8)] = np.packbits(bits, axis=-1, bitorder="little")
     return packed.view(np.uint64)
 
 
@@ -334,10 +336,44 @@ def _table_planes(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class BatchResult:
-    wins_all: np.ndarray  # every s is Delayer-won and the tail is certified
-    fast_path: np.ndarray  # left at a hit of an absorbing loop candidate
-    first_fail: np.ndarray  # failing length, 0 when none
-    uncertified: np.ndarray  # never saw a state repeat (soundness guard)
+    """How each table of a batch left the walk, stored once per table.
+
+    ``route`` is ``FAILED`` when some length is Prover-won, ``LOOP`` at a hit
+    of an absorbing loop candidate (the fast path), ``REPEAT`` at the first
+    repeat of its state, and ``UNCERTIFIED`` (0) when it had not left after
+    ``T_LIMIT`` steps.  ``closed_at`` is the step t at which the table left,
+    0 for an uncertified one.  Step t tests length t + 1, so a failed table
+    loses length ``closed_at + 1``: that is ``first_fail``.  The four
+    properties are read-only views: each read derives a new array from the
+    two fields."""
+
+    route: np.ndarray  # (B,) int8
+    closed_at: np.ndarray  # (B,) int16
+
+    @property
+    def wins_all(self) -> np.ndarray:
+        """Every length is Delayer-won and the tail is certified."""
+        return self.route >= LOOP
+
+    @property
+    def fast_path(self) -> np.ndarray:
+        """Left at a hit of an absorbing loop candidate."""
+        return self.route == LOOP
+
+    @property
+    def first_fail(self) -> np.ndarray:
+        """The least Prover-won length, 0 when there is none."""
+        return np.where(self.route == FAILED, self.closed_at.astype(np.int64) + 1, 0)
+
+    @property
+    def uncertified(self) -> np.ndarray:
+        """Never saw a state repeat (the soundness guard)."""
+        return self.route == UNCERTIFIED
+
+
+# The routes of ``BatchResult``: a table still walking, then the exits in the
+# order in which a step tests them.
+UNCERTIFIED, FAILED, LOOP, REPEAT = range(4)
 
 
 # Steps after which a table whose state has not repeated is reported
@@ -359,9 +395,7 @@ BATCH_SIZE = 1 << 18
 
 
 def certify_batch(
-    indices: np.ndarray,
-    bt: BoardTables,
-    sample_mask: Optional[np.ndarray] = None,
+    indices: np.ndarray, bt: BoardTables, sample_mask: Optional[np.ndarray] = None
 ) -> BatchResult:
     """Decide wins-for-all-s for a batch of strategy indices.
 
@@ -374,76 +408,73 @@ def certify_batch(
     per-candidate state equals the anchor state, taken at t = 1, 2, 4, ...
     (Brent), so that the orbit repeats from there.  Rows set in
     ``sample_mask`` are held back from the loop exit and certified by the
-    repeat alone.
+    repeat alone.  A leaving table's route and step are stored once, when it
+    leaves (see ``BatchResult``).
 
     The state at t = 1 is the initial one, and no table is in the planes yet,
-    so that step's hit test runs over blocks of ``TABLE_BLOCK`` tables.  Most
-    tables leave there, and t = 1 is the first anchor: only the tables that
-    stay are decoded into the planes of the walk.  A leaving table's column
-    stays in the planes under the ``live`` mask.  At a later anchor where at
-    least half of the columns have left, the planes are compacted and the
-    packed state is the new anchor, so the planes are decoded at most once
-    per anchor, each time with at most half of the tables of the decode
+    so that step's hit test runs over blocks of ``TABLE_BLOCK`` tables, and
+    each block routes the tables that leave there.  Most tables do, and t = 1
+    is the first anchor, so no state repeats there: only the tables that stay
+    are decoded into the planes of the walk.  From t = 2 on, a step's exits
+    are planes too, stored by one loop over (leaving plane, route) pairs
+    that unpacks only the planes some table leaves by.  A leaving table's
+    column stays in the planes, masked off in ``live``.  At a later anchor
+    where at least half of the columns have left, the planes are compacted
+    and the packed state is the new anchor, so the planes are decoded at most
+    once per anchor, each time with at most half of the tables of the decode
     before.
     """
-    B = len(indices)
-    walk = bt.certify
+    B, walk = len(indices), bt.certify
     held = np.zeros(B, dtype=bool) if sample_mask is None else np.asarray(sample_mask, dtype=bool)
-    # The hits of t = 1, whose state is the initial one, block by block.
-    won = np.empty(B, dtype=bool)
-    looped = np.empty(B, dtype=bool)
+    route, closed_at = np.zeros(B, dtype=np.int8), np.zeros(B, dtype=np.int16)
+    # Step 1, whose state is the initial one, block by block.  It is the
+    # first anchor, so a table leaves there by a failure or a loop hit (a
+    # loop hit is a win); a held table is in no loop plane.
     for lo in range(0, B, TABLE_BLOCK):
-        hi = min(lo + TABLE_BLOCK, B)
-        init, tables = _table_planes(indices[lo:hi], bt.n)
+        init, tables = _table_planes(indices[lo : lo + TABLE_BLOCK], bt.n)
+        loops = tables[bt.loop_plane] & ~_pack(held[lo : lo + TABLE_BLOCK])
         hits = walk.hits(init[walk.slot_tail], tables)
-        won[lo:hi] = _unpack(np.bitwise_or.reduce(hits, axis=0), hi - lo)
-        hits &= tables[bt.loop_plane]
-        looped[lo:hi] = _unpack(np.bitwise_or.reduce(hits, axis=0), hi - lo)
+        out = route[lo : lo + TABLE_BLOCK]  # the block's routes
+        np.copyto(out, LOOP, where=_unpack(np.bitwise_or.reduce(hits & loops, axis=0), len(out)))
+        np.copyto(out, FAILED, where=~_unpack(np.bitwise_or.reduce(hits, axis=0), len(out)))
+        closed_at[lo : lo + TABLE_BLOCK] = out != UNCERTIFIED  # left at t = 1
 
-    first_fail = np.zeros(B, dtype=np.int64)
-    wins_all = np.zeros(B, dtype=bool)
-    fast_path = np.zeros(B, dtype=bool)
-    active = None  # the tables in the planes; until t = 1's anchor, column i is table i
-    rows = lambda mask: mask if active is None else active[mask]
-    live = np.ones(B, dtype=bool)  # the columns whose tables have not left
-    held_in = held
+    active = np.flatnonzero(route == UNCERTIFIED)  # the table of each column of the planes
+    live = _pack(np.ones(len(active), dtype=bool))  # the columns whose tables have not left
     for t in range(1, T_LIMIT + 1):
-        if not live.any():
-            break
-        if active is not None:  # t > 1
+        anchored = not t & (t - 1)  # Brent: the anchors are t = 1, 2, 4, ...
+        if t > 1:
             rr = walk.step(rr, terms)
             hits = walk.hits(rr, tables)  # (E, W) candidate wins at s = t + 1
-            won = _unpack(np.bitwise_or.reduce(hits, axis=0), len(live))
-            hits &= loops
-            looped = _unpack(np.bitwise_or.reduce(hits, axis=0), len(live))
-        first_fail[rows(live & ~won)] = t + 1
-        live &= won
-        looped &= live & ~held_in
-        fast_path[rows(looped)] = True
-        live &= ~looped
-        if t & (t - 1):
-            # A state equal to the anchor repeats every hit seen since.
-            moved = _unpack(np.bitwise_or.reduce(rr ^ anchor, axis=0), len(live))
-            wins_all[rows(live & ~moved)] = True
-            live &= moved
-        elif active is None or 2 * np.count_nonzero(live) <= len(live):
+            won, looped = (np.bitwise_or.reduce(h, axis=0) for h in (hits, hits & loops))
+            exits = [(live & ~won, FAILED), (live & looped, LOOP)]  # a loop hit is a win
+            live &= won & ~looped
+            if not anchored:
+                # A state equal to the anchor repeats every hit seen since.
+                moved = np.bitwise_or.reduce(rr ^ anchor, axis=0)
+                exits.append((live & ~moved, REPEAT))
+                live &= moved
+            for leaving, code in exits:
+                if leaving.any():
+                    left = active[_unpack(leaving, len(active))]
+                    route[left], closed_at[left] = code, t
+        if not live.any():
+            break
+        if anchored and (t == 1 or 2 * np.count_nonzero(_unpack(live, len(active))) <= len(active)):
             # A Brent anchor where at least half of the columns have left, or
             # t = 1: the tables that stay are decoded into the planes here.
-            active = np.flatnonzero(live) if active is None else active[live]
+            keep = _unpack(live, len(active))
+            active = active[keep]
             init, tables = _table_planes(indices[active], bt.n)
-            terms, loops, held_in = tables[walk.step_plane], tables[bt.loop_plane], held[active]
-            rr = anchor = init[walk.slot_tail] if t == 1 else _repack(rr, live)
-            live = np.ones(len(active), dtype=bool)
-        else:
+            terms, loops = tables[walk.step_plane], tables[bt.loop_plane] & ~_pack(held[active])
+            rr = anchor = init[walk.slot_tail] if t == 1 else _repack(rr, keep)
+            live = np.bitwise_or.reduce(init, axis=0)
+        elif anchored:
             # A repack and re-decode cost 3 to 5 steps at n = 4 and 6 to 17
             # at n = 3; until half of the columns have left, the anchor
             # keeps them all.
             anchor = rr
-
-    wins_all |= fast_path  # a loop hit wins every longer length
-    uncertified = np.zeros(B, dtype=bool)
-    uncertified[rows(live)] = True
-    return BatchResult(wins_all, fast_path, first_fail, uncertified)
+    return BatchResult(route, closed_at)
 
 
 def _dfs_mismatch(strat: SimpleStrategy, cert: WinCertificate, s_hi: int) -> Optional[int]:
@@ -477,10 +508,10 @@ def _oracle_gate(n: int) -> None:
             raise AssertionError(f"oracle gate: engine mismatch at index {idx}")
 
 
-def _certify_job(job: tuple) -> tuple[list[int], int, int]:
+def _certify_job(job: tuple) -> tuple[list[int], int, int, int]:
     """Worker: certify the batch ``idxs``, or the index range [lo, hi) when
     ``idxs`` is None; returns the batch's counterexamples, its fast-path
-    count and its cross-check count."""
+    count, its cross-check count and its uncertified count."""
     lo, hi, idxs, n = job
     if idxs is None:
         idxs = np.arange(lo, hi, dtype=np.uint64)
@@ -489,7 +520,7 @@ def _certify_job(job: tuple) -> tuple[list[int], int, int]:
     crosscheck = (idxs * np.uint64(HOLD_BACK_MULTIPLIER) % np.uint64(HOLD_BACK_MODULUS)) == 0
     res = certify_batch(idxs, board_tables(n), sample_mask=crosscheck)
     ces = [int(i) for i in idxs[~res.wins_all]]
-    return ces, int(res.fast_path.sum()), int(crosscheck.sum())
+    return ces, int(res.fast_path.sum()), int(crosscheck.sum()), int(res.uncertified.sum())
 
 
 def verify_theorem_main(
@@ -506,7 +537,10 @@ def verify_theorem_main(
     through the same worker, on ``threads`` processes, and one counterexample
     writer.  Expected outcome: zero counterexamples at three or more holes;
     at two holes Prover-winning tables exist and are reported.  Boards
-    beyond three holes are too large to sweep and require ``sample``.
+    beyond three holes are too large to sweep and require ``sample``.  A
+    table still walking after ``T_LIMIT`` steps is a counterexample too;
+    ``details["uncertified"]`` counts those, so that they can be told apart
+    from Prover wins.
     """
     if n > 3 and sample is None:
         raise ValueError("full sweeps stop at n=3; pass sample= for larger boards")
@@ -536,7 +570,7 @@ def verify_theorem_main(
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_certify_job, jobs, chunksize=1))
-    ces = [idx for batch_ces, _, _ in results for idx in batch_ces]
+    ces = [idx for batch_ces, *_ in results for idx in batch_ces]
 
     serialized = []
     for idx in sorted(ces):
@@ -549,8 +583,9 @@ def verify_theorem_main(
         space=total,
         counterexamples=serialized,
         details={
-            "fast_path": sum(fast for _, fast, _ in results),
-            "sampled_crosschecks": sum(checked for _, _, checked in results),
+            "fast_path": sum(fast for _, fast, _, _ in results),
+            "sampled_crosschecks": sum(checked for _, _, checked, _ in results),
+            "uncertified": sum(stuck for *_, stuck in results),
         },
     )
 
@@ -580,13 +615,15 @@ def _loop_bound_planes(
     sets is: a batch that grows makes one hit test within the bound and one
     at the fixpoint of the union, which decides reachability-ever, and a
     batch that closes would make the same hit test twice."""
+    K = 2 * (bt.n - 2) + 1
+    if K < 1:
+        raise ValueError(f"the loop bound 2(n-2)+1 = {K} is no walk length at n={bt.n}")
     loops = tables[bt.loop_plane]
     kept = loops.any(axis=1)
     if not kept.any():
         return 0, None
     walked = int(np.count_nonzero(kept))
     walk = bt.loop.restrict(kept)
-    K = 2 * (bt.n - 2) + 1
     terms = tables[walk.step_plane]
     union = init[walk.slot_tail]
     for _ in range(K - 1):

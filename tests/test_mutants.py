@@ -38,6 +38,8 @@ from test_verify import (
     _order_axiom_failures_by_loops,
     _restricted_kernel_that_differs,
     _step1_loop_exit,
+    _window_0_trace,
+    WINDOW_0_TRACE,
 )
 
 
@@ -138,6 +140,16 @@ def _batch_results_at_n1_n2(mod) -> Optional[str]:
                 if not np.array_equal(got[array], value):
                     return f"{array} differs at n={n}"
     return None
+
+
+def _trace_n3_window(mod) -> Optional[str]:
+    """The (route, closed_at) histogram of the sweep's first n = 3 job must
+    be the one ``test_the_trace_of_the_first_n3_window_is_pinned`` pins: it
+    moves when one table leaves by another route or at another step."""
+    got = _window_0_trace(mod)
+    bins = got.keys() | WINDOW_0_TRACE.keys()
+    moved = sum(abs(got.get(b, 0) - WINDOW_0_TRACE.get(b, 0)) for b in bins) // 2
+    return f"{moved} tables moved" if moved else None
 
 
 @functools.cache
@@ -303,6 +315,7 @@ CHECKS = {
     "oracle-equivalence-claim": (sg, _oracle_equivalence_claim),
     "planted-intransitive-order": (ver, _planted_intransitive_order),
     "batch-results-n1-n2": (ver, _batch_results_at_n1_n2),
+    "trace-n3-window": (ver, _trace_n3_window),
     "loop-bound-witness-n4": (ver, _loop_bound_witness_at_n4),
     "loop-bound-blocks-n4": (ver, _loop_bound_blocks_at_n4),
     "loop-bound-claim-n3": (ver, _loop_bound_claim(3)),
@@ -323,8 +336,9 @@ CHECKS = {
 
 RAMIFY_LOST = "root-ramify lost some branch at n=3"
 # A table's route and exit step are invariant under relabelling, but its
-# verdict at n >= 3 is constant, so only a relabelled comparison sees most
-# wiring faults of the index tables there.
+# verdict at n >= 3 is constant, so only a relabelled comparison, or the
+# pinned trace of one window, sees most wiring faults of the index tables
+# there.
 WIRING_AT_N3_N4 = {
     check: "item 17: relabelling invariance of each table's route and exit step"
     for check in ("oracle-gate-n3", "oracle-gate-n4")
@@ -346,8 +360,8 @@ RAMIFY_N2 = {"root-ramify-n2": "not a gap: n = 2 needs no such clause; n = 3 doe
 MUTANTS = {
     "first-step-ignores-loop-plane": (
         ver,
-        "        hits &= tables[bt.loop_plane]\n",
-        "",
+        "        loops = tables[bt.loop_plane] & ~_pack(held[lo : lo + TABLE_BLOCK])\n",
+        "        loops = ~_pack(held[lo : lo + TABLE_BLOCK])\n",
         ("step1-lemma-n2", "432 tables mismatch"),
         {
             # The gate holds every row back, so it never runs the fast path.
@@ -357,8 +371,8 @@ MUTANTS = {
     ),
     "engine-reports-every-table-won": (
         ver,
-        "    return BatchResult(wins_all, fast_path, first_fail, uncertified)\n",
-        "    return BatchResult(np.ones(B, dtype=bool), fast_path, first_fail, uncertified)\n",
+        "    return BatchResult(route, closed_at)\n",
+        "    return BatchResult(route | LOOP, closed_at)\n",
         ("oracle-gate-n2", "oracle gate: engine mismatch at index 1182"),
         {
             # Every table at n >= 3 is won, so the verdicts compared agree.
@@ -417,12 +431,26 @@ MUTANTS = {
     ),
     "looped-ignores-live": (
         ver,
-        "        looped &= live & ~held_in\n",
-        "        looped &= ~held_in\n",
-        None,
+        "(live & looped, LOOP)",
+        "(looped, LOOP)",
+        # A column that left by a loop and waits in the planes hits the loop
+        # again, and is routed again at a later step.
+        ("trace-n3-window", "27031 tables moved"),
         {
-            "batch-results-n1-n2": "equivalent: see the comment above "
-            "test_certify_batch_packs_out_only_at_brent_anchors",
+            "batch-results-n1-n2": "not a gap: at n <= 2 every loop exit is at "
+            "t = 1, before any table is in the planes",
+        },
+    ),
+    "brent-anchors-at-1-2-3-5-9": (
+        ver,
+        "anchored = not t & (t - 1)",
+        "anchored = t <= 2 or not (t - 1) & (t - 2)",
+        ("trace-n3-window", "40212 tables moved"),
+        {
+            # Any anchor schedule certifies a repeat; only the exit steps move.
+            "oracle-gate-n2": "not a gap: every verdict and route stays",
+            "oracle-gate-n3": "not a gap: every verdict and route stays",
+            "step1-lemma-n2": "not a gap: every verdict and route stays",
         },
     ),
     "loop-bound-one-step-longer": (
@@ -717,21 +745,35 @@ ALSO_REFUSED = {
         ("loop-bound-walked-n3", "13 candidates walked, 25 expected"),
     ),
     "canonical-wins-ignores-gave-up": (("php-biconditional-n2", "72 tables break the biconditional"),),
-    "loop-plane-one-pigeon-off": (("batch-results-n1-n2", "fast_path differs at n=1"),),
+    "loop-plane-one-pigeon-off": (
+        ("batch-results-n1-n2", "route differs at n=1"),
+        ("trace-n3-window", "30740 tables moved"),
+    ),
     "hit-plane-with-the-wrong-tail": (
         ("step1-lemma-n2", "1155 tables mismatch"),
-        ("batch-results-n1-n2", "wins_all differs at n=1"),
+        ("batch-results-n1-n2", "route differs at n=1"),
+        ("trace-n3-window", "112965 tables moved"),
     ),
-    "step-plane-with-the-wrong-tail": (("batch-results-n1-n2", "wins_all differs at n=1"),),
+    "step-plane-with-the-wrong-tail": (
+        ("batch-results-n1-n2", "route differs at n=1"),
+        ("trace-n3-window", "49285 tables moved"),
+    ),
     "slot-tail-shifted": (
         ("oracle-gate-n2", "oracle gate: engine mismatch at index 1182"),
-        ("batch-results-n1-n2", "wins_all differs at n=1"),
+        ("batch-results-n1-n2", "route differs at n=1"),
+        ("trace-n3-window", "720 tables moved"),
     ),
     "compat-with-its-hole-shifted": (
         ("oracle-gate-n4", "oracle gate: engine mismatch at index 290136742675551"),
         ("oracle-gate-n2", "oracle gate: engine mismatch at index 792"),
         ("step1-lemma-n2", "888 tables mismatch"),
-        ("batch-results-n1-n2", "wins_all differs at n=2"),
+        ("batch-results-n1-n2", "route differs at n=2"),
+        ("trace-n3-window", "59798 tables moved"),
+    ),
+    "brent-anchors-at-1-2-3-5-9": (("batch-results-n1-n2", "closed_at differs at n=1"),),
+    "first-step-ignores-loop-plane": (
+        ("batch-results-n1-n2", "route differs at n=2"),
+        ("trace-n3-window", "66389 tables moved"),
     ),
 }
 assert set(ALSO_REFUSED) <= set(MUTANTS)

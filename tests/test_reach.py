@@ -58,8 +58,8 @@ TEST_REFERENCES = {
     "php_tree.PhpTree.children": INDEPENDENT + ": the per-node successor lists",
     "php_tree.shortest_loop_witness": "the scalar loop witness: " + LOOP_BOUND,
     "verify.loop_bound_batch": "the loop bound's decode route: " + LOOP_BOUND,
-    "verify.BatchResult": "benchmarks/run.py reads first_fail and uncertified by name, "
-    "and the tests compare first_fail with the certificate's first loss",
+    "verify.BatchResult.first_fail": "benchmarks/run.py reads it by name, "
+    "and the tests compare it with the certificate's first loss",
     "verify.CampaignReport": "the tests and the benchmark read details",
     "matching.Query.of.holes": "a query may name holes: minimal_covers answers them "
     "and the tests play them",

@@ -150,16 +150,18 @@ def test_certify_batch_whole_space_matches_certificate(n, losers, held):
 
 
 # Two ``live &`` guards keep a table that has left from being routed again
-# while its column waits in the planes.  Dropping the one in the
-# ``first_fail`` update is caught: the 108 losing tables at n = 2 fail at
-# t = 2, an anchor where fewer than half of the columns have left, so they
-# stay in the planes, and the mutant overwrites their failing length when
-# they fail again (three tests fail).  Dropping the one in the ``looped``
-# mask is an equivalent mutant: a fast-path table is already a win; a table
-# that left by a repeat never hits a loop later, since the repeat means its
-# cycle's hits were all seen before and none was a loop; no losing table at
-# n <= 2 hits a loop after its first failure (seen by stepping both spaces
-# past every table's repeat); and n >= 3 has no losing table.
+# while its column waits in the planes.  Dropping the one in the failing
+# exit is caught: the 108 losing tables at n = 2 fail at t = 2, an anchor
+# where fewer than half of the columns have left, so they stay in the
+# planes, and the mutant overwrites their exit step when they fail again.
+# Dropping the one in the ``looped`` mask keeps every route: a loop hit is
+# absorbing, so a fast-path table hits again and is routed to the fast path
+# again; a table that left by a repeat never hits a loop later, since the
+# repeat means its cycle's hits were all seen before and none was a loop; no
+# losing table at n <= 2 hits a loop after its first failure (seen by
+# stepping both spaces past every table's repeat); and n >= 3 has no losing
+# table.  But the second loop exit moves ``closed_at``, which the pinned
+# trace of the first n = 3 window sees (the ``looped-ignores-live`` mutant).
 @pytest.mark.parametrize("n, size, fast", [(3, 1 << 18, 246_199), (4, 1 << 17, 127_941)])
 def test_certify_batch_packs_out_only_at_brent_anchors(n, size, fast, monkeypatch):
     from pebblegames import verify as ver
@@ -169,13 +171,14 @@ def test_certify_batch_packs_out_only_at_brent_anchors(n, size, fast, monkeypatc
     idxs = np.sort(np.random.default_rng(n).choice(strategy_space(n), size, replace=False))
     idxs = idxs.astype(np.uint64)
     held = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0  # as in _certify_job
+    bt = board_tables(n)  # built first: a fresh build decodes block 0
     decodes, steps = [], []  # (steps taken so far, decoded indices)
     planes, step = ver._table_planes, ver.Walk.step
     monkeypatch.setattr(
         ver, "_table_planes", lambda i, n: decodes.append((len(steps), i.copy())) or planes(i, n)
     )
     monkeypatch.setattr(ver.Walk, "step", lambda *a: steps.append(1) or step(*a))
-    res = certify_batch(idxs, board_tables(n), sample_mask=held)
+    res = certify_batch(idxs, bt, sample_mask=held)
     assert res.wins_all.all() and not res.uncertified.any()
     assert int(res.fast_path.sum()) == fast
     # The first step decodes each index once, in blocks of at most
@@ -341,6 +344,10 @@ def test_batches_of_zero_and_one_table(n, size):
         assert res.wins_all.tolist() == [c.wins_all() for c in certs]
         assert res.first_fail.tolist() == [_first_loss(c) for c in certs]
         assert not res.uncertified.any()
+    if n == 1:  # the loop bound 2(n-2)+1 is -1 there
+        with pytest.raises(ValueError, match="no walk length at n=1"):
+            loop_bound_batch(idxs, bt)
+        return
     got = loop_bound_batch(idxs, bt)
     assert got.tolist() == [_breaks_loop_bound(index_to_strategy(int(i), n)) for i in idxs]
 
@@ -370,6 +377,117 @@ def test_fast_path_agrees_with_slow_path():
     assert (fast.wins_all == slow.wins_all).all()
     assert (fast.first_fail == slow.first_fail).all()
     assert fast.fast_path.sum() > 0 and not slow.fast_path.any()
+
+
+def test_batch_result_stores_each_exit_once_and_derives_the_views():
+    idxs = np.arange(strategy_space(2), dtype=np.uint64)
+    res = certify_batch(idxs, board_tables(2))
+    assert list(vars(res)) == ["route", "closed_at"]
+    assert (res.route.dtype, res.closed_at.dtype) == (np.int8, np.int16)
+    assert set(res.route.tolist()) == {ver.FAILED, ver.LOOP, ver.REPEAT}
+    assert ((res.closed_at > 0) == (res.route != ver.UNCERTIFIED)).all()
+    assert (res.wins_all == (res.route >= ver.LOOP)).all()
+    assert (res.fast_path == (res.route == ver.LOOP)).all()
+    assert (res.first_fail == np.where(res.route == ver.FAILED, res.closed_at + 1, 0)).all()
+    assert res.first_fail.dtype == np.int64
+    assert (res.uncertified == (res.route == ver.UNCERTIFIED)).all()
+    # A view has no setter, and each read derives it anew from the route.
+    for view in ("wins_all", "fast_path", "first_fail", "uncertified"):
+        with pytest.raises(AttributeError):
+            setattr(res, view, None)
+    res.route[:] = ver.REPEAT
+    assert res.wins_all.all() and not res.fast_path.any() and not res.first_fail.any()
+
+
+def _brent_exit(cert) -> tuple[int, int]:
+    """The route and step at which the walk, with every row held back, sees
+    the table of ``cert`` leave.  Hit ``f`` of the certificate is the walk's
+    step f + 1, so a first miss at ``f`` fails there.  Otherwise the state
+    first equals an anchor at a + period: the anchors are t = 1, 2, 4, ...,
+    and anchor ``a`` is compared at the steps a + 1 .. 2a - 1, so ``a`` is
+    the first anchor in the cycle (a - 1 >= mu) whose steps span a whole
+    period (period < a)."""
+    if not cert.wins_all():
+        return ver.FAILED, cert.hits.index(False) + 1
+    a = 1
+    while a - 1 < cert.mu or cert.period >= a:
+        a *= 2
+    return ver.REPEAT, a + cert.period
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_at_follows_the_certificate_under_the_brent_rule(n):
+    # The whole space at n <= 2, 1,000 seeded tables at n = 3 and 4.
+    space = strategy_space(n)
+    if space <= 4096:
+        idxs = np.arange(space, dtype=np.uint64)
+    else:
+        idxs = np.random.default_rng(13).choice(space, 1000, replace=False).astype(np.uint64)
+    res = certify_batch(idxs, board_tables(n), sample_mask=np.ones(len(idxs), dtype=bool))
+    want = [_brent_exit(_certificate(int(i), n)) for i in idxs]
+    assert list(zip(res.route.tolist(), res.closed_at.tolist())) == want
+    # A table that fails at step t loses length t + 1.
+    assert res.first_fail.tolist() == [t + 1 if r == ver.FAILED else 0 for r, t in want]
+    if n == 2:
+        assert [r for r, _ in want].count(ver.FAILED) == 108
+
+
+def _trace(res) -> dict[tuple[int, int], int]:
+    """The number of tables of a batch per (route, closed_at)."""
+    counts = np.bincount(res.route.astype(np.intp) * (ver.T_LIMIT + 1) + res.closed_at)
+    return {divmod(int(key), ver.T_LIMIT + 1): int(counts[key]) for key in np.flatnonzero(counts)}
+
+
+# The (route, closed_at) histogram of the exhaustive n = 3 window [0, 2^18),
+# the sweep's first job, with the sweep's hold-back.
+WINDOW_0_TRACE = {
+    (ver.LOOP, 1): 193_133,
+    (ver.LOOP, 2): 24_703,
+    (ver.LOOP, 3): 2_328,
+    **{
+        (ver.REPEAT, t): count
+        for t, count in {
+            3: 55, 5: 3, 6: 7_956, 7: 169, 10: 1_179, 11: 408, 12: 1_885, 14: 20_007,
+            18: 506, 19: 407, 20: 264, 22: 3_857, 28: 3_592, 33: 2, 34: 24, 35: 211,
+            36: 46, 38: 607, 44: 802,
+        }.items()
+    },
+}
+
+
+def _window_0_trace(mod) -> dict[tuple[int, int], int]:
+    """The trace of the sweep's first n = 3 job, as ``mod`` walks it."""
+    idxs = np.arange(1 << 18, dtype=np.uint64)
+    held = idxs * np.uint64(ver.HOLD_BACK_MULTIPLIER) % np.uint64(ver.HOLD_BACK_MODULUS) == 0
+    return _trace(mod.certify_batch(idxs, mod.board_tables(3), sample_mask=held))
+
+
+def test_the_trace_of_the_first_n3_window_is_pinned():
+    # A regression pin of every table's exit, not an independent witness:
+    # every verdict here is "won", but when and how each table leaves is not
+    # constant, so an engine change that moves one exit fails this test.
+    assert _window_0_trace(ver) == WINDOW_0_TRACE
+    loops = sum(c for (r, _), c in WINDOW_0_TRACE.items() if r == ver.LOOP)
+    repeats = sum(c for (r, _), c in WINDOW_0_TRACE.items() if r == ver.REPEAT)
+    assert (loops, repeats, max(t for _, t in WINDOW_0_TRACE)) == (220_164, 41_980, 44)
+    assert loops + repeats == 1 << 18
+
+
+def test_theorem_main_counts_uncertified_tables_apart(monkeypatch):
+    # With the walk cut after 8 steps, the tables whose state first repeats
+    # later are uncertified: counterexamples, but not Prover wins, and
+    # details says how many there are.  The gate is skipped, since it would
+    # refuse the cut engine.
+    monkeypatch.setattr(ver, "T_LIMIT", 8)
+    monkeypatch.setattr(ver, "_oracle_gate", lambda n: None)
+    rep = verify_theorem_main(n=3, sample=3000, seed=8)
+    idxs = np.random.default_rng(8).choice(strategy_space(3), 3000, replace=False, shuffle=False)
+    idxs = idxs.astype(np.uint64)
+    held = idxs * np.uint64(ver.HOLD_BACK_MULTIPLIER) % np.uint64(ver.HOLD_BACK_MODULUS) == 0
+    res = certify_batch(idxs, board_tables(3), sample_mask=held)
+    stuck = int(res.uncertified.sum())
+    assert rep.details["uncertified"] == stuck == len(rep.counterexamples) > 0
+    assert not (res.route == ver.FAILED).any()
 
 
 def test_verify_small_n_campaign():
@@ -611,6 +729,17 @@ def test_verify_loop_bound_refuses_a_full_sweep_past_n3():
     with pytest.raises(ValueError, match="limit="):
         verify_loop_bound(4)
     assert verify_loop_bound(4, limit=1000).space == 1000
+
+
+def test_the_loop_bound_refuses_boards_below_two_holes():
+    # At n = 1 the bound 2(n-2)+1 is -1, which no walk can meet, and the
+    # scalar verdict flags 4 of the 8 tables; both routes refuse rather than
+    # walk as if the bound were 1 and report none.
+    assert sum(_breaks_loop_bound(index_to_strategy(i, 1)) for i in range(8)) == 4
+    with pytest.raises(ValueError, match="no walk length at n=1"):
+        verify_loop_bound(1)
+    with pytest.raises(ValueError, match="no walk length at n=1"):
+        loop_bound_batch(np.arange(8, dtype=np.uint64), board_tables(1))
 
 
 @st.composite
@@ -901,7 +1030,7 @@ def test_oracle_gate_refuses_an_engine_that_reports_every_table_won(monkeypatch)
 
     def all_won(idxs, *a, **k):
         res = certify(idxs, *a, **k)
-        res.wins_all[:] = True
+        res.route[:] = ver.REPEAT
         return res
 
     monkeypatch.setattr(ver, "certify_batch", all_won)
@@ -971,7 +1100,7 @@ def test_theorem_main_sampled_in_batches(request, n, threads):
     )
     assert (cut.claim, cut.space) == (f"theorem-main-n{n}-sampled", 600)
     assert len(cut.counterexamples) == ces
-    assert cut.details == {"fast_path": fast, "sampled_crosschecks": checked}
+    assert cut.details == {"fast_path": fast, "sampled_crosschecks": checked, "uncertified": 0}
 
 
 def test_theorem_main_sampled_crosschecks():
