@@ -24,17 +24,18 @@ exit is stored once, as a route (failed, loop or repeat) and the step at
 which it left; the verdicts are views of these.  After step 1 a leaving
 table is routed at once, but its column stays in the planes, masked off,
 until an anchor where at least half of the columns have left; only there is
-the batch compacted.  A hash-selected 1% of the tables is
-held back from the fast path and certified by the repeat alone as a
-cross-check.  Exhaustive and sampled sweeps take the same route: one worker
-per batch, one counterexample writer and one process pool.
+the batch compacted.  Every table whose index is a multiple of the prime
+101 is held back from the fast path and certified by the repeat alone as a
+cross-check; no base n + 1 <= 5 divides 101, so the held tables take every
+value of every digit.  Exhaustive and sampled sweeps take the same route:
+one worker per batch, one counterexample writer and one process pool.
 
 One engine serves both batch sweeps.  ``certify_batch`` (the headline
 sweep) walks the edges compatible with each candidate; ``_loop_bound_planes``
-(criterion 10's sweep: ``verify_loop_bound`` calls it per aligned block
-through ``_loop_bound_block``, and the tests' ``loop_bound_batch`` on decoded
-planes) walks the same planes without the candidate edge itself, and walks
-the union of the sets within the bound on to its fixpoint.  It walks only
+(criterion 10's sweep: ``verify_loop_bound`` calls it per aligned block,
+and the tests' ``loop_bound_batch`` on decoded planes) walks the same planes
+without the candidate edge itself, and walks the union of the sets within
+the bound on to its fixpoint.  It walks only
 the candidates that are a loop in some table of the batch: each
 candidate's set evolves on its own slots, and only a loop can break the
 bound.  A batch whose union is already closed there has no table that
@@ -380,10 +381,10 @@ UNCERTIFIED, FAILED, LOOP, REPEAT = range(4)
 # uncertified rather than iterated further.
 T_LIMIT = 4200
 # The sweep holds table ``i`` back from the fast path, to cross-check it by
-# the repeat alone, when ``i * HOLD_BACK_MULTIPLIER % HOLD_BACK_MODULUS`` is 0:
-# about one table in HOLD_BACK_MODULUS.
-HOLD_BACK_MULTIPLIER = 2654435761
-HOLD_BACK_MODULUS = 100
+# the repeat alone, when ``i % HOLD_BACK_MODULUS`` is 0.  The modulus is a
+# prime that no base n + 1 <= 5 divides, so the held tables of a window take
+# every value of every digit that varies in it.
+HOLD_BACK_MODULUS = 101
 # Tables per block, at most, of the loop bound and of certify_batch's first
 # step.  The temporaries of a 2^14-table block peak near 1.5 MB at n = 3, so
 # they stay in a 2 MB L2; 2^18-table blocks spent more on cache misses and
@@ -487,10 +488,23 @@ def _dfs_mismatch(strat: SimpleStrategy, cert: WinCertificate, s_hi: int) -> Opt
     return None
 
 
+def _brent_exit(cert: WinCertificate) -> tuple[int, int]:
+    """The route and step at which ``certify_batch``, holding the table of
+    ``cert`` back, sees it leave.  A first miss at hit ``f`` fails at step
+    f + 1.  Otherwise the state first equals an anchor at a + period, where
+    the anchor ``a`` is the least power of two with a - 1 >= mu (in the
+    cycle) and period < a (its compared steps a + 1 .. 2a - 1 span a whole
+    period)."""
+    if not cert.wins_all():
+        return FAILED, cert.hits.index(False) + 1
+    return REPEAT, (1 << max(cert.mu, cert.period).bit_length()) + cert.period
+
+
 def _oracle_gate(n: int) -> None:
     """Refuse to run the big sweep until the certificate matches the DFS
-    oracle up to length 6 and the vectorized engine matches the certificate,
-    on 150 distinct seeded tables."""
+    oracle up to length 6 and the vectorized engine, with every table held
+    back, matches the certificate's exit (``_brent_exit``), on 150 distinct
+    seeded tables."""
     rng = np.random.default_rng(SEED)
     space = strategy_space(n)
     idxs = rng.choice(space, min(150, space), replace=False)
@@ -503,8 +517,9 @@ def _oracle_gate(n: int) -> None:
             raise AssertionError(f"oracle gate: certificate mismatch at index {idx}, s={s}")
         certs.append(cert)
     res = certify_batch(idxs, board_tables(n), sample_mask=np.ones(len(idxs), dtype=bool))
-    for row, (idx, cert) in enumerate(zip(idxs, certs)):
-        if bool(res.wins_all[row]) != cert.wins_all():
+    exits = zip(res.route.tolist(), res.closed_at.tolist())
+    for idx, cert, got in zip(idxs, certs, exits):
+        if got != _brent_exit(cert):
             raise AssertionError(f"oracle gate: engine mismatch at index {idx}")
 
 
@@ -517,7 +532,7 @@ def _certify_job(job: tuple) -> tuple[list[int], int, int, int]:
         idxs = np.arange(lo, hi, dtype=np.uint64)
     # The held-back tables skip the fast path, so they cross-check it through
     # the repeat certificate (a disagreement is a counterexample).
-    crosscheck = (idxs * np.uint64(HOLD_BACK_MULTIPLIER) % np.uint64(HOLD_BACK_MODULUS)) == 0
+    crosscheck = idxs % HOLD_BACK_MODULUS == 0
     res = certify_batch(idxs, board_tables(n), sample_mask=crosscheck)
     ces = [int(i) for i in idxs[~res.wins_all]]
     return ces, int(res.fast_path.sum()), int(crosscheck.sum()), int(res.uncertified.sum())
@@ -662,22 +677,6 @@ def _block_planes(bt: BoardTables, j: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loop_bound_block(
-    bt: BoardTables, out: np.ndarray, start: int, stop: int
-) -> tuple[int, Optional[np.ndarray]]:
-    """The number of candidates walked, and the indices in ``[start, stop)``
-    that break the loop bound, where ``start`` begins an aligned block and
-    ``stop`` lies in it, or None when the block closes (see
-    ``_loop_bound_planes``), which leaves none.  The block, its planes
-    written into ``out``, is walked whole; its first ``stop - start`` rows
-    are read."""
-    tables = _block_planes(bt, start // (bt.n + 1) ** bt.k, out)
-    walked, violators = _loop_bound_planes(bt.block_init, tables, bt)
-    if violators is None:
-        return walked, None
-    return walked, np.flatnonzero(_unpack(violators, stop - start)) + start
-
-
 def verify_loop_bound(n: int = 3, limit: Optional[int] = None) -> CampaignReport:
     """Shortest qualifying path to any reachable loop has length at most
     ``2(n-2)+1``, exhaustively over every strategy table.
@@ -699,14 +698,15 @@ def verify_loop_bound(n: int = 3, limit: Optional[int] = None) -> CampaignReport
     bad: list[str] = []
     starts = range(0, total, size)
     closed = walked = 0
-    for start in starts:
-        stop = min(start + size, total)
-        block_walked, found = _loop_bound_block(bt, out, start, stop)
+    for j, start in enumerate(starts):
+        block_walked, violators = _loop_bound_planes(bt.block_init, _block_planes(bt, j, out), bt)
         walked += block_walked
-        if found is None:
+        if violators is None:
             closed += 1
-        else:
-            bad += [format_strategy(index_to_strategy(int(idx), n)) for idx in found]
+            continue
+        # The block is walked whole, and its rows below ``total`` are read.
+        found = np.flatnonzero(_unpack(violators, min(size, total - start))) + start
+        bad += [format_strategy(index_to_strategy(int(idx), n)) for idx in found]
     return CampaignReport(
         claim=f"loop-bound-n{n}",
         space=total,

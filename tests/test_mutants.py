@@ -33,11 +33,14 @@ from pebblegames import trees as treemod
 from pebblegames import verify as ver
 from pebblegames.matching import LogPower
 from test_verify import (
+    _block_violators,
     _breaks_loop_bound,
     _cyclic_compare,
+    _held_digit_counts,
     _order_axiom_failures_by_loops,
     _restricted_kernel_that_differs,
     _step1_loop_exit,
+    _uneven_held_digit,
     _window_0_trace,
     WINDOW_0_TRACE,
 )
@@ -177,15 +180,21 @@ def _loop_bound_blocks_at_n4(mod) -> Optional[str]:
     ``test_loop_bound_blocks_find_the_n4_violators`` checks these counts
     against the scalar witness."""
     idxs, expected = _loop_bound_violators_at_n4()
-    bt = mod.board_tables(4)
-    size, out = 5**bt.k, np.empty_like(bt.block_tables)
+    size = 5 ** mod.board_tables(4).k
     for v, want in zip(idxs[expected], (40, 185, 125, 75, 125)):
         j = int(v) // size
-        _, got = mod._loop_bound_block(bt, out, j * size, (j + 1) * size)
+        _, got = _block_violators(mod, 4, j)
         found = 0 if got is None else len(got)
         if found != want:
             return f"{found} of {want} violators in block {j}"
     return None
+
+
+def _hold_back_digits_at_n3(mod) -> Optional[str]:
+    """The tables that the sweep's first n = 3 job holds back must ask each
+    pigeon first, and give each table digit that varies in the window every
+    value, about equally often."""
+    return _uneven_held_digit(_held_digit_counts(mod, (0, 1 << 18, None, 3))[:9])
 
 
 def _loop_bound_claim(n: int) -> Callable[..., Optional[str]]:
@@ -316,6 +325,7 @@ CHECKS = {
     "planted-intransitive-order": (ver, _planted_intransitive_order),
     "batch-results-n1-n2": (ver, _batch_results_at_n1_n2),
     "trace-n3-window": (ver, _trace_n3_window),
+    "hold-back-digits-n3": (ver, _hold_back_digits_at_n3),
     "loop-bound-witness-n4": (ver, _loop_bound_witness_at_n4),
     "loop-bound-blocks-n4": (ver, _loop_bound_blocks_at_n4),
     "loop-bound-claim-n3": (ver, _loop_bound_claim(3)),
@@ -335,10 +345,11 @@ CHECKS = {
 }
 
 RAMIFY_LOST = "root-ramify lost some branch at n=3"
-# A table's route and exit step are invariant under relabelling, but its
-# verdict at n >= 3 is constant, so only a relabelled comparison, or the
-# pinned trace of one window, sees most wiring faults of the index tables
-# there.
+# The gate holds every table back, so it compares each exit with the
+# certificate's only on the repeat route.  A table's route and exit step are
+# invariant under relabelling, so a relabelled comparison with the fast path
+# on, or the pinned trace of one window, sees the wiring faults of the loop
+# and hit planes at n >= 3.
 WIRING_AT_N3_N4 = {
     check: "item 17: relabelling invariance of each table's route and exit step"
     for check in ("oracle-gate-n3", "oracle-gate-n4")
@@ -366,7 +377,7 @@ MUTANTS = {
         {
             # The gate holds every row back, so it never runs the fast path.
             "oracle-gate-n2": "item 1: a negative control with the sweep's hold-back",
-            "oracle-gate-n3": "items 1 and 14: per-candidate hits and the step-1 lemma",
+            "oracle-gate-n3": "items 1, 14 and 17: the fast path on during the gate",
         },
     ),
     "engine-reports-every-table-won": (
@@ -375,9 +386,10 @@ MUTANTS = {
         "    return BatchResult(route | LOOP, closed_at)\n",
         ("oracle-gate-n2", "oracle gate: engine mismatch at index 1182"),
         {
-            # Every table at n >= 3 is won, so the verdicts compared agree.
-            "oracle-gate-n3": "item 1: per-candidate hits and the tail",
-            "oracle-gate-n4": "item 1: per-candidate hits and the tail",
+            # Every table at n >= 3 is won, and a won route keeps its value
+            # and its step, so every exit compared agrees.
+            "oracle-gate-n3": "not a gap: at n >= 3 no table fails, and oracle-gate-n2 refuses it",
+            "oracle-gate-n4": "not a gap: at n >= 3 no table fails, and oracle-gate-n2 refuses it",
         },
     ),
     "loop-plane-one-pigeon-off": (
@@ -395,7 +407,7 @@ MUTANTS = {
         ver,
         "edge * pigeons + tail[cand]",
         "edge * pigeons + (tail[cand] + 1) % pigeons",
-        ("oracle-gate-n2", "oracle gate: engine mismatch at index 1960"),
+        ("oracle-gate-n2", "oracle gate: engine mismatch at index 1182"),
         WIRING_AT_N3_N4,
     ),
     "step-plane-with-the-wrong-tail": (
@@ -403,23 +415,20 @@ MUTANTS = {
         "e * pigeons + tail[edge]",
         "e * pigeons + (tail[edge] + 1) % pigeons",
         ("oracle-gate-n2", "oracle gate: engine mismatch at index 1504"),
-        {
-            "step1-lemma-n2": "not a gap: the walk stopped after its first step reads no step plane",
-            **WIRING_AT_N3_N4,
-        },
+        {"step1-lemma-n2": "not a gap: the walk stopped after its first step reads no step plane"},
     ),
     "slot-tail-shifted": (
         ver,
         "        slot_tail=tail[edge],\n",
         "        slot_tail=(tail[edge] + 1) % pigeons,\n",
         ("step1-lemma-n2", "378 tables mismatch"),
-        WIRING_AT_N3_N4,
+        {},
     ),
     "compat-with-its-hole-shifted": (
         ver,
         "(e[:, None] % n == e % n)",
         "((e[:, None] + 1) % n == e % n)",
-        ("oracle-gate-n3", "oracle gate: engine mismatch at index 11617619"),
+        ("oracle-gate-n3", "oracle gate: engine mismatch at index 24894166"),
         {},
     ),
     "transitivity-masks-with-trees-i-is-below": (
@@ -435,7 +444,7 @@ MUTANTS = {
         "(looped, LOOP)",
         # A column that left by a loop and waits in the planes hits the loop
         # again, and is routed again at a later step.
-        ("trace-n3-window", "27031 tables moved"),
+        ("trace-n3-window", "26843 tables moved"),
         {
             "batch-results-n1-n2": "not a gap: at n <= 2 every loop exit is at "
             "t = 1, before any table is in the planes",
@@ -445,13 +454,20 @@ MUTANTS = {
         ver,
         "anchored = not t & (t - 1)",
         "anchored = t <= 2 or not (t - 1) & (t - 2)",
-        ("trace-n3-window", "40212 tables moved"),
+        ("trace-n3-window", "40209 tables moved"),
         {
-            # Any anchor schedule certifies a repeat; only the exit steps move.
-            "oracle-gate-n2": "not a gap: every verdict and route stays",
-            "oracle-gate-n3": "not a gap: every verdict and route stays",
+            # Any anchor schedule certifies a repeat; only the exit steps
+            # move, and the walk stopped after its first step has none.
             "step1-lemma-n2": "not a gap: every verdict and route stays",
         },
+    ),
+    "hold-back-every-100th-table": (
+        ver,
+        "HOLD_BACK_MODULUS = 101\n",
+        "HOLD_BACK_MODULUS = 100\n",
+        # 100 is a multiple of the base 4: every held table asks pigeon 0 first.
+        ("hold-back-digits-n3", "digit 0 held 2622 / 0 / 0 / 0 times"),
+        {},
     ),
     "loop-bound-one-step-longer": (
         ver,
@@ -747,34 +763,44 @@ ALSO_REFUSED = {
     "canonical-wins-ignores-gave-up": (("php-biconditional-n2", "72 tables break the biconditional"),),
     "loop-plane-one-pigeon-off": (
         ("batch-results-n1-n2", "route differs at n=1"),
-        ("trace-n3-window", "30740 tables moved"),
+        ("trace-n3-window", "30720 tables moved"),
     ),
     "hit-plane-with-the-wrong-tail": (
         ("step1-lemma-n2", "1155 tables mismatch"),
         ("batch-results-n1-n2", "route differs at n=1"),
-        ("trace-n3-window", "112965 tables moved"),
+        ("trace-n3-window", "112789 tables moved"),
     ),
     "step-plane-with-the-wrong-tail": (
+        ("oracle-gate-n3", "oracle gate: engine mismatch at index 24894166"),
+        ("oracle-gate-n4", "oracle gate: engine mismatch at index 246330082514643"),
         ("batch-results-n1-n2", "route differs at n=1"),
-        ("trace-n3-window", "49285 tables moved"),
+        ("trace-n3-window", "49360 tables moved"),
     ),
     "slot-tail-shifted": (
-        ("oracle-gate-n2", "oracle gate: engine mismatch at index 1182"),
+        ("oracle-gate-n2", "oracle gate: engine mismatch at index 1504"),
+        ("oracle-gate-n3", "oracle gate: engine mismatch at index 29526795"),
+        ("oracle-gate-n4", "oracle gate: engine mismatch at index 246330082514643"),
         ("batch-results-n1-n2", "route differs at n=1"),
-        ("trace-n3-window", "720 tables moved"),
+        ("trace-n3-window", "43 tables moved"),
     ),
     "compat-with-its-hole-shifted": (
-        ("oracle-gate-n4", "oracle gate: engine mismatch at index 290136742675551"),
+        ("oracle-gate-n4", "oracle gate: engine mismatch at index 408323930778115"),
         ("oracle-gate-n2", "oracle gate: engine mismatch at index 792"),
         ("step1-lemma-n2", "888 tables mismatch"),
         ("batch-results-n1-n2", "route differs at n=2"),
-        ("trace-n3-window", "59798 tables moved"),
+        ("trace-n3-window", "60141 tables moved"),
     ),
-    "brent-anchors-at-1-2-3-5-9": (("batch-results-n1-n2", "closed_at differs at n=1"),),
+    "brent-anchors-at-1-2-3-5-9": (
+        ("oracle-gate-n2", "oracle gate: engine mismatch at index 792"),
+        ("oracle-gate-n3", "oracle gate: engine mismatch at index 24894166"),
+        ("oracle-gate-n4", "oracle gate: engine mismatch at index 408323930778115"),
+        ("batch-results-n1-n2", "closed_at differs at n=1"),
+    ),
     "first-step-ignores-loop-plane": (
         ("batch-results-n1-n2", "route differs at n=2"),
-        ("trace-n3-window", "66389 tables moved"),
+        ("trace-n3-window", "66257 tables moved"),
     ),
+    "hold-back-every-100th-table": (("trace-n3-window", "311 tables moved"),),
 }
 assert set(ALSO_REFUSED) <= set(MUTANTS)
 

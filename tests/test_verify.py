@@ -35,6 +35,12 @@ from pebblegames.verify import (
 )
 
 
+def _held(idxs: np.ndarray, mod=ver) -> np.ndarray:
+    """The rows of ``idxs`` that the sweep holds back from the fast path, as
+    ``mod`` states the rule: the multiples of its ``HOLD_BACK_MODULUS``."""
+    return idxs % mod.HOLD_BACK_MODULUS == 0
+
+
 def test_space_counts():
     assert strategy_space(1) == 8
     assert strategy_space(3) == 4**13 == 67_108_864
@@ -162,15 +168,16 @@ def test_certify_batch_whole_space_matches_certificate(n, losers, held):
 # stepping both spaces past every table's repeat); and n >= 3 has no losing
 # table.  But the second loop exit moves ``closed_at``, which the pinned
 # trace of the first n = 3 window sees (the ``looped-ignores-live`` mutant).
-@pytest.mark.parametrize("n, size, fast", [(3, 1 << 18, 246_199), (4, 1 << 17, 127_941)])
-def test_certify_batch_packs_out_only_at_brent_anchors(n, size, fast, monkeypatch):
+@pytest.mark.parametrize("n, size", [(3, 1 << 18), (4, 1 << 17)])
+def test_certify_batch_packs_out_only_at_brent_anchors(n, size, monkeypatch):
     from pebblegames import verify as ver
 
-    stayed = {3: 29_247, 4: 8_465}[n]  # the tables that do not leave at t = 1
+    fast = {3: 246_195, 4: 127_964}[n]
+    stayed = {3: 29_275, 4: 8_432}[n]  # the tables that do not leave at t = 1
 
     idxs = np.sort(np.random.default_rng(n).choice(strategy_space(n), size, replace=False))
     idxs = idxs.astype(np.uint64)
-    held = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0  # as in _certify_job
+    held = _held(idxs)
     bt = board_tables(n)  # built first: a fresh build decodes block 0
     decodes, steps = [], []  # (steps taken so far, decoded indices)
     planes, step = ver._table_planes, ver.Walk.step
@@ -227,7 +234,7 @@ def test_first_step_loop_exits_match_the_step_1_loop_lemma(n, holds, monkeypatch
         idxs = np.random.default_rng(n).choice(space, 4096, replace=False).astype(np.uint64)
     lemma = np.array([_step1_loop_exit(index_to_strategy(int(i), n)) for i in idxs])
     assert int(lemma.sum()) == holds
-    held = idxs * np.uint64(ver.HOLD_BACK_MULTIPLIER) % np.uint64(ver.HOLD_BACK_MODULUS) == 0
+    held = _held(idxs)
     monkeypatch.setattr(ver, "T_LIMIT", 1)
     for mask, expected in ((None, lemma), (held, lemma & ~held)):
         got = certify_batch(idxs, board_tables(n), sample_mask=mask).fast_path
@@ -306,8 +313,7 @@ def test_certify_batch_at_block_edges(n, blocks, extra):
     partial = np.arange(size // ver.TABLE_BLOCK * ver.TABLE_BLOCK, size)
     rows = np.union1d(partial, np.random.default_rng(size).choice(size, 300, replace=False))
     certs = [_certificate(int(idxs[r]), n) for r in rows]
-    hashed = (idxs * np.uint64(2654435761) % np.uint64(100)) == 0  # as in _certify_job
-    for held in (None, hashed, np.ones(size, dtype=bool)):
+    for held in (None, _held(idxs), np.ones(size, dtype=bool)):
         res = certify_batch(idxs, board_tables(n), sample_mask=held)
         assert not res.uncertified.any()
         if held is not None:
@@ -426,6 +432,8 @@ def test_closed_at_follows_the_certificate_under_the_brent_rule(n):
     res = certify_batch(idxs, board_tables(n), sample_mask=np.ones(len(idxs), dtype=bool))
     want = [_brent_exit(_certificate(int(i), n)) for i in idxs]
     assert list(zip(res.route.tolist(), res.closed_at.tolist())) == want
+    # The oracle gate's own copy of the rule agrees.
+    assert [ver._brent_exit(_certificate(int(i), n)) for i in idxs] == want
     # A table that fails at step t loses length t + 1.
     assert res.first_fail.tolist() == [t + 1 if r == ver.FAILED else 0 for r, t in want]
     if n == 2:
@@ -441,15 +449,15 @@ def _trace(res) -> dict[tuple[int, int], int]:
 # The (route, closed_at) histogram of the exhaustive n = 3 window [0, 2^18),
 # the sweep's first job, with the sweep's hold-back.
 WINDOW_0_TRACE = {
-    (ver.LOOP, 1): 193_133,
-    (ver.LOOP, 2): 24_703,
-    (ver.LOOP, 3): 2_328,
+    (ver.LOOP, 1): 193_291,
+    (ver.LOOP, 2): 24_540,
+    (ver.LOOP, 3): 2_303,
     **{
         (ver.REPEAT, t): count
         for t, count in {
-            3: 55, 5: 3, 6: 7_956, 7: 169, 10: 1_179, 11: 408, 12: 1_885, 14: 20_007,
-            18: 506, 19: 407, 20: 264, 22: 3_857, 28: 3_592, 33: 2, 34: 24, 35: 211,
-            36: 46, 38: 607, 44: 802,
+            3: 45, 5: 25, 6: 7_906, 7: 140, 9: 2, 10: 1_240, 11: 440, 12: 1_893,
+            14: 19_977, 18: 509, 19: 408, 20: 266, 22: 3_875, 28: 3_594, 33: 2, 34: 25,
+            35: 211, 36: 47, 38: 607, 44: 798,
         }.items()
     },
 }
@@ -458,8 +466,7 @@ WINDOW_0_TRACE = {
 def _window_0_trace(mod) -> dict[tuple[int, int], int]:
     """The trace of the sweep's first n = 3 job, as ``mod`` walks it."""
     idxs = np.arange(1 << 18, dtype=np.uint64)
-    held = idxs * np.uint64(ver.HOLD_BACK_MULTIPLIER) % np.uint64(ver.HOLD_BACK_MODULUS) == 0
-    return _trace(mod.certify_batch(idxs, mod.board_tables(3), sample_mask=held))
+    return _trace(mod.certify_batch(idxs, mod.board_tables(3), sample_mask=_held(idxs, mod)))
 
 
 def test_the_trace_of_the_first_n3_window_is_pinned():
@@ -469,7 +476,7 @@ def test_the_trace_of_the_first_n3_window_is_pinned():
     assert _window_0_trace(ver) == WINDOW_0_TRACE
     loops = sum(c for (r, _), c in WINDOW_0_TRACE.items() if r == ver.LOOP)
     repeats = sum(c for (r, _), c in WINDOW_0_TRACE.items() if r == ver.REPEAT)
-    assert (loops, repeats, max(t for _, t in WINDOW_0_TRACE)) == (220_164, 41_980, 44)
+    assert (loops, repeats, max(t for _, t in WINDOW_0_TRACE)) == (220_134, 42_010, 44)
     assert loops + repeats == 1 << 18
 
 
@@ -483,8 +490,7 @@ def test_theorem_main_counts_uncertified_tables_apart(monkeypatch):
     rep = verify_theorem_main(n=3, sample=3000, seed=8)
     idxs = np.random.default_rng(8).choice(strategy_space(3), 3000, replace=False, shuffle=False)
     idxs = idxs.astype(np.uint64)
-    held = idxs * np.uint64(ver.HOLD_BACK_MULTIPLIER) % np.uint64(ver.HOLD_BACK_MODULUS) == 0
-    res = certify_batch(idxs, board_tables(3), sample_mask=held)
+    res = certify_batch(idxs, board_tables(3), sample_mask=_held(idxs))
     stuck = int(res.uncertified.sum())
     assert rep.details["uncertified"] == stuck == len(rep.counterexamples) > 0
     assert not (res.route == ver.FAILED).any()
@@ -697,24 +703,27 @@ def test_verify_loop_bound_slice():
 
 
 def test_verify_loop_bound_hands_each_index_to_one_block(monkeypatch):
-    from pebblegames import verify as ver
-
     limit = 3 * ver.TABLE_BLOCK + 1000
-    blocks = []
-    block = ver._loop_bound_block
-
-    def record(bt, out, start, stop):
-        blocks.append(np.arange(start, stop))
-        return block(bt, out, start, stop)
-
-    monkeypatch.setattr(ver, "_loop_bound_block", record)
     report = verify_loop_bound(3, limit=limit)
-    assert len(blocks) == 4
-    assert np.concatenate(blocks).tolist() == list(range(limit))
     idxs = np.arange(limit, dtype=np.uint64)
     whole = idxs[loop_bound_batch(idxs, board_tables(3))]
     assert report.space == limit
     assert report.counterexamples == [format_strategy(index_to_strategy(int(i), 3)) for i in whole]
+    # With an engine that flags every table of a block, each index up to the
+    # limit is reported once and in order: the last, partial block reads
+    # the first rows of its walk.
+    blocks = []
+    block_planes = ver._block_planes
+    monkeypatch.setattr(
+        ver, "_block_planes", lambda bt, j, out: blocks.append(j) or block_planes(bt, j, out)
+    )
+    every_table = lambda init, tables, bt: (1, np.full(tables.shape[1], ~np.uint64(0)))
+    monkeypatch.setattr(ver, "_loop_bound_planes", every_table)
+    monkeypatch.setattr(ver, "index_to_strategy", lambda idx, n: idx)
+    monkeypatch.setattr(ver, "format_strategy", lambda idx: idx)
+    report = verify_loop_bound(3, limit=limit)
+    assert blocks == [0, 1, 2, 3]
+    assert report.counterexamples == list(range(limit))
 
 
 def test_verify_loop_bound_limit_zero_and_negative():
@@ -779,6 +788,19 @@ def _count_hit_tests(monkeypatch) -> list:
     return calls
 
 
+def _block_violators(mod, n: int, j: int) -> tuple[int, Optional[np.ndarray]]:
+    """The number of candidates walked, and the indices of aligned block
+    ``j`` of board ``n`` that break the loop bound, as ``verify_loop_bound``
+    walks the block, or None when the block closes."""
+    bt = mod.board_tables(n)
+    planes = mod._block_planes(bt, j, np.empty_like(bt.block_tables))
+    walked, violators = mod._loop_bound_planes(bt.block_init, planes, bt)
+    if violators is None:
+        return walked, None
+    size = (n + 1) ** bt.k
+    return walked, np.flatnonzero(mod._unpack(violators, size)) + j * size
+
+
 def test_loop_bound_blocks_find_the_n4_violators(monkeypatch):
     # A negative control through the block route: the aligned n = 4 blocks
     # that hold the violators of the scalar-witness test below.  Each grows
@@ -790,24 +812,20 @@ def test_loop_bound_blocks_find_the_n4_violators(monkeypatch):
     bt = board_tables(n)
     idxs = np.random.default_rng(5).choice(strategy_space(n), 4096, replace=False)
     size = (n + 1) ** bt.k
-    out = np.empty_like(bt.block_tables)
     calls = _count_hit_tests(monkeypatch)
     rng = np.random.default_rng(32)
     counts = []
     for v in idxs[loop_bound_batch(idxs.astype(np.uint64), bt)]:
-        start = int(v) // size * size
+        j = int(v) // size
         calls.clear()
-        walked, got = ver._loop_bound_block(bt, out, start, start + size)
+        walked, got = _block_violators(ver, n, j)
         assert len(calls) == 2
         assert walked < len(bt.loop_plane)
-        block = np.arange(start, start + size, dtype=np.uint64)
+        block = np.arange(j * size, (j + 1) * size, dtype=np.uint64)
         assert got.tolist() == block[loop_bound_batch(block, bt)].tolist()
         rest = np.setdiff1d(block, got)
         for i in (*got, *rng.choice(rest, 200, replace=False)):
             assert _breaks_loop_bound(index_to_strategy(int(i), n)) == (i in got)
-        # A partial block reads the first rows of the whole block's walk.
-        _, part = ver._loop_bound_block(bt, out, start, start + 7000)
-        assert part.tolist() == [i for i in got.tolist() if i < start + 7000]
         counts.append(len(got))
     assert counts == [40, 185, 125, 75, 125]
 
@@ -1035,9 +1053,24 @@ def test_oracle_gate_refuses_an_engine_that_reports_every_table_won(monkeypatch)
 
     monkeypatch.setattr(ver, "certify_batch", all_won)
     # Only a board with Prover-won tables can show this fault: at n >= 3
-    # every table is Delayer-won, so the gate compares "won" with "won".
+    # every table is Delayer-won, so the gate compares the same exits.
     with pytest.raises(AssertionError, match="engine mismatch at index"):
         ver._oracle_gate(2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_gate_refuses_an_exit_one_step_late(n, monkeypatch):
+    # Every verdict stays "won" at n >= 3; the gate sees the exit step move.
+    certify = ver.certify_batch
+
+    def late(idxs, *a, **k):
+        res = certify(idxs, *a, **k)
+        res.closed_at[-1] += 1
+        return res
+
+    monkeypatch.setattr(ver, "certify_batch", late)
+    with pytest.raises(AssertionError, match="engine mismatch at index"):
+        ver._oracle_gate(n)
 
 
 def test_campaign_parameters_are_pinned():
@@ -1090,7 +1123,7 @@ def batches_of_128(monkeypatch):
 def test_theorem_main_sampled_in_batches(request, n, threads):
     # A sampled sweep cut into 5 jobs, in process or on a pool, sums to the
     # report of the one job that BATCH_SIZE makes of it.
-    ces, fast, checked = {2: (37, 470, 4), 4: (0, 581, 10)}[n]
+    ces, fast, checked = {2: (37, 467, 6), 4: (0, 584, 7)}[n]
     run = dict(n=n, sample=600, seed=8)
     one = verify_theorem_main(**run)
     request.getfixturevalue("batches_of_128")
@@ -1107,6 +1140,53 @@ def test_theorem_main_sampled_crosschecks():
     rep = verify_theorem_main(n=4, sample=3000, seed=8)
     idxs = np.random.default_rng(8).choice(strategy_space(4), 3000, replace=False, shuffle=False)
     idxs = idxs.astype(np.uint64)
-    held_back = int(((idxs * np.uint64(2654435761)) % np.uint64(100) == 0).sum())
+    held_back = int(_held(idxs).sum())
     assert rep.details["sampled_crosschecks"] == held_back > 0
     assert 0 < rep.details["fast_path"] <= 3000 - held_back
+
+
+def _held_digit_counts(mod, job: tuple) -> np.ndarray:
+    """(digits, n + 1): how often each digit, the first question first, takes
+    each value over the tables that ``mod._certify_job`` holds back in
+    ``job``, read from the sample mask it hands to ``certify_batch``."""
+    masks = []
+    certify = mod.certify_batch
+
+    def record(idxs, bt, sample_mask=None):
+        masks.append(sample_mask)
+        return certify(idxs, bt, sample_mask=sample_mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mod, "certify_batch", record)
+        mod._certify_job(job)
+    lo, hi, idxs, n = job
+    if idxs is None:
+        idxs = np.arange(lo, hi, dtype=np.uint64)
+    [mask] = masks
+    init, heads = decode_batch(idxs[mask], n)
+    return np.array([np.bincount(digit, minlength=n + 1) for digit in (init, *heads.T)])
+
+
+def _uneven_held_digit(counts: np.ndarray) -> Optional[str]:
+    """The first digit of ``counts`` whose values are held back unevenly:
+    a value missed, or counts more than 1% of the digit's total apart."""
+    for d, row in enumerate(counts):
+        if row.max() - row.min() > row.sum() // 100:
+            return f"digit {d} held {' / '.join(map(str, row))} times"
+    return None
+
+
+def test_the_hold_back_reaches_every_digit_value():
+    # The sweep's first n = 3 job, [0, 4^9): the held tables ask each pigeon
+    # first equally often, and each of the 8 table digits that vary in the
+    # window takes every value, within 2 of 649.  The higher digits are 0.
+    counts = _held_digit_counts(ver, (0, 1 << 18, None, 3))
+    assert counts[0].tolist() == [649] * 4
+    assert _uneven_held_digit(counts[:9]) is None
+    assert (counts[9:, 1:] == 0).all()
+    # A seeded n = 4 job: every digit of the held tables takes every value.
+    picks = np.random.default_rng(4).choice(strategy_space(4), 1 << 17, replace=False)
+    picks = picks.astype(np.uint64)
+    counts = _held_digit_counts(ver, (0, 1 << 17, picks, 4))
+    assert counts.sum(axis=1).tolist() == [int(_held(picks).sum())] * 21
+    assert (counts > 0).all()
