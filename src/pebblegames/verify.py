@@ -6,8 +6,9 @@ and proves each one Delayer-won for every round count.  The sweep is
 vectorized over strategy batches held in bit-planes: one ``uint64`` word
 carries one fact for 64 tables, with bit ``i`` of word ``w`` standing for
 table ``64 w + i``.  A batch's indices are split into base-(n+1) digits a
-``uint32`` limb at a time, and the digits into one plane per (edge, head
-pigeon) and one per initial pigeon; each candidate's reachable edge set is
+``uint32`` limb at a time, and the digits into one array of planes, row
+``d (n+1) + q`` holding "digit d is q" (digit 0 is the first question, digit
+1 + e the head of edge e); each candidate's reachable edge set is
 one plane per (candidate, edge) slot that the candidate allows.  A hit test
 is one gather, one AND and one OR-reduction over the planes.  A step is the
 same, except that the table planes it reads are gathered once per set of
@@ -164,17 +165,17 @@ class Walk:
     def step(self, state: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """One walk step of every candidate's edge set: slot (c, f) is set
         when some edge e in c's set points at f's tail and f may follow e.
-        ``terms`` is ``tables[self.step_plane]``, gathered once per set of
+        ``terms`` is ``planes[self.step_plane]``, gathered once per set of
         table planes."""
         gathered = np.take(state, self.step_src, axis=0)
         gathered &= terms
         return np.bitwise_or.reduce(gathered, axis=0)
 
-    def hits(self, state: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    def hits(self, state: np.ndarray, planes: np.ndarray) -> np.ndarray:
         """One plane per candidate of the walk: candidate c's set holds an
         edge pointing at c's tail."""
         per_cand, num_cands = self.hit_plane.shape
-        gathered = tables[self.hit_plane]
+        gathered = planes[self.hit_plane]
         gathered &= state.reshape(num_cands, per_cand, state.shape[1]).transpose(1, 0, 2)
         return np.bitwise_or.reduce(gathered, axis=0)
 
@@ -216,9 +217,9 @@ def _walk(n: int, compat: np.ndarray, allowed: np.ndarray) -> Walk:
     real = np.take_along_axis(real, e, axis=0)
     return Walk(
         slot_tail=tail[edge],
-        hit_plane=(edge * pigeons + tail[cand]).reshape(num_edges, -1).T.copy(),
+        hit_plane=((edge + 1) * pigeons + tail[cand]).reshape(num_edges, -1).T.copy(),
         step_src=np.where(real, slot_of[cand, e], 0),
-        step_plane=np.where(real, e * pigeons + tail[edge], num_edges * pigeons),
+        step_plane=np.where(real, (e + 1) * pigeons + tail[edge], (num_edges + 1) * pigeons),
     )
 
 
@@ -235,8 +236,7 @@ class BoardTables:
     loop: Walk  # the same without c itself, which carries the loop hole
     loop_plane: np.ndarray  # (E,) table plane of "candidate c is a loop"
     k: int
-    block_init: np.ndarray  # (P, W) init planes of every aligned block
-    block_tables: np.ndarray  # (E * P + 1, W) table planes of block 0
+    block_planes: np.ndarray  # ((E + 1) * P + 1, W) planes of block 0
 
 
 @functools.cache
@@ -251,25 +251,23 @@ def board_tables(n: int) -> BoardTables:
     k = 1
     while k < num_edges + 1 and pigeons ** (k + 1) <= TABLE_BLOCK:
         k += 1
-    block_init, block_tables = _table_planes(np.arange(pigeons**k, dtype=np.uint64), n)
     bt = BoardTables(
         n,
         certify=_walk(n, compat, compat),
         loop=_walk(n, compat, compat & ~np.eye(num_edges, dtype=bool)),
-        loop_plane=e * pigeons + e // n,
+        loop_plane=(e + 1) * pigeons + e // n,
         k=k,
-        block_init=block_init,
-        block_tables=block_tables,
+        block_planes=_table_planes(np.arange(pigeons**k, dtype=np.uint64), n),
     )
     walks = (*vars(bt.certify).values(), *vars(bt.loop).values())
-    for array in (bt.loop_plane, bt.block_init, bt.block_tables, *walks):
+    for array in (bt.loop_plane, bt.block_planes, *walks):
         array.flags.writeable = False
     return bt
 
 
-def decode_batch(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base-(n+1) digits of the strategy indices: init (B,) plus table heads
-    (B, E).
+def decode_batch(indices: np.ndarray, n: int) -> np.ndarray:
+    """Base-(n+1) digits of the strategy indices, (E + 1, B): digit 0 is the
+    first question, digit 1 + e the head of edge e (``index_to_strategy``).
 
     The digits are taken a ``uint32`` limb at a time, each limb holding as
     many digits as fit in it: one limb at n <= 3, two at n = 4.  A limb costs
@@ -298,7 +296,7 @@ def decode_batch(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
             np.subtract(limb, prod, out=prod)
             row[:] = prod
             limb, quot = quot, limb
-    return digits[0], digits[1:].T
+    return digits
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -319,20 +317,16 @@ def _repack(planes: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return _pack(np.compress(keep, _unpack(planes, len(keep)), axis=-1))
 
 
-def _table_planes(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The planes of a batch: ``init`` (P, W) holds "the first question is
-    pigeon p"; ``tables`` (E * P + 1, W) holds "edge e points at pigeon q" at
-    row ``e * P + q``, and zeros in its last row.  Padding tables are in no
-    plane."""
-    init, heads = decode_batch(indices, n)
-    pigeons = np.arange(n + 1, dtype=np.uint8)[:, None]
-    num_digits = heads.shape[1] + 1
-    bits = np.zeros((num_digits * (n + 1) + 1, len(indices)), dtype=bool)
-    rows = bits[:-1].reshape(num_digits, n + 1, len(indices))
-    np.equal(init, pigeons, out=rows[0])
-    np.equal(heads.T[:, None, :], pigeons, out=rows[1:])
-    planes = _pack(bits)
-    return planes[: n + 1], planes[n + 1 :]
+def _table_planes(indices: np.ndarray, n: int) -> np.ndarray:
+    """The planes of a batch, ((E + 1) * P + 1, W): row ``d * P + q`` holds
+    "digit d of the index is q" (``decode_batch``), so rows 0 .. P - 1 hold
+    the first question and row ``(e + 1) * P + q`` "edge e points at pigeon
+    q"; the last row is zero.  Padding tables are in no plane."""
+    digits = decode_batch(indices, n)
+    bits = np.zeros((len(digits) * (n + 1) + 1, len(indices)), dtype=bool)
+    rows = bits[:-1].reshape(len(digits), n + 1, len(indices))
+    np.equal(digits[:, None, :], np.arange(n + 1, dtype=np.uint8)[:, None], out=rows)
+    return _pack(bits)
 
 
 @dataclass
@@ -432,9 +426,9 @@ def certify_batch(
     # first anchor, so a table leaves there by a failure or a loop hit (a
     # loop hit is a win); a held table is in no loop plane.
     for lo in range(0, B, TABLE_BLOCK):
-        init, tables = _table_planes(indices[lo : lo + TABLE_BLOCK], bt.n)
-        loops = tables[bt.loop_plane] & ~_pack(held[lo : lo + TABLE_BLOCK])
-        hits = walk.hits(init[walk.slot_tail], tables)
+        planes = _table_planes(indices[lo : lo + TABLE_BLOCK], bt.n)
+        loops = planes[bt.loop_plane] & ~_pack(held[lo : lo + TABLE_BLOCK])
+        hits = walk.hits(planes[walk.slot_tail], planes)
         out = route[lo : lo + TABLE_BLOCK]  # the block's routes
         np.copyto(out, LOOP, where=_unpack(np.bitwise_or.reduce(hits & loops, axis=0), len(out)))
         np.copyto(out, FAILED, where=~_unpack(np.bitwise_or.reduce(hits, axis=0), len(out)))
@@ -446,7 +440,7 @@ def certify_batch(
         anchored = not t & (t - 1)  # Brent: the anchors are t = 1, 2, 4, ...
         if t > 1:
             rr = walk.step(rr, terms)
-            hits = walk.hits(rr, tables)  # (E, W) candidate wins at s = t + 1
+            hits = walk.hits(rr, planes)  # (E, W) candidate wins at s = t + 1
             won, looped = (np.bitwise_or.reduce(h, axis=0) for h in (hits, hits & loops))
             exits = [(live & ~won, FAILED), (live & looped, LOOP)]  # a loop hit is a win
             live &= won & ~looped
@@ -466,10 +460,10 @@ def certify_batch(
             # t = 1: the tables that stay are decoded into the planes here.
             keep = _unpack(live, len(active))
             active = active[keep]
-            init, tables = _table_planes(indices[active], bt.n)
-            terms, loops = tables[walk.step_plane], tables[bt.loop_plane] & ~_pack(held[active])
-            rr = anchor = init[walk.slot_tail] if t == 1 else _repack(rr, keep)
-            live = np.bitwise_or.reduce(init, axis=0)
+            planes = _table_planes(indices[active], bt.n)
+            terms, loops = planes[walk.step_plane], planes[bt.loop_plane] & ~_pack(held[active])
+            rr = anchor = planes[walk.slot_tail] if t == 1 else _repack(rr, keep)
+            live = np.bitwise_or.reduce(planes[: bt.n + 1], axis=0)  # digit 0's rows
         elif anchored:
             # A repack and re-decode cost 3 to 5 steps at n = 4 and 6 to 17
             # at n = 3; until half of the columns have left, the anchor
@@ -578,21 +572,23 @@ def verify_theorem_main(
     for start in range(0, total, BATCH_SIZE):
         stop = min(start + BATCH_SIZE, total)
         jobs.append((start, stop, None if picks is None else picks[start:stop], n))
-    if threads <= 1:
+    # A fork pool starts all of its workers at the first job, so it gets no
+    # more workers than jobs.
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         results = list(map(_certify_job, jobs))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_certify_job, jobs, chunksize=1))
-    ces = [idx for batch_ces, *_ in results for idx in batch_ces]
+    ces = sorted(idx for batch_ces, *_ in results for idx in batch_ces)
 
-    serialized = []
-    for idx in sorted(ces):
-        serialized.append(format_strategy(index_to_strategy(idx, n)))
-        if ce_dir:
-            Path(ce_dir).mkdir(parents=True, exist_ok=True)
-            (Path(ce_dir) / f"strategy-{idx}.strat").write_text(serialized[-1])
+    serialized = [format_strategy(index_to_strategy(idx, n)) for idx in ces]
+    if ce_dir:
+        Path(ce_dir).mkdir(parents=True, exist_ok=True)
+        for idx, text in zip(ces, serialized):
+            (Path(ce_dir) / f"strategy-{idx}.strat").write_text(text)
     return CampaignReport(
         claim=f"theorem-main-n{n}" if picks is None else f"theorem-main-n{n}-sampled",
         space=total,
@@ -608,15 +604,13 @@ def verify_theorem_main(
 def loop_bound_batch(indices: np.ndarray, bt: BoardTables) -> np.ndarray:
     """The tables of a batch that break the loop bound: some loop edge's
     tail is reachable, but not within ``2(n-2)+1`` steps of the start."""
-    _, violators = _loop_bound_planes(*_table_planes(indices, bt.n), bt)
+    _, violators = _loop_bound_planes(_table_planes(indices, bt.n), bt)
     if violators is None:
         return np.zeros(len(indices), dtype=bool)
     return _unpack(violators, len(indices))
 
 
-def _loop_bound_planes(
-    init: np.ndarray, tables: np.ndarray, bt: BoardTables
-) -> tuple[int, Optional[np.ndarray]]:
+def _loop_bound_planes(planes: np.ndarray, bt: BoardTables) -> tuple[int, Optional[np.ndarray]]:
     """The number of candidates walked, and the (W,) plane of the tables
     that break the loop bound, from the planes of ``_table_planes``, or None
     when the batch closes.
@@ -633,14 +627,14 @@ def _loop_bound_planes(
     K = 2 * (bt.n - 2) + 1
     if K < 1:
         raise ValueError(f"the loop bound 2(n-2)+1 = {K} is no walk length at n={bt.n}")
-    loops = tables[bt.loop_plane]
+    loops = planes[bt.loop_plane]
     kept = loops.any(axis=1)
     if not kept.any():
         return 0, None
     walked = int(np.count_nonzero(kept))
     walk = bt.loop.restrict(kept)
-    terms = tables[walk.step_plane]
-    union = init[walk.slot_tail]
+    terms = planes[walk.step_plane]
+    union = planes[walk.slot_tail]
     for _ in range(K - 1):
         union |= walk.step(union, terms)
     within = union
@@ -655,25 +649,25 @@ def _loop_bound_planes(
     # A loop whose tail is the start is reached at once and breaks no bound.
     # It needs no mask: no slot of candidate c holds an edge leaving c's own
     # tail, so such a candidate keeps an empty set and is never hit.
-    violation = loops[kept] & walk.hits(union, tables) & ~walk.hits(within, tables)
+    violation = loops[kept] & walk.hits(union, planes) & ~walk.hits(within, planes)
     return walked, np.bitwise_or.reduce(violation, axis=0)
 
 
 def _block_planes(bt: BoardTables, j: int, out: np.ndarray) -> np.ndarray:
-    """The table planes of aligned block ``j``, as ``_table_planes`` gives
-    them for its indices, written into ``out``.  Each digit ``d`` above
-    ``bt.k`` is the constant ``q_d``, digit ``d - k`` of ``j``, and in block
-    0 row ``(d, 0)`` is the plane of the valid tables, so block ``j``'s
-    planes are block 0's with that row moved to ``(d, q_d)``."""
-    np.copyto(out, bt.block_tables)
+    """The planes of aligned block ``j``, as ``_table_planes`` gives them
+    for its indices, written into ``out``.  Each digit ``d`` from ``bt.k``
+    on is the constant ``q_d``, digit ``d - k`` of ``j``, and in block 0 row
+    ``d * P`` is the plane of the valid tables, so block ``j``'s planes are
+    block 0's with that row moved to ``d * P + q_d``."""
+    np.copyto(out, bt.block_planes)
     pigeons = bt.n + 1
-    edge = bt.k - 1  # table digit d >= 1 is edge d - 1
+    d = bt.k
     while j:
         j, q = divmod(j, pigeons)
         if q:
-            out[edge * pigeons + q] = out[edge * pigeons]
-            out[edge * pigeons] = 0
-        edge += 1
+            out[d * pigeons + q] = out[d * pigeons]
+            out[d * pigeons] = 0
+        d += 1
     return out
 
 
@@ -694,12 +688,12 @@ def verify_loop_bound(n: int = 3, limit: Optional[int] = None) -> CampaignReport
     bt = board_tables(n)
     total = strategy_space(n) if limit is None else min(strategy_space(n), limit)
     size = (n + 1) ** bt.k
-    out = np.empty_like(bt.block_tables)
+    out = np.empty_like(bt.block_planes)
     bad: list[str] = []
     starts = range(0, total, size)
     closed = walked = 0
     for j, start in enumerate(starts):
-        block_walked, violators = _loop_bound_planes(bt.block_init, _block_planes(bt, j, out), bt)
+        block_walked, violators = _loop_bound_planes(_block_planes(bt, j, out), bt)
         walked += block_walked
         if violators is None:
             closed += 1

@@ -8,7 +8,13 @@ import pytest
 
 from pebblegames.cli import CLAIMS, run
 from pebblegames.matching import LogPower
-from pebblegames.simple_game import format_strategy, prover_small_n
+from pebblegames.simple_game import (
+    delayer_wins_lengths,
+    format_strategy,
+    parse_strategy,
+    prover_small_n,
+)
+from pebblegames.verify import index_to_strategy
 
 
 @pytest.fixture()
@@ -337,8 +343,13 @@ def test_verify_theorem_n2_finds_counterexamples(capsys, tmp_path):
     assert code == 1
     out = capsys.readouterr().out
     assert "counterexamples=" in out
-    assert not out.startswith("claim=theorem-main-n2 space=2187 counterexamples=0")
-    assert any((tmp_path / "ces").iterdir())
+    assert out.startswith("claim=theorem-main-n2 space=2187 counterexamples=108 ")
+    # One file per Prover-won table, named by its index, holding that table.
+    lost = [i for i in range(2187) if not delayer_wins_lengths(index_to_strategy(i, 2)).wins_all()]
+    files = {path.name: path.read_text() for path in (tmp_path / "ces").iterdir()}
+    assert sorted(files) == sorted(f"strategy-{i}.strat" for i in lost) and len(lost) == 108
+    for i in lost:
+        assert parse_strategy(files[f"strategy-{i}.strat"]) == index_to_strategy(i, 2)
 
 
 def test_verify_reports_byte_identical(capsys):

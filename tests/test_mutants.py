@@ -228,7 +228,7 @@ def _walk_restrict_at_n3(mod) -> Optional[str]:
     bt = mod.board_tables(3)
     rng = np.random.default_rng(32)
     E = len(bt.loop_plane)
-    tables = rng.integers(0, 2**64, (E * 4 + 1, 2), dtype=np.uint64)
+    tables = rng.integers(0, 2**64, ((E + 1) * 4 + 1, 2), dtype=np.uint64)
     tables[-1] = 0
     masks = (np.arange(E) % 2 == 1, (rng.random(E) < 0.5) & (np.arange(E) > 0))
     for walk in (bt.certify, bt.loop):
@@ -371,7 +371,7 @@ RAMIFY_N2 = {"root-ramify-n2": "not a gap: n = 2 needs no such clause; n = 3 doe
 MUTANTS = {
     "first-step-ignores-loop-plane": (
         ver,
-        "        loops = tables[bt.loop_plane] & ~_pack(held[lo : lo + TABLE_BLOCK])\n",
+        "        loops = planes[bt.loop_plane] & ~_pack(held[lo : lo + TABLE_BLOCK])\n",
         "        loops = ~_pack(held[lo : lo + TABLE_BLOCK])\n",
         ("step1-lemma-n2", "432 tables mismatch"),
         {
@@ -394,8 +394,8 @@ MUTANTS = {
     ),
     "loop-plane-one-pigeon-off": (
         ver,
-        "        loop_plane=e * pigeons + e // n,\n",
-        "        loop_plane=e * pigeons + (e // n + 1) % pigeons,\n",
+        "        loop_plane=(e + 1) * pigeons + e // n,\n",
+        "        loop_plane=(e + 1) * pigeons + (e // n + 1) % pigeons,\n",
         ("step1-lemma-n2", "1539 tables mismatch"),
         {
             # The gate holds every row back, so it never runs the fast path.
@@ -405,15 +405,15 @@ MUTANTS = {
     ),
     "hit-plane-with-the-wrong-tail": (
         ver,
-        "edge * pigeons + tail[cand]",
-        "edge * pigeons + (tail[cand] + 1) % pigeons",
+        "(edge + 1) * pigeons + tail[cand]",
+        "(edge + 1) * pigeons + (tail[cand] + 1) % pigeons",
         ("oracle-gate-n2", "oracle gate: engine mismatch at index 1182"),
         WIRING_AT_N3_N4,
     ),
     "step-plane-with-the-wrong-tail": (
         ver,
-        "e * pigeons + tail[edge]",
-        "e * pigeons + (tail[edge] + 1) % pigeons",
+        "(e + 1) * pigeons + tail[edge]",
+        "(e + 1) * pigeons + (tail[edge] + 1) % pigeons",
         ("oracle-gate-n2", "oracle gate: engine mismatch at index 1504"),
         {"step1-lemma-n2": "not a gap: the walk stopped after its first step reads no step plane"},
     ),
@@ -422,6 +422,14 @@ MUTANTS = {
         "        slot_tail=tail[edge],\n",
         "        slot_tail=(tail[edge] + 1) % pigeons,\n",
         ("step1-lemma-n2", "378 tables mismatch"),
+        {},
+    ),
+    "live-misses-init-0": (
+        ver,
+        "planes[: bt.n + 1]",
+        "planes[1 : bt.n + 1]",
+        # A table that asks pigeon 0 first and stays past step 1 is never routed.
+        ("oracle-gate-n2", "oracle gate: engine mismatch at index 792"),
         {},
     ),
     "compat-with-its-hole-shifted": (
@@ -801,6 +809,12 @@ ALSO_REFUSED = {
         ("trace-n3-window", "66257 tables moved"),
     ),
     "hold-back-every-100th-table": (("trace-n3-window", "311 tables moved"),),
+    "live-misses-init-0": (
+        ("oracle-gate-n3", "oracle gate: engine mismatch at index 46874028"),
+        ("oracle-gate-n4", "oracle gate: engine mismatch at index 408323930778115"),
+        ("batch-results-n1-n2", "route differs at n=1"),
+        ("trace-n3-window", "13655 tables moved"),
+    ),
 }
 assert set(ALSO_REFUSED) <= set(MUTANTS)
 

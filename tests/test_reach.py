@@ -76,6 +76,7 @@ ENGINE = tuple(
         "_block_planes",
         "certify_batch",
         "_loop_bound_planes",
+        "loop_bound_batch",
     )
 )
 SRC_MODULES = tuple(path.stem for path in sorted(SRC.glob("*.py")))
@@ -546,8 +547,13 @@ def test_the_independence_scan_reports_a_planted_call():
         "simple_game": _plant(
             sources["simple_game"], "brute_force_delayer_wins", "records_conflict((0, 0), (0, 1))"
         ),
-        "verify": _plant(sources["verify"], "certify_batch", "delayer_wins_lengths(None)"),
+        "verify": _plant(
+            _plant(sources["verify"], "certify_batch", "delayer_wins_lengths(None)"),
+            "loop_bound_batch",
+            "phpmod.shortest_loop_witness(None, 0, 0)",
+        ),
     }
     found = _dependences(planted)
     assert "the DFS oracle reaches matching.records_conflict" in found
     assert "the batch engine reaches simple_game.delayer_wins_lengths" in found
+    assert "the batch engine reaches php_tree.shortest_loop_witness" in found

@@ -147,8 +147,9 @@ def test_compatibility_masks_match_the_engine_and_are_built_once(n):
     masks = compatibility_masks(GameSize(n))
     assert isinstance(masks, tuple)
     # The batch engine derives the same board fact from its own formula: the
-    # certificate walk's slots of candidate c hold the edges compatible with c.
-    walked = board_tables(n).certify.hit_plane.T // (n + 1)  # (E, slots per candidate)
+    # certificate walk's slots of candidate c hold the edges compatible with c,
+    # and a hit plane of edge e is a row of index digit 1 + e.
+    walked = board_tables(n).certify.hit_plane.T // (n + 1) - 1  # (E, slots per candidate)
     assert len(masks) == len(walked)
     for mask, edges in zip(masks, walked):
         assert [f for f in range(len(masks)) if mask >> f & 1] == edges.tolist()

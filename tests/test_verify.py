@@ -64,11 +64,33 @@ def _decode_batches(draw):
 @given(batch=_decode_batches())
 def test_decode_batch_matches_index_to_strategy(batch):
     n, idxs, dtype = batch
-    init, heads = decode_batch(np.array(idxs, dtype=dtype), n)
+    digits = decode_batch(np.array(idxs, dtype=dtype), n)
+    assert digits.shape == ((n + 1) * n + 1, len(idxs))
     for row, idx in enumerate(idxs):
-        strat = index_to_strategy(idx, n)
-        assert init[row] == strat.init
-        assert heads[row].tolist() == [q for cells in strat.table for q in cells]
+        assert digits[:, row].tolist() == _digits(index_to_strategy(idx, n))
+
+
+def _digits(strat) -> list[int]:
+    """The index digits of ``strat``: the first question, then the head of
+    each edge, pigeon-major."""
+    return [strat.init, *(q for cells in strat.table for q in cells)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65])
+def test_plane_row_d_p_plus_q_holds_digit_d_is_q(n, size):
+    # One formula addresses every plane of a batch; the padding bits of the
+    # last word and the last row, the padding term of a step, are zero.
+    idxs = np.random.default_rng(size).integers(0, strategy_space(n), size, dtype=np.uint64)
+    planes = ver._table_planes(idxs, n)
+    num_digits, words = (n + 1) * n + 1, -(-size // 64)
+    assert planes.shape == (num_digits * (n + 1) + 1, words)
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, bitorder="little").view(bool)
+    want = np.zeros(bits.shape, dtype=bool)
+    for row, idx in enumerate(idxs):
+        for d, q in enumerate(_digits(index_to_strategy(int(idx), n))):
+            want[d * (n + 1) + q, row] = True
+    assert np.array_equal(bits, want)
 
 
 def test_enumerate_n1_full():
@@ -327,7 +349,7 @@ def test_board_tables_are_cached_and_read_only(n):
     bt = board_tables(n)
     assert board_tables(n) is bt
     walks = [*vars(bt.certify).values(), *vars(bt.loop).values()]
-    for array in (bt.loop_plane, bt.block_init, bt.block_tables, *walks):
+    for array in (bt.loop_plane, bt.block_planes, *walks):
         assert not array.flags.writeable
         if array.size:
             first = (0,) * array.ndim
@@ -717,7 +739,7 @@ def test_verify_loop_bound_hands_each_index_to_one_block(monkeypatch):
     monkeypatch.setattr(
         ver, "_block_planes", lambda bt, j, out: blocks.append(j) or block_planes(bt, j, out)
     )
-    every_table = lambda init, tables, bt: (1, np.full(tables.shape[1], ~np.uint64(0)))
+    every_table = lambda planes, bt: (1, np.full(planes.shape[1], ~np.uint64(0)))
     monkeypatch.setattr(ver, "_loop_bound_planes", every_table)
     monkeypatch.setattr(ver, "index_to_strategy", lambda idx, n: idx)
     monkeypatch.setattr(ver, "format_strategy", lambda idx: idx)
@@ -770,14 +792,12 @@ def test_aligned_block_planes_match_decoded_planes(case):
     n, js = case
     bt = board_tables(n)
     size = (n + 1) ** bt.k
-    out = np.empty_like(bt.block_tables)
+    out = np.empty_like(bt.block_planes)
     for j in js:
         # Every block reuses the buffer that the block before it filled.
         assert ver._block_planes(bt, j, out) is out
         idxs = np.arange(j * size, (j + 1) * size, dtype=np.uint64)
-        want_init, want_tables = ver._table_planes(idxs, n)
-        assert np.array_equal(bt.block_init, want_init)
-        assert np.array_equal(out, want_tables)
+        assert np.array_equal(out, ver._table_planes(idxs, n))
 
 
 def _count_hit_tests(monkeypatch) -> list:
@@ -793,8 +813,8 @@ def _block_violators(mod, n: int, j: int) -> tuple[int, Optional[np.ndarray]]:
     ``j`` of board ``n`` that break the loop bound, as ``verify_loop_bound``
     walks the block, or None when the block closes."""
     bt = mod.board_tables(n)
-    planes = mod._block_planes(bt, j, np.empty_like(bt.block_tables))
-    walked, violators = mod._loop_bound_planes(bt.block_init, planes, bt)
+    planes = mod._block_planes(bt, j, np.empty_like(bt.block_planes))
+    walked, violators = mod._loop_bound_planes(planes, bt)
     if violators is None:
         return walked, None
     size = (n + 1) ** bt.k
@@ -839,7 +859,7 @@ def test_walk_step_and_hits_distribute_over_or(n, loop, width, seed):
     walk = bt.loop if loop else bt.certify
     rng = np.random.default_rng(seed)
     planes = lambda rows: rng.integers(0, 2**64, (rows, width), dtype=np.uint64, endpoint=False)
-    tables = planes(len(bt.loop_plane) * (n + 1) + 1)
+    tables = planes((len(bt.loop_plane) + 1) * (n + 1) + 1)
     tables[-1] = 0
     a, b = planes(len(walk.slot_tail)), planes(len(walk.slot_tail))
     terms = tables[walk.step_plane]
@@ -865,7 +885,7 @@ def test_walk_restrict_keeps_the_rows_of_its_candidates(n, loop, width, kept, se
     E = len(bt.loop_plane)
     kept = {"none": np.zeros(E, bool), "all": np.ones(E, bool), "random": rng.random(E) < 0.5}[kept]
     planes = lambda rows: rng.integers(0, 2**64, (rows, width), dtype=np.uint64, endpoint=False)
-    tables = planes(E * (n + 1) + 1)
+    tables = planes((E + 1) * (n + 1) + 1)
     tables[-1] = 0
     cols = np.repeat(kept, len(walk.slot_tail) // E)
     assert np.array_equal(walk.restrict(kept).slot_tail, walk.slot_tail[cols])
@@ -1136,6 +1156,43 @@ def test_theorem_main_sampled_in_batches(request, n, threads):
     assert cut.details == {"fast_path": fast, "sampled_crosschecks": checked, "uncertified": 0}
 
 
+@pytest.fixture
+def pools(monkeypatch) -> list[int]:
+    """The ``max_workers`` of each process pool that the sweep makes.  The
+    pools map their jobs in process, so no worker is forked."""
+    import concurrent.futures
+
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return made
+
+
+@pytest.mark.parametrize("threads", [2, 5, 64])
+def test_the_sweep_forks_no_more_workers_than_jobs(request, threads, pools):
+    # A fork pool starts every worker at its first job: the whole n = 2 space,
+    # one job, runs in process, and a sweep cut into 5 jobs gets at most 5.
+    whole = verify_theorem_main(n=2, threads=threads)
+    assert pools == [] and len(whole.counterexamples) == 108
+    request.getfixturevalue("batches_of_128")
+    cut = verify_theorem_main(n=2, sample=600, seed=8, threads=threads)
+    assert pools == [min(threads, 5)]
+    assert cut.details == {"fast_path": 467, "sampled_crosschecks": 6, "uncertified": 0}
+
+
 def test_theorem_main_sampled_crosschecks():
     rep = verify_theorem_main(n=4, sample=3000, seed=8)
     idxs = np.random.default_rng(8).choice(strategy_space(4), 3000, replace=False, shuffle=False)
@@ -1163,8 +1220,7 @@ def _held_digit_counts(mod, job: tuple) -> np.ndarray:
     if idxs is None:
         idxs = np.arange(lo, hi, dtype=np.uint64)
     [mask] = masks
-    init, heads = decode_batch(idxs[mask], n)
-    return np.array([np.bincount(digit, minlength=n + 1) for digit in (init, *heads.T)])
+    return np.array([np.bincount(digit, minlength=n + 1) for digit in decode_batch(idxs[mask], n)])
 
 
 def _uneven_held_digit(counts: np.ndarray) -> Optional[str]:
